@@ -19,7 +19,6 @@ from .groups import (
     derived_subgroup,
     derived_series,
     is_a5,
-    is_solvable,
     product_set,
     quotient,
     subgroup_as_group,
@@ -94,10 +93,10 @@ def classify_high_cp(G: FiniteGroup) -> ClassificationResult:
     cp = cp_pair_count(G)
     if cp == 1:
         return ClassificationResult(Verdict.ABELIAN, cp, True, derived_length=0)
-    if is_solvable(G):
+    series = derived_series(G)
+    if series[-1].order == 1:
         return ClassificationResult(
-            Verdict.SOLVABLE_NONABELIAN, cp, True,
-            derived_length=len(derived_series(G)) - 1,
+            Verdict.SOLVABLE_NONABELIAN, cp, True, derived_length=len(series) - 1
         )
     evidence = detect_a5_x_abelian(G)
     if evidence is not None:

@@ -36,12 +36,16 @@ from .specfmt import parse_model_file, resolve_group
 
 
 def _cap(args) -> int:
-    if getattr(args, "cap", None):
-        return args.cap
-    env = os.environ.get("HAARCP_CAP")
-    if env and env.isdigit():
-        return int(env)
-    return DEFAULT_CLOSURE_CAP
+    """The closure cap: --cap, else HAARCP_CAP, else the default; each must be > 0."""
+    if args.cap is not None:
+        source, text = "--cap", str(args.cap)
+    elif "HAARCP_CAP" in os.environ:
+        source, text = "HAARCP_CAP", os.environ["HAARCP_CAP"]
+    else:
+        return DEFAULT_CLOSURE_CAP
+    if not (text.isascii() and text.isdigit() and int(text) > 0):
+        raise ValueError(f"{source} must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _group(args, tokens) -> "FiniteGroup":

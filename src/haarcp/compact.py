@@ -123,6 +123,8 @@ def build_model(
     if Q.identity in given and given[Q.identity] != ident:
         raise NotAHomomorphism("identity element must act by the identity matrix")
     gens = [g for g in given if g != Q.identity]
+    # Not the closure in groups: GL(d, Z) is infinite, so a closure over
+    # (q, M) pairs need not end; this walks Q and checks each matrix it meets.
     frontier = [Q.identity]
     while frontier:
         nxt = []

@@ -21,8 +21,6 @@ from .groups import (
     subgroup_as_group,
 )
 
-Rational = Fraction
-
 
 def cp_pair_count(G: FiniteGroup) -> Fraction:
     """|{(x, y) : xy = yx}| / |G|^2, counted directly over the Cayley table."""
@@ -59,8 +57,7 @@ class CommutationMatrix:
 
 def commutation_matrix(G: FiniteGroup, Z: Subgroup, T: Transversal) -> CommutationMatrix:
     """entries[i][j] = 1 iff transversal representatives i and j commute in G."""
-    true_center = center(G)
-    if Z.parent is not G or Z.members != true_center.members:
+    if Z.parent is not G or Z.members != center(G).members:
         raise CenterMismatch("supplied subgroup is not the center of G")
     reps = T.reps
     m = len(reps)
@@ -75,13 +72,19 @@ def cp_coset_formula(G: FiniteGroup, transversal: Transversal | None = None) -> 
     """(sum of commutation indicators) / |G:Z|^2 over a central transversal.
 
     The value is independent of the transversal choice: central shifts of
-    representatives never change whether two of them commute.
+    representatives never change whether two of them commute.  A supplied
+    transversal must be one of the center: its subgroup is Z(G) and its
+    representatives meet every coset of Z(G) exactly once.
     """
     Z = center(G)
-    T = transversal if transversal is not None else left_transversal(G, Z)
-    M = commutation_matrix(G, Z, T)
     index = G.order // Z.order
-    return Fraction(M.total(), index * index)
+    T = transversal if transversal is not None else left_transversal(G, Z)
+    if T.subgroup.parent is not G or T.subgroup.members != Z.members:
+        raise CenterMismatch("transversal is not over the center of G")
+    covered = sorted(G.mul(r, z) for r in T.reps if 0 <= r < G.order for z in Z.members)
+    if len(T.reps) != index or covered != list(range(G.order)):
+        raise CenterMismatch("representatives do not meet each coset of the center once")
+    return Fraction(sum(G.commutes(a, b) for a in T.reps for b in T.reps), index * index)
 
 
 def cp_fc_reduction(G: FiniteGroup, F: Subgroup) -> Fraction:

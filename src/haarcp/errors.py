@@ -30,7 +30,7 @@ class SearchCapExceeded(HaarcpError):
 
 
 class CenterMismatch(HaarcpError):
-    """A commutation matrix was requested over a subgroup that is not the center."""
+    """A subgroup or transversal given as the center's is not the center's."""
 
 
 class CenterNotContained(HaarcpError):

@@ -34,7 +34,6 @@ class FiniteGroup:
     identity: int
     inverse_table: tuple[int, ...]
     name: str = "G"
-    perm_generators: tuple[Perm, ...] | None = None
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
@@ -110,11 +109,7 @@ class Transversal:
         return len(self.reps)
 
 
-def make_group(
-    table: Sequence[Sequence[int]],
-    name: str = "G",
-    perm_generators: Sequence[Perm] | None = None,
-) -> FiniteGroup:
+def make_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
     """Build a FiniteGroup from a Cayley table, locating identity and inverses.
 
     Raises ValueError if no two-sided identity or some inverse is missing;
@@ -145,8 +140,7 @@ def make_group(
         if inv is None:
             raise ValueError(f"element {g} has no two-sided inverse")
         inverses.append(inv)
-    gens = tuple(tuple(p) for p in perm_generators) if perm_generators else None
-    return FiniteGroup(n, rows, identity, tuple(inverses), name, gens)
+    return FiniteGroup(n, rows, identity, tuple(inverses), name)
 
 
 def verify_axioms(G: FiniteGroup, max_exhaustive: int = 512, samples: int = 20000,
@@ -173,7 +167,26 @@ def verify_axioms(G: FiniteGroup, max_exhaustive: int = 512, samples: int = 2000
     return True
 
 
-# -- permutation closure ---------------------------------------------------
+# -- closure ---------------------------------------------------------------
+
+
+def _bfs_closure(start, gens, mul, cap: int | None = None, cap_message: str = ""):
+    """Everything reachable from start by right multiplication with gens.
+
+    Returns (elements in BFS order, element -> position).  Raises
+    ClosureExceedsCap(cap_message) before the element list passes cap.
+    """
+    elements = [start]
+    index = {start: 0}
+    for x in elements:  # the list grows while it is walked: a FIFO queue
+        for g in gens:
+            y = mul(x, g)
+            if y not in index:
+                if cap is not None and len(elements) >= cap:
+                    raise ClosureExceedsCap(cap_message)
+                index[y] = len(elements)
+                elements.append(y)
+    return elements, index
 
 
 def _compose(p: Perm, q: Perm) -> Perm:
@@ -191,28 +204,14 @@ def close_generators(
     for p in perms:
         if len(p) != degree or sorted(p) != list(range(degree)):
             raise ValueError(f"not a permutation of 0..{degree - 1}: {p}")
-    ident: Perm = tuple(range(degree))
-    elements: list[Perm] = [ident]
-    index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt: list[Perm] = []
-        for x in frontier:
-            for g in perms:
-                y = _compose(x, g)
-                if y not in index:
-                    if len(elements) >= cap:
-                        raise ClosureExceedsCap(
-                            f"closure exceeds cap {cap} (degree {degree})"
-                        )
-                    index[y] = len(elements)
-                    elements.append(y)
-                    nxt.append(y)
-        frontier = nxt
+    elements, index = _bfs_closure(
+        tuple(range(degree)), perms, _compose, cap,
+        f"closure exceeds cap {cap} (degree {degree})",
+    )
     n = len(elements)
     table = [[index[_compose(elements[a], elements[b])] for b in range(n)]
              for a in range(n)]
-    return make_group(table, name=name, perm_generators=perms)
+    return make_group(table, name=name)
 
 
 # -- subgroup machinery ----------------------------------------------------
@@ -235,19 +234,8 @@ def subgroup_from_members(G: FiniteGroup, members: Iterable[int]) -> Subgroup:
 
 def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """Subgroup generated by the given element indices."""
-    seen = {G.identity}
-    frontier = [G.identity]
-    gen_list = list(set(gens))
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gen_list:
-                y = G.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return Subgroup(G, tuple(sorted(seen)))
+    elements, _ = _bfs_closure(G.identity, set(gens), G.mul)
+    return Subgroup(G, tuple(sorted(elements)))
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
@@ -276,8 +264,7 @@ def centralizer(G: FiniteGroup, g: int) -> Subgroup:
 
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
-    comms = {G.commutator(x, y) for x in range(G.order) for y in range(G.order)}
-    return generated_subgroup(G, comms)
+    return derived_subgroup_of(whole_subgroup(G))
 
 
 def derived_subgroup_of(S: Subgroup) -> Subgroup:
@@ -323,17 +310,11 @@ def is_normal(G: FiniteGroup, N: Subgroup) -> bool:
 
 def is_solvable(G: FiniteGroup) -> bool:
     """True iff the derived series reaches the trivial subgroup."""
-    current = whole_subgroup(G)
-    while True:
-        nxt = derived_subgroup_of(current)
-        if nxt.order == 1:
-            return True
-        if nxt.order == current.order:
-            return False
-        current = nxt
+    return derived_series(G)[-1].order == 1
 
 
 def derived_series(G: FiniteGroup) -> list[Subgroup]:
+    """G > G' > G'' > ..., ending at the trivial group or where it stabilizes."""
     series = [whole_subgroup(G)]
     while True:
         nxt = derived_subgroup_of(series[-1])

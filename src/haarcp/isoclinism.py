@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cp import cp_pair_count
 from .errors import DomainMismatch, SearchCapExceeded, WitnessInvalid
@@ -24,7 +25,7 @@ from .groups import (
     left_transversal,
     quotient,
 )
-from .isomorphism import DEFAULT_ISO_CAP, iter_isomorphisms
+from .isomorphism import DEFAULT_ISO_CAP, _close_partial, iter_isomorphisms
 
 
 @dataclass(frozen=True)
@@ -56,83 +57,81 @@ class IsoclinismWitness:
         return "\n".join(lines)
 
 
-def _central_data(G: FiniteGroup):
-    Z = center(G)
+class _Central(NamedTuple):
+    """A group's isoclinism data: G/Z(G) with its projection, coset
+    representatives (the smallest member of each coset) and G'."""
+
+    group: FiniteGroup
+    quotient: FiniteGroup
+    proj: tuple[int, ...]
+    pre: tuple[int, ...]
+    derived: Subgroup
+
+
+def _central_data(
+    G: FiniteGroup, Z: Subgroup | None = None, D: Subgroup | None = None
+) -> _Central:
+    """Isoclinism data of G, reusing Z(G) and G' when the caller has them."""
+    Z = center(G) if Z is None else Z
     Q, proj = quotient(G, Z)
-    reps = left_transversal(G, Z).reps
-    # representative per coset index (transversal reps hit every coset once)
     pre = [0] * Q.order
-    for r in reps:
-        pre[proj[r]] = r
-    return Z, Q, tuple(proj), tuple(pre)
+    for g in reversed(range(G.order)):
+        pre[proj[g]] = g
+    D = derived_subgroup(G) if D is None else D
+    return _Central(G, Q, tuple(proj), tuple(pre), D)
 
 
 def _beta_from_alpha(
-    G: FiniteGroup,
-    H: FiniteGroup,
-    alpha: list[int] | tuple[int, ...],
-    g_pre: tuple[int, ...],
-    h_pre: tuple[int, ...],
-    g_derived: Subgroup,
-    h_derived: Subgroup,
+    g: _Central, h: _Central, alpha: list[int] | tuple[int, ...]
 ) -> dict[int, int] | None:
     """Derived-subgroup map forced by alpha, or None if it is inconsistent."""
+    G, H = g.group, h.group
     m = len(alpha)
     beta: dict[int, int] = {}
     for c1 in range(m):
         for c2 in range(m):
-            u = G.commutator(g_pre[c1], g_pre[c2])
-            v = H.commutator(h_pre[alpha[c1]], h_pre[alpha[c2]])
+            u = G.commutator(g.pre[c1], g.pre[c2])
+            v = H.commutator(h.pre[alpha[c1]], h.pre[alpha[c2]])
             if beta.setdefault(u, v) != v:
                 return None
     # extend multiplicatively from commutators to all of G'
     used = set(beta.values())
-    if len(used) != len(beta):
+    if len(used) != len(beta) or not _close_partial(G, H, beta, used, list(beta)):
         return None
-    queue = list(beta)
-    while queue:
-        x = queue.pop()
-        for a in list(beta):
-            for p, q in ((a, x), (x, a)):
-                prod = G.mul(p, q)
-                img = H.mul(beta[p], beta[q])
-                known = beta.get(prod)
-                if known is not None:
-                    if known != img:
-                        return None
-                elif img in used:
-                    return None
-                else:
-                    beta[prod] = img
-                    used.add(img)
-                    queue.append(prod)
-    if set(beta) != g_derived.member_set or used != h_derived.member_set:
+    if set(beta) != g.derived.member_set or used != h.derived.member_set:
         return None
     return beta
+
+
+def _search(
+    g: _Central, H: FiniteGroup, cap: int,
+    Z: Subgroup | None = None, D: Subgroup | None = None,
+) -> IsoclinismWitness | None:
+    """First witness G ~ H, or None.  The cap is judged from the orders of
+    both central quotients; H's quotient is built only when |H/Z(H)| and
+    |H'| match G's."""
+    Z = center(H) if Z is None else Z
+    D = derived_subgroup(H) if D is None else D
+    if max(g.quotient.order, H.order // Z.order) > cap:
+        raise SearchCapExceeded(f"central quotient order exceeds search cap {cap}")
+    if (g.quotient.order, g.derived.order) != (H.order // Z.order, D.order):
+        return None
+    h = _central_data(H, Z, D)
+    for alpha in iter_isomorphisms(g.quotient, h.quotient, cap=cap):
+        beta = _beta_from_alpha(g, h, alpha)
+        if beta is not None:
+            return IsoclinismWitness(
+                g.group, H, g.quotient, h.quotient, g.proj, h.proj,
+                tuple(alpha), g.derived, D, beta,
+            )
+    return None
 
 
 def find_isoclinism(
     G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_ISO_CAP
 ) -> IsoclinismWitness | None:
     """Search for an isoclinism witness; None if the groups are not isoclinic."""
-    Zg, Qg, g_proj, g_pre = _central_data(G)
-    Zh, Qh, h_proj, h_pre = _central_data(H)
-    if max(Qg.order, Qh.order) > cap:
-        raise SearchCapExceeded(
-            f"central quotient order exceeds search cap {cap}"
-        )
-    Dg = derived_subgroup(G)
-    Dh = derived_subgroup(H)
-    if Qg.order != Qh.order or Dg.order != Dh.order:
-        return None
-    for alpha in iter_isomorphisms(Qg, Qh, cap=cap):
-        beta = _beta_from_alpha(G, H, alpha, g_pre, h_pre, Dg, Dh)
-        if beta is None:
-            continue
-        return IsoclinismWitness(
-            G, H, Qg, Qh, g_proj, h_proj, tuple(alpha), Dg, Dh, beta
-        )
-    return None
+    return _search(_central_data(G), H, cap)
 
 
 def verify_isoclinism(
@@ -194,10 +193,10 @@ def _coset_preimages(G: FiniteGroup, proj: tuple[int, ...], k: int) -> list[list
 
 
 def identity_witness(G: FiniteGroup) -> IsoclinismWitness:
-    Z, Q, proj, _pre = _central_data(G)
-    D = derived_subgroup(G)
+    c = _central_data(G)
+    Q, D = c.quotient, c.derived
     return IsoclinismWitness(
-        G, G, Q, Q, proj, proj,
+        G, G, Q, Q, c.proj, c.proj,
         tuple(range(Q.order)), D, D, {g: g for g in D.members},
     )
 
@@ -215,14 +214,17 @@ def find_stem_group(
     """First corpus group (order-ascending) that is a stem group isoclinic to F.
 
     Every isoclinism family contains a stem group, but the corpus may not;
-    None means "not found here", never "does not exist".
+    None means "not found here", never "does not exist".  F's data is built
+    once, and each candidate's center and derived subgroup serve both the
+    stem test and the search.
     """
+    f = _central_data(F)
     for H in sorted(corpus, key=lambda g: (g.order, g.name)):
-        if not is_stem_group(H):
-            continue
-        w = find_isoclinism(F, H, cap=cap)
-        if w is not None:
-            return H, w
+        Z, D = center(H), derived_subgroup(H)
+        if Z.member_set <= D.member_set:
+            w = _search(f, H, cap, Z, D)
+            if w is not None:
+                return H, w
     return None
 
 

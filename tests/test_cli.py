@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from haarcp.cli import main
@@ -176,3 +178,45 @@ class TestCommands:
         f = tmp_path / "c3.group"
         f.write_text("perm (1 2 3)\n")
         assert main(["cp", str(f)]) == 2
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_cap_flag_not_positive(self, value, capsys):
+        assert main(["--cap", value, "cp", "q8"]) == 2
+        err = capsys.readouterr().err
+        assert f"--cap must be a positive integer, got '{value}'" in err
+
+    def test_cap_env_not_a_number(self, monkeypatch, capsys):
+        monkeypatch.setenv("HAARCP_CAP", "abc")
+        assert main(["cp", "q8"]) == 2
+        assert "HAARCP_CAP must be a positive integer, got 'abc'" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_SPECS = {
+    "perm2.group": "perm (1 2 3 4)(5 6 7)\nperm (1 3)\n",
+    "d4xc3.group": "product d4 c3\n",
+    "a5xc2.group": "product a5 c2\n",
+}
+# Verbs whose output carries element indices, so closure order, coset
+# numbering and witness maps are pinned byte for byte.  "@name" stands for
+# the spec file GOLDEN_SPECS[name].
+GOLDEN_CASES = {
+    "center_perm2": ["center", "@perm2.group"],
+    "isoclinic_d4_q8": ["isoclinic", "d4", "q8"],
+    "isoclinic_es27": ["isoclinic", "es27+", "es27-"],
+    "stem_c12": ["stem", "c12"],
+    "stem_d4xc3": ["stem", "@d4xc3.group"],
+    "classify_a5xc2": ["classify", "@a5xc2.group"],
+    "scan_machine": ["scan", "--machine"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_output(case, tmp_path, capsys):
+    for name, text in GOLDEN_SPECS.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg
+            for arg in GOLDEN_CASES[case]]
+    assert main(argv) == 0
+    expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected

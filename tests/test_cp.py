@@ -119,6 +119,16 @@ class TestCosetFormula:
             value = cp_coset_formula(q8, Transversal(Z, reps))
             assert value == Fraction(5, 8)
 
+    def test_transversal_of_non_center_rejected(self, s3):
+        # a transversal of the whole group is not one of Z(S3)
+        with pytest.raises(CenterMismatch):
+            cp_coset_formula(s3, left_transversal(s3, whole_subgroup(s3)))
+
+    def test_transversal_missing_cosets_rejected(self, q8):
+        # one representative repeated: three of the four cosets are missed
+        with pytest.raises(CenterMismatch):
+            cp_coset_formula(q8, Transversal(center(q8), (0, 0, 0, 0)))
+
 
 class TestThreeWayAgreement:
     def test_corpus_agreement(self):
