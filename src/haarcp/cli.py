@@ -29,10 +29,10 @@ from .cp import (
     format_rational,
     parse_rational,
 )
-from .errors import HaarcpError
+from .errors import ClosureExceedsCap, HaarcpError
 from .groups import DEFAULT_CLOSURE_CAP, center
 from .isoclinism import find_isoclinism, find_stem_group
-from .specfmt import parse_model_file, resolve_group
+from .specfmt import parse_group_file, parse_model_file, resolve_group
 
 
 def _cap(args) -> int:
@@ -104,6 +104,9 @@ def cmd_isoclinic(args) -> int:
 
 
 def cmd_stem(args) -> int:
+    cap = _cap(args)
+    if args.max_order > cap:
+        raise ClosureExceedsCap(f"--max-order {args.max_order} exceeds cap {cap}")
     F = _group(args, args.group)
     groups = [g for _n, g in corpus.builtin_corpus(args.max_order)]
     found = find_stem_group(F, groups)
@@ -134,11 +137,11 @@ def cmd_verify_t1(args) -> int:
 
 
 def cmd_verify_t2(args) -> int:
-    target = args.input
-    if corpus.builtin_group(target) is not None or _looks_like_group_file(target):
-        x = resolve_group(target, cap=_cap(args))
-    else:
-        x = parse_model_file(target, cap=_cap(args))
+    target, cap = args.input, _cap(args)
+    x = corpus.builtin_group(target, cap)
+    if x is None:
+        parse = parse_group_file if _looks_like_group_file(target) else parse_model_file
+        x = parse(target, cap=cap)
     report = check_theorem2_part1(x)
     mark = "PASS" if report.passed else "FAIL"
     print(f"{mark} cp = {format_rational(report.cp_value)}")

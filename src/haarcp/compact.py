@@ -21,6 +21,7 @@ the coset-reduction theorem for this family.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -43,24 +44,40 @@ def identity_matrix(d: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    d = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d))
-        for i in range(d)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
 
 
 def mat_det(a: Matrix) -> int:
-    d = len(a)
+    """Exact determinant by Bareiss fraction-free elimination.
+
+    Bareiss (Math. Comp. 22, 1968): step k replaces each entry below and to
+    the right of the pivot by (a_ij * a_kk - a_ik * a_kj) / previous pivot,
+    a division that is always exact, so the work stays in the integers and
+    takes O(d^3) operations.  A zero pivot is swapped for a nonzero entry
+    further down its column (flipping the sign); if there is none, the
+    matrix is singular.
+    """
+    m = [list(row) for row in a]
+    d = len(m)
     if d == 0:
         return 1
-    if d == 1:
-        return a[0][0]
-    det = 0
-    for j in range(d):
-        minor = tuple(row[:j] + row[j + 1:] for row in a[1:])
-        det += (-1) ** j * a[0][j] * mat_det(minor)
-    return det
+    sign, prev = 1, 1
+    for k in range(d - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, d) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, d):
+                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+        prev = pivot
+    return sign * m[-1][-1]
 
 
 @dataclass(frozen=True)
@@ -115,8 +132,9 @@ def build_model(
         m = tuple(tuple(int(v) for v in row) for row in raw)
         if len(m) != d or any(len(row) != d for row in m):
             raise RankMismatch(f"matrix for element {g} is not {d}x{d}")
-        if mat_det(m) not in (1, -1):
-            raise NotUnimodular(f"matrix for element {g} has determinant {mat_det(m)}")
+        det = mat_det(m)
+        if det not in (1, -1):
+            raise NotUnimodular(f"matrix for element {g} has determinant {det}")
         given[g] = m
 
     action: dict[int, Matrix] = {Q.identity: ident}
@@ -204,20 +222,26 @@ _SM_M1 = 0xBF58476D1CE4E5B9
 _SM_M2 = 0x94D049BB133111EB
 
 
-def splitmix64_stream(seed: int, count: int):
-    """Words i=1..count of the splitmix64 stream for `seed`, as uint64 array.
+def splitmix64_stream(seed: int, count: int, first: int = 1, step: int = 1):
+    """Words first, first + step, ..., of the splitmix64 stream for `seed`.
 
-    Counter-based, so the whole stream vectorizes: word i mixes
-    seed + i * golden-gamma.  Same seed gives the same stream everywhere.
+    Returns `count` words as a uint64 array; the defaults give words
+    1..count.  Counter-based, so any arithmetic progression of words is
+    computed directly: word i mixes seed + i * golden-gamma.  Same seed
+    gives the same stream everywhere.
     """
     import numpy as np
 
-    idx = np.arange(1, count + 1, dtype=np.uint64)
+    mask = 0xFFFFFFFFFFFFFFFF
+    z = np.arange(count, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * np.uint64(_SM_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_SM_M1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM_M2)
-        z = z ^ (z >> np.uint64(31))
+        z *= np.uint64(step * _SM_GAMMA & mask)
+        z += np.uint64((seed + first * _SM_GAMMA) & mask)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_SM_M1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_SM_M2)
+        z ^= z >> np.uint64(31)
     return z
 
 
@@ -230,14 +254,22 @@ class MonteCarloEstimate:
     hits: int
 
 
+# Samples per Monte Carlo block: memory is O(MC_BLOCK) whatever the sample count.
+MC_BLOCK = 1 << 16
+
+
 def cp_monte_carlo(model: CompactModel, samples: int, seed: int) -> MonteCarloEstimate:
     """Estimate cp by sampling Haar pairs; deterministic for a fixed seed.
 
-    Each of the two elements of a pair consumes d + 2 stream words: d torus
-    coordinates (53-bit fractions, drawn to honor the stream layout even
-    though a continuous sample never lands on the measure-zero commuting
-    sets), then the Q index, then the L index.  A pair commutes iff the Q
-    parts commute, both act trivially on the torus, and the L parts commute.
+    Stream layout: each of the two elements of a pair owns d + 2 consecutive
+    words, d torus coordinates, then the Q index, then the L index, so pair
+    i starts at word 1 + i * 2(d + 2).  A pair commutes iff the Q parts
+    commute, both act trivially on the torus, and the L parts commute; the
+    torus coordinates never decide a hit (a continuous sample never lands
+    on the measure-zero commuting sets), so only the four index words of
+    each pair are computed, by strided draws over blocks of MC_BLOCK pairs.
+    The hit count, hence the estimate, is the same as drawing the whole
+    layout, and memory does not grow with `samples`.
     """
     if samples < 1:
         raise ZeroSamples("need at least one sample")
@@ -248,24 +280,28 @@ def cp_monte_carlo(model: CompactModel, samples: int, seed: int) -> MonteCarloEs
     d = model.torus_rank
     ident = identity_matrix(d)
 
-    words = splitmix64_stream(seed, samples * 2 * (d + 2)).reshape(samples, 2, d + 2)
-    q0 = (words[:, 0, d] % np.uint64(Q.order)).astype(np.int64)
-    l0 = (words[:, 0, d + 1] % np.uint64(L.order)).astype(np.int64)
-    q1 = (words[:, 1, d] % np.uint64(Q.order)).astype(np.int64)
-    l1 = (words[:, 1, d + 1] % np.uint64(L.order)).astype(np.int64)
-
-    q_comm = np.array(
-        [[Q.commutes(a, b) for b in range(Q.order)] for a in range(Q.order)],
+    in_kernel = [model.action[q] == ident for q in range(Q.order)]
+    q_hit = np.array(
+        [[in_kernel[a] and in_kernel[b] and Q.commutes(a, b) for b in range(Q.order)]
+         for a in range(Q.order)],
         dtype=bool,
     )
     l_comm = np.array(
         [[L.commutes(a, b) for b in range(L.order)] for a in range(L.order)],
         dtype=bool,
     )
-    in_kernel = np.array([model.action[q] == ident for q in range(Q.order)], dtype=bool)
+    nq, nl = np.uint64(Q.order), np.uint64(L.order)
 
-    hit = q_comm[q0, q1] & in_kernel[q0] & in_kernel[q1] & l_comm[l0, l1]
-    hits = int(hit.sum())
+    stride = 2 * (d + 2)
+    hits = 0
+    for start in range(0, samples, MC_BLOCK):
+        n = min(MC_BLOCK, samples - start)
+        q0, l0, q1, l1 = (
+            splitmix64_stream(seed, n, 1 + start * stride + offset, stride)
+            for offset in (d, d + 1, 2 * d + 2, 2 * d + 3)
+        )
+        hit = q_hit[q0 % nq, q1 % nq] & l_comm[l0 % nl, l1 % nl]
+        hits += int(np.count_nonzero(hit))
     p = hits / samples
     stderr = (p * (1.0 - p) / samples) ** 0.5
     return MonteCarloEstimate(p, stderr, samples, seed, hits)

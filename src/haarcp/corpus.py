@@ -6,7 +6,8 @@ import functools
 import math
 
 from . import builders
-from .groups import FiniteGroup, direct_product
+from .errors import ClosureExceedsCap
+from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, direct_product
 
 
 @functools.lru_cache(maxsize=None)
@@ -57,25 +58,51 @@ _PARAM = {
 }
 
 
-def builtin_group(name: str) -> FiniteGroup | None:
+_FIXED_ORDER = {
+    "trivial": 1, "klein4": 4, "quaternion8": 8, "sl25": 120, "es27exp3": 27, "es27exp9": 27,
+}
+
+
+def _exceeds(kind: str, n: int, cap: int) -> bool:
+    """Whether _named(kind, n) has order above cap, decided without building it."""
+    if kind in _FIXED_ORDER:
+        return _FIXED_ORDER[kind] > cap
+    if kind == "cyclic":
+        return n > cap
+    if kind == "dihedral":
+        return 2 * n > cap
+    # n! = 2 * 3 * ... * n for symmetric, n!/2 = 3 * ... * n for alternating
+    order = 1
+    for k in range(2 if kind == "symmetric" else 3, n + 1):
+        order *= k
+        if order > cap:
+            return True
+    return False
+
+
+def builtin_group(name: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup | None:
     """Resolve a builtin name like "alternating 5", "a5", "dihedral 4", "q8".
 
     Dihedral n is the symmetry group of the n-gon, order 2n.  Returns None
     for names the corpus does not know (the CLI then tries the filesystem).
+    Raises ClosureExceedsCap, before building anything, when the group's
+    order is above cap.
     """
     text = " ".join(name.lower().split())
+    parts = text.split()
     if text in _SHORT:
         kind, n = _SHORT[text]
-        return _named(kind, n)
-    parts = text.split()
-    if len(parts) == 2 and parts[0] in _PARAM and parts[1].isdigit():
-        return _named(_PARAM[parts[0]], int(parts[1]))
-    if len(parts) == 1:
-        head = parts[0].rstrip("0123456789")
-        tail = parts[0][len(head):]
-        if head in _PARAM and tail.isdigit():
-            return _named(_PARAM[head], int(tail))
-    return None
+    elif len(parts) == 2 and parts[0] in _PARAM and parts[1].isdigit():
+        kind, n = _PARAM[parts[0]], int(parts[1])
+    else:
+        head = text.rstrip("0123456789")
+        tail = text[len(head):]
+        if len(parts) != 1 or head not in _PARAM or not tail.isdigit():
+            return None
+        kind, n = _PARAM[head], int(tail)
+    if _exceeds(kind, n, cap):
+        raise ClosureExceedsCap(f"builtin group {text!r} has order above cap {cap}")
+    return _named(kind, n)
 
 
 def builtin_corpus(max_order: int = 64) -> list[tuple[str, FiniteGroup]]:

@@ -121,7 +121,7 @@ def resolve_group(
     relative_to: Path | None = None,
 ) -> FiniteGroup:
     """Builtin name first, then filesystem path."""
-    g = corpus.builtin_group(name_or_path)
+    g = corpus.builtin_group(name_or_path, cap)
     if g is not None:
         return g
     path = Path(name_or_path)

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import haarcp
+from haarcp import corpus
 from haarcp.cli import main
-from haarcp.errors import ParseError
+from haarcp.errors import ClosureExceedsCap, ParseError
 from haarcp.specfmt import parse_group_file, parse_model_file, resolve_group
 
 
@@ -17,6 +22,14 @@ def o2_file(tmp_path):
         "matrix 1 -1\n"
     )
     return str(path)
+
+
+@pytest.fixture
+def no_builtin_builds(monkeypatch):
+    """Fail the test if any builtin group table is built."""
+    def no_build(*args):
+        raise AssertionError("builtin table built")
+    monkeypatch.setattr(corpus, "_named", no_build)
 
 
 class TestGroupSpecs:
@@ -57,6 +70,21 @@ class TestGroupSpecs:
         assert resolve_group("q8").order == 8
         assert resolve_group("dihedral 4").order == 8
         assert resolve_group("sl25").order == 120
+
+    @pytest.mark.parametrize("name, order", [
+        ("1", 1), ("v4", 4), ("q8", 8), ("es27+", 27), ("es27-", 27), ("sl25", 120), ("c7", 7),
+        ("dihedral 5", 10), ("s4", 24), ("a1", 1), ("a2", 1), ("a5", 60),
+    ])
+    def test_builtin_cap_is_the_order(self, name, order):
+        assert resolve_group(name, cap=order).order == order
+        if order > 1:
+            with pytest.raises(ClosureExceedsCap):
+                resolve_group(name, cap=order - 1)
+
+    def test_huge_builtin_rejected_unbuilt(self, no_builtin_builds):
+        for name in ("cyclic 100000", "d20000", "symmetric 100000", "a100000"):
+            with pytest.raises(ClosureExceedsCap):
+                resolve_group(name)
 
     def test_unknown_name(self):
         with pytest.raises(ParseError):
@@ -189,6 +217,60 @@ class TestCommands:
         monkeypatch.setenv("HAARCP_CAP", "abc")
         assert main(["cp", "q8"]) == 2
         assert "HAARCP_CAP must be a positive integer, got 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--cap", "5", "cp", "q8"], "builtin group 'q8' has order above cap 5"),
+        (["--cap", "5", "verify-t2", "s4"], "builtin group 's4' has order above cap 5"),
+        (["--cap", "10", "stem", "--max-order", "40", "c4"], "--max-order 40 exceeds cap 10"),
+        (["cp", "cyclic", "100000"], "builtin group 'cyclic 100000' has order above cap 20000"),
+    ])
+    def test_builtin_names_honour_cap(self, argv, message, no_builtin_builds, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_cap_equal_to_order_allowed(self, capsys):
+        assert main(["--cap", "8", "cp", "q8"]) == 0
+        assert main(["--cap", "16", "stem", "--max-order", "16", "c12"]) == 0
+
+    def test_product_operand_honours_cap(self, tmp_path, capsys):
+        f = tmp_path / "p.group"
+        f.write_text("product q8 c1\n")
+        assert main(["--cap", "6", "cp", str(f)]) == 2
+        assert "builtin group 'q8' has order above cap 6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("acting, extra, name", [("d8", "c2", "d8"), ("c2", "s4", "s4")])
+    def test_model_operands_honour_cap(self, acting, extra, name, tmp_path, capsys):
+        f = tmp_path / "m.model"
+        f.write_text(f"torus_rank 1\nacting_group {acting}\nextra_factor {extra}\n")
+        assert main(["--cap", "12", "fc", str(f)]) == 2
+        assert f"builtin group '{name}' has order above cap 12" in capsys.readouterr().err
+
+    def test_rank_11_model(self, tmp_path, capsys):
+        # C2 acting on T^11 by -I, times S3: determinant, completion and both
+        # cp routes at a rank where a cofactor expansion takes minutes
+        minus = " ".join(str(-int(i == j)) for i in range(11) for j in range(11))
+        f = tmp_path / "rank11.model"
+        f.write_text(f"torus_rank 11\nacting_group c2\nmatrix 1 {minus}\nextra_factor s3\n")
+        assert main(["fc", str(f)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "action kernel size 1 of |Q| = 2",
+            "FC index 2",
+            "finite shadow order 6",
+        ]
+        assert main(["verify-t1", str(f)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS cp equality: direct 1/8 vs reduced 1/8",
+            "PASS stem clause: D3",
+        ]
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is imported inside the functions that use it: at import time it
+    # would add about 0.1 s and 12 MB to every command
+    src = str(Path(haarcp.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import haarcp.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -1,14 +1,19 @@
+import itertools
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from haarcp import builders
 from haarcp.compact import (
+    MC_BLOCK,
     build_model,
     cp_monte_carlo,
     cp_semianalytic,
     cp_theorem1,
     fc_center,
+    mat_det,
     splitmix64_stream,
     standard_model_battery,
 )
@@ -61,10 +66,74 @@ class TestValidation:
         # rotation squared appears at element (2, 0) = index 2
         assert m.action[2] == ((-1, 0), (0, -1))
 
+    @pytest.mark.parametrize("matrix, det", [
+        (((1, 1), (1, 1)), 0),
+        (((2, 0), (0, 1)), 2),
+        (((0, 1, 0), (0, 0, 1), (0, 0, 0)), 0),
+        (((0, 1, 0), (2, 0, 0), (0, 0, 1)), -2),
+    ])
+    def test_non_unimodular_message(self, matrix, det):
+        with pytest.raises(NotUnimodular) as err:
+            build_model(len(matrix), builders.cyclic(2), {1: matrix})
+        assert str(err.value) == f"matrix for element 1 has determinant {det}"
+
     def test_nongenerating_matrices_rejected(self):
         c4 = builders.cyclic(4)
         with pytest.raises(NotAHomomorphism):
             build_model(2, c4, {2: ((-1, 0), (0, -1))})
+
+
+def laplace_det(a):
+    """Cofactor expansion along the first row: the O(d!) oracle for mat_det."""
+    d = len(a)
+    if d == 0:
+        return 1
+    return sum(
+        (-1) ** j * a[0][j] * laplace_det(tuple(row[:j] + row[j + 1:] for row in a[1:]))
+        for j in range(d)
+    )
+
+
+def random_matrices(rng, d):
+    """Dense, singular, zero-leading-pivot and signed permutation d x d matrices."""
+    dense = tuple(tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(d))
+    yield dense
+    if d >= 2:
+        # a repeated row, and a row that is a combination of two others
+        rows = list(dense)
+        rows[-1] = rows[0]
+        yield tuple(rows)
+        rows[-1] = tuple(x - 2 * y for x, y in zip(rows[0], rows[1]))
+        yield tuple(rows)
+        # zero leading pivot: swapping rows is the only way forward
+        rows = [list(r) for r in dense]
+        rows[0][0] = 0
+        yield tuple(map(tuple, rows))
+        # a zero first column below a zero pivot: singular
+        yield tuple((0,) + r[1:] for r in dense)
+    perm = list(range(d))
+    rng.shuffle(perm)
+    yield tuple(
+        tuple(rng.choice((1, -1)) if j == perm[i] else 0 for j in range(d)) for i in range(d)
+    )
+
+
+class TestMatDet:
+    @pytest.mark.parametrize("d", range(7))
+    def test_matches_laplace_expansion(self, d):
+        rng = random.Random(1000 + d)
+        for _ in range(40):
+            for m in random_matrices(rng, d):
+                assert mat_det(m) == laplace_det(m), m
+
+    def test_every_3x3_sign_pattern(self):
+        for entries in itertools.product((-1, 0, 1), repeat=9):
+            m = (entries[0:3], entries[3:6], entries[6:9])
+            assert mat_det(m) == laplace_det(m), m
+
+    def test_rank_11_sign_matrix(self):
+        minus = tuple(tuple(-1 if i == j else 0 for j in range(11)) for i in range(11))
+        assert mat_det(minus) == -1
 
 
 class TestFcCenter:
@@ -173,6 +242,35 @@ class TestMonteCarlo:
             > 4 * cp_monte_carlo(m, 10000, seed).stderr
         )
         assert bad <= 1
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 4])
+    @pytest.mark.parametrize("samples", [1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 3, 200003])
+    def test_hits_match_full_layout(self, d, samples):
+        # Q = S3 x C2 with C2 acting by -I: the kernel S3 is non-abelian, so
+        # a word read from the wrong place changes the count
+        Q = direct_product(builders.symmetric(3), builders.cyclic(2))
+        L = builders.symmetric(3)
+        ident = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+        minus = tuple(tuple(-v for v in row) for row in ident)
+        # element 1 is (e, c); elements 4 and 6 are (2, e) and (3, e), which generate S3
+        m = build_model(d, Q, {1: minus, 4: ident, 6: ident}, L)
+        q_ok = np.array([[m.action[a] == ident == m.action[b] and Q.commutes(a, b)
+                          for b in range(Q.order)] for a in range(Q.order)])
+        l_comm = np.array([[L.commutes(a, b) for b in range(L.order)] for a in range(L.order)])
+        seed = 20 + d
+        words = splitmix64_stream(seed, samples * 2 * (d + 2)).reshape(samples, 2, d + 2)
+        q = (words[:, :, d] % np.uint64(Q.order)).astype(np.intp)
+        l = (words[:, :, d + 1] % np.uint64(L.order)).astype(np.intp)
+        expected = int((q_ok[q[:, 0], q[:, 1]] & l_comm[l[:, 0], l[:, 1]]).sum())
+        est = cp_monte_carlo(m, samples, seed)
+        assert est.hits == expected
+        assert est.estimate == expected / samples
+
+    @pytest.mark.parametrize("first, step", [(1, 1), (1, 12), (5, 7), (40, 3)])
+    def test_strided_stream_is_a_slice(self, first, step):
+        full = splitmix64_stream(11, first + 50 * step)
+        part = splitmix64_stream(11, 50, first, step)
+        assert part.tolist() == full[first - 1::step][:50].tolist()
 
     def test_stream_is_stable(self):
         # first words of the seed-0 stream are pinned: any change to the
