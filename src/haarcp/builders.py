@@ -5,7 +5,14 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Hashable, Sequence
 
-from .groups import FiniteGroup, Perm, close_generators, make_group
+from .groups import (
+    FiniteGroup,
+    Perm,
+    close_generators,
+    greedy_generators,
+    make_group,
+    table_from_left,
+)
 
 
 def group_from_elements(
@@ -13,10 +20,16 @@ def group_from_elements(
     mul: Callable,
     name: str,
 ) -> FiniteGroup:
-    """Cayley table from an element list and a multiplication function."""
+    """Cayley table from an element list and a multiplication function.
+
+    Only the left multiplications by a greedy generating set are computed
+    with mul; table_from_left gathers the rest of the table from them.
+    """
     index = {e: i for i, e in enumerate(elements)}
-    table = [[index[mul(a, b)] for b in elements] for a in elements]
-    return make_group(table, name=name)
+    identity = next(i for i, e in enumerate(elements) if mul(e, e) == e)
+    gens = greedy_generators(elements[identity], elements, mul)
+    left = [[index[mul(g, x)] for x in elements] for g in gens]
+    return make_group(table_from_left(left, identity, len(elements)), name=name)
 
 
 def trivial() -> FiniteGroup:
@@ -26,8 +39,8 @@ def trivial() -> FiniteGroup:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic order must be >= 1")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return make_group(table, name=f"C{n}")
+    ints = tuple(range(n))
+    return make_group([ints[a:] + ints[:a] for a in range(n)], name=f"C{n}")
 
 
 def klein4() -> FiniteGroup:

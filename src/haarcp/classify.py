@@ -70,6 +70,8 @@ def detect_a5_x_abelian(G: FiniteGroup) -> A5Evidence | None:
     if G.order % 60 != 0:
         return None
     Z = center(G)
+    if G.order // Z.order != 60:
+        return None
     Q, _ = quotient(G, Z)
     if not is_a5(Q):
         return None

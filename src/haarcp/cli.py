@@ -120,8 +120,9 @@ def cmd_stem(args) -> int:
 
 
 def cmd_verify_t1(args) -> int:
-    model = parse_model_file(args.model, cap=_cap(args))
-    stem_groups = [g for _n, g in corpus.builtin_corpus(32)]
+    cap = _cap(args)
+    model = parse_model_file(args.model, cap=cap)
+    stem_groups = [g for _n, g in corpus.builtin_corpus(min(32, cap))]
     report = check_theorem1(model, stem_corpus=stem_groups)
     eq = "PASS" if report.equal else "FAIL"
     print(
@@ -167,6 +168,8 @@ def cmd_scan(args) -> int:
     cap = _cap(args)
     entries: list[tuple[str, "FiniteGroup"]] = []
     if not args.inputs:
+        if cap < 64:
+            raise ClosureExceedsCap(f"scan corpus up to order 64 exceeds cap {cap}")
         entries = corpus.builtin_corpus(64)
     for item in args.inputs:
         path = Path(item)

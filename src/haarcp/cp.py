@@ -18,19 +18,26 @@ from .groups import (
     center,
     conjugacy_classes,
     left_transversal,
+    picker,
     subgroup_as_group,
 )
 
 
-def cp_pair_count(G: FiniteGroup) -> Fraction:
-    """|{(x, y) : xy = yx}| / |G|^2, counted directly over the Cayley table."""
-    t = G.mul_table
-    n = G.order
-    count = n  # diagonal pairs
+def _symmetric_entries(t) -> int:
+    """Number of (a, b) with t[a][b] == t[b][a], over the triangle above the
+    diagonal.  A plain loop: the interpreter's inline int compare beats a
+    C-level map(operator.eq, row, column), which calls eq once per entry."""
+    n = len(t)
+    count = n  # the diagonal
     for a in range(n):
         row = t[a]
         count += 2 * sum(1 for b in range(a + 1, n) if row[b] == t[b][a])
-    return Fraction(count, n * n)
+    return count
+
+
+def cp_pair_count(G: FiniteGroup) -> Fraction:
+    """|{(x, y) : xy = yx}| / |G|^2, counted directly over the Cayley table."""
+    return Fraction(_symmetric_entries(G.mul_table), G.order ** 2)
 
 
 def cp_class_count(G: FiniteGroup) -> Fraction:
@@ -84,7 +91,9 @@ def cp_coset_formula(G: FiniteGroup, transversal: Transversal | None = None) -> 
     covered = sorted(G.mul(r, z) for r in T.reps if 0 <= r < G.order for z in Z.members)
     if len(T.reps) != index or covered != list(range(G.order)):
         raise CenterMismatch("representatives do not meet each coset of the center once")
-    return Fraction(sum(G.commutes(a, b) for a in T.reps for b in T.reps), index * index)
+    pick = picker(T.reps)
+    sub = [pick(G.mul_table[r]) for r in T.reps]
+    return Fraction(_symmetric_entries(sub), index * index)
 
 
 def cp_fc_reduction(G: FiniteGroup, F: Subgroup) -> Fraction:

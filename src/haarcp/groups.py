@@ -10,7 +10,9 @@ subgroups are treated as immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from operator import eq, itemgetter
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import (
     ClosureExceedsCap,
@@ -64,11 +66,7 @@ class FiniteGroup:
 
     def is_abelian(self) -> bool:
         t = self.mul_table
-        return all(
-            t[a][b] == t[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
+        return all(row == col for row, col in zip(t, zip(*t)))
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -112,58 +110,59 @@ class Transversal:
 def make_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
     """Build a FiniteGroup from a Cayley table, locating identity and inverses.
 
-    Raises ValueError if no two-sided identity or some inverse is missing;
-    full associativity checking is deliberately left to verify_axioms (it is
-    cubic and belongs in tests, not on every construction).
+    Raises ValueError, in this order of checks, for a row of the wrong
+    length or an entry outside 0..n-1 (the first such row), a table with no
+    two-sided identity, or an element with no two-sided inverse.  The
+    identity is the first index whose row and column are the identity map;
+    an element's inverse is the first h with g*h = h*g = identity.
+    Associativity is not checked here: verify_axioms does that, and table
+    specs read from files go through it.
     """
     n = len(table)
     rows = tuple(tuple(row) for row in table)
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        for v in row:
-            if not 0 <= v < n:
-                raise ValueError(f"table entry {v} out of range 0..{n - 1}")
-    identity = None
-    for e in range(n):
-        if all(rows[e][g] == g and rows[g][e] == g for g in range(n)):
-            identity = e
-            break
+        if min(row) < 0 or max(row) >= n:
+            v = next(v for v in row if not 0 <= v < n)
+            raise ValueError(f"table entry {v} out of range 0..{n - 1}")
+    ident = tuple(range(n))
+    identity = next(
+        (e for e in range(n)
+         if rows[e] == ident and all(map(eq, map(itemgetter(e), rows), ident))),
+        None,
+    )
     if identity is None:
         raise ValueError("no two-sided identity in table")
     inverses = []
-    for g in range(n):
-        inv = next(
-            (h for h in range(n) if rows[g][h] == identity and rows[h][g] == identity),
-            None,
-        )
-        if inv is None:
-            raise ValueError(f"element {g} has no two-sided inverse")
-        inverses.append(inv)
+    for g, row in enumerate(rows):
+        h = -1
+        while True:
+            try:
+                h = row.index(identity, h + 1)
+            except ValueError:
+                raise ValueError(f"element {g} has no two-sided inverse") from None
+            if rows[h][g] == identity:
+                break
+        inverses.append(h)
     return FiniteGroup(n, rows, identity, tuple(inverses), name)
 
 
-def verify_axioms(G: FiniteGroup, max_exhaustive: int = 512, samples: int = 20000,
-                  seed: int = 0) -> bool:
-    """Check associativity on all triples (orders <= max_exhaustive) or a sample."""
-    import random
+def verify_axioms(G: FiniteGroup) -> bool:
+    """Whether G's table is associative, by Light's test over a generating set.
 
+    The elements g with (x*g)*y = x*(g*y) for all x, y are closed under
+    products, so checking them for each g of a generating set decides
+    associativity exactly.  For one g the check is a row comparison per x:
+    the row of x*g against the row of x gathered through the row of g,
+    O(k n^2) in all for k generators.
+    """
     t = G.mul_table
-    n = G.order
-    if n <= max_exhaustive:
-        # numpy makes the cubic check affordable at order 512
-        import numpy as np
-
-        a = np.asarray(t, dtype=np.int64)
-        for i in range(n):
-            if not np.array_equal(a[a[i]], a[i][a]):
+    for g in greedy_generators(G.identity, range(G.order), G.mul):
+        row_g = t[g]
+        for row in t:
+            if t[row[g]] != tuple(map(row.__getitem__, row_g)):
                 return False
-        return True
-    rng = random.Random(seed)
-    for _ in range(samples):
-        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-        if t[t[a][b]][c] != t[a][t[b][c]]:
-            return False
     return True
 
 
@@ -189,6 +188,39 @@ def _bfs_closure(start, gens, mul, cap: int | None = None, cap_message: str = ""
     return elements, index
 
 
+def greedy_generators(identity, elements: Iterable[Hashable], mul: Callable) -> list:
+    """Members of elements, in their order, that are outside the span of the
+    ones before.  Together they generate every element, each as a product
+    of generators."""
+    gens: list = []
+    reached = {identity}
+    for x in elements:
+        if x not in reached:
+            gens.append(x)
+            reached = _bfs_closure(identity, gens, mul)[1]
+    return gens
+
+
+def table_from_left(left: Sequence[Sequence[int]], identity: int, n: int):
+    """Cayley table rows from the left-multiplication maps of a generating set.
+
+    left[j][x] is the index of g_j * x.  Since (g_j x) b = g_j (x b), the
+    row of g_j * x is row x mapped through left[j].  A walk from the
+    identity, whose row is 0..n-1, fills every row with one C-level gather.
+    """
+    rows: list = [None] * n
+    rows[identity] = tuple(range(n))
+    queue = [identity]
+    for x in queue:
+        row = rows[x]
+        for m in left:
+            y = m[x]
+            if rows[y] is None:
+                rows[y] = tuple(map(m.__getitem__, row))
+                queue.append(y)
+    return rows
+
+
 def _compose(p: Perm, q: Perm) -> Perm:
     """(p then q): point i maps to q[p[i]]."""
     return tuple(q[i] for i in p)
@@ -208,10 +240,8 @@ def close_generators(
         tuple(range(degree)), perms, _compose, cap,
         f"closure exceeds cap {cap} (degree {degree})",
     )
-    n = len(elements)
-    table = [[index[_compose(elements[a], elements[b])] for b in range(n)]
-             for a in range(n)]
-    return make_group(table, name=name)
+    left = [[index[_compose(g, x)] for x in elements] for g in perms]
+    return make_group(table_from_left(left, 0, len(elements)), name=name)
 
 
 # -- subgroup machinery ----------------------------------------------------
@@ -248,10 +278,7 @@ def whole_subgroup(G: FiniteGroup) -> Subgroup:
 
 def center(G: FiniteGroup) -> Subgroup:
     t = G.mul_table
-    members = [
-        z for z in range(G.order)
-        if all(t[z][g] == t[g][z] for g in range(G.order))
-    ]
+    members = [z for z, row in enumerate(t) if all(map(eq, row, map(itemgetter(z), t)))]
     return Subgroup(G, tuple(members))
 
 
@@ -268,10 +295,24 @@ def derived_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def derived_subgroup_of(S: Subgroup) -> Subgroup:
-    """Derived subgroup of a subgroup, as a subgroup of the same parent."""
+    """Derived subgroup of a subgroup, as a subgroup of the same parent.
+
+    S' is the normal closure in S of the commutators of a generating set X
+    of S: that closure lies in S', and S modulo it is generated by commuting
+    images of X, so it is abelian.  Conjugating by X suffices, since a
+    finite subgroup mapped into itself by g is mapped onto itself.
+    """
     G = S.parent
-    comms = {G.commutator(x, y) for x in S.members for y in S.members}
-    return generated_subgroup(G, comms)
+    X = greedy_generators(G.identity, S.members, G.mul)
+    gens = list({G.commutator(x, y) for i, x in enumerate(X) for y in X[i + 1:]})
+    N = _bfs_closure(G.identity, gens, G.mul)[1]
+    for c in gens:  # gens grows while it is walked: new ones are conjugated too
+        for x in X:
+            y = G.conj(x, c)
+            if y not in N:
+                gens.append(y)
+                N = _bfs_closure(G.identity, gens, G.mul)[1]
+    return Subgroup(G, tuple(sorted(N)))
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
@@ -329,6 +370,14 @@ def derived_series(G: FiniteGroup) -> list[Subgroup]:
 # -- constructions ---------------------------------------------------------
 
 
+def picker(idx: Sequence[int]) -> Callable:
+    """seq -> tuple(seq[i] for i in idx), as one C-level itemgetter call."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*idx)
+
+
 def direct_product(
     G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CLOSURE_CAP, name: str | None = None
 ) -> FiniteGroup:
@@ -337,13 +386,19 @@ def direct_product(
     if n > cap:
         raise ClosureExceedsCap(f"product order {n} exceeds cap {cap}")
     m = H.order
-    table = [
-        [G.mul_table[a1][a2] * m + H.mul_table[b1][b2] for a2 in range(G.order)
-         for b2 in range(m)]
-        for a1 in range(G.order)
-        for b1 in range(m)
+    ints = tuple(range(n))
+    # blocks[b1][c] holds the indices of (c, b1*b2) for every b2, so row
+    # (a1, b1) is blocks[b1][a1*a2] chained over a2
+    blocks = [
+        [tuple(map(ints[c * m:(c + 1) * m].__getitem__, hrow)) for c in range(G.order)]
+        for hrow in H.mul_table
     ]
-    return make_group(table, name=name or f"{G.name} x {H.name}")
+    rows = tuple(
+        tuple(chain.from_iterable(map(blocks[b1].__getitem__, grow)))
+        for grow in G.mul_table
+        for b1 in range(m)
+    )
+    return make_group(rows, name=name or f"{G.name} x {H.name}")
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
@@ -361,8 +416,8 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
         reps.append(g)
         for h in N.members:
             proj[G.mul(g, h)] = c
-    k = len(reps)
-    table = [[proj[G.mul(reps[a], reps[b])] for b in range(k)] for a in range(k)]
+    pick = picker(reps)
+    table = tuple(tuple(map(proj.__getitem__, pick(G.mul_table[r]))) for r in reps)
     Q = make_group(table, name=f"{G.name}/N{N.order}")
     return Q, proj
 
@@ -374,8 +429,11 @@ def subgroup_as_group(S: Subgroup, name: str | None = None) -> tuple[FiniteGroup
     """
     G = S.parent
     emb = list(S.members)
-    pos = {g: i for i, g in enumerate(emb)}
-    table = [[pos[G.mul(a, b)] for b in emb] for a in emb]
+    pos = [-1] * G.order
+    for i, g in enumerate(emb):
+        pos[g] = i
+    pick = picker(emb)
+    table = tuple(tuple(map(pos.__getitem__, pick(G.mul_table[a]))) for a in emb)
     return make_group(table, name=name or f"{G.name}|{S.order}"), emb
 
 

@@ -17,7 +17,7 @@ from .groups import (
     class_size_multiset,
     conjugacy_classes,
     element_order_histogram,
-    generated_subgroup,
+    greedy_generators,
 )
 
 DEFAULT_ISO_CAP = 256
@@ -33,13 +33,7 @@ def _class_size_of(G: FiniteGroup) -> list[int]:
 
 def generating_sequence(G: FiniteGroup) -> list[int]:
     """Small generating sequence, greedily extending by smallest outside index."""
-    gens: list[int] = []
-    closure = {G.identity}
-    while len(closure) < G.order:
-        g = next(i for i in range(G.order) if i not in closure)
-        gens.append(g)
-        closure = set(generated_subgroup(G, gens).members)
-    return gens
+    return greedy_generators(G.identity, range(G.order), G.mul)
 
 
 def _close_partial(

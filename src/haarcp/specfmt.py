@@ -28,6 +28,7 @@ from .groups import (
     close_generators,
     direct_product,
     make_group,
+    verify_axioms,
 )
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -78,7 +79,7 @@ def parse_group_file(path: str | Path, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
             continue
         if expect_rows:
             try:
-                row = [int(tok) for tok in line.split()]
+                row = tuple(map(int, line.split()))
             except ValueError:
                 raise ParseError(f"bad table row: {line!r}", lineno)
             table.append(row)
@@ -105,9 +106,12 @@ def parse_group_file(path: str | Path, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
         raise ParseError(f"table ended early, {expect_rows} rows missing")
     if table is not None:
         try:
-            return make_group(table, name=path.stem)
+            G = make_group(table, name=path.stem)
         except ValueError as exc:
             raise ParseError(f"bad Cayley table: {exc}")
+        if not verify_axioms(G):
+            raise ParseError("bad Cayley table: multiplication is not associative")
+        return G
     if not perm_cycles:
         raise ParseError("no generators and no table in group spec")
     degree = max((p for cyc in perm_cycles for c in cyc for p in c), default=1)

@@ -62,6 +62,16 @@ class TestDetectA5:
             searched = find_isomorphism(G, direct_product(a5, Zg)) is not None
             assert detected == searched
 
+    def test_central_quotient_not_of_order_60_never_built(self, monkeypatch):
+        from haarcp import classify
+
+        def no_quotient(*args):
+            raise AssertionError("quotient built")
+
+        monkeypatch.setattr(classify, "quotient", no_quotient)
+        for G in (builders.symmetric(5), builders.cyclic(60), builders.alternating(6)):
+            assert detect_a5_x_abelian(G) is None
+
 
 class TestTheorem2Part1:
     def test_finite_group_vacuous(self, q8):

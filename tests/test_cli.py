@@ -24,6 +24,12 @@ def o2_file(tmp_path):
     return str(path)
 
 
+# A Latin square with identity 0 that is not associative: (1*1)*2 = 2,
+# 1*(1*2) = 4.  It has an identity and inverses, so it reaches the
+# associativity check.
+LOOP5_SPEC = "table 5\n0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n"
+
+
 @pytest.fixture
 def no_builtin_builds(monkeypatch):
     """Fail the test if any builtin group table is built."""
@@ -89,6 +95,13 @@ class TestGroupSpecs:
     def test_unknown_name(self):
         with pytest.raises(ParseError):
             resolve_group("no such group")
+
+    def test_non_associative_table_rejected(self, tmp_path):
+        f = tmp_path / "loop.group"
+        f.write_text(LOOP5_SPEC)
+        with pytest.raises(ParseError) as err:
+            parse_group_file(f)
+        assert str(err.value) == "bad Cayley table: multiplication is not associative"
 
 
 class TestModelSpecs:
@@ -245,6 +258,40 @@ class TestCommands:
         assert main(["--cap", "12", "fc", str(f)]) == 2
         assert f"builtin group '{name}' has order above cap 12" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["cp", "classify"])
+    def test_non_associative_table_exits_2(self, verb, tmp_path, capsys):
+        f = tmp_path / "loop.group"
+        f.write_text(LOOP5_SPEC)
+        assert main([verb, str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad Cayley table: multiplication is not associative\n"
+
+    def test_scan_corpus_honours_cap(self, no_builtin_builds, capsys):
+        assert main(["--cap", "10", "scan", "--machine"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: scan corpus up to order 64 exceeds cap 10\n"
+
+    def test_verify_t1_stem_corpus_honours_cap(self, monkeypatch, tmp_path, capsys):
+        real = corpus._named
+        built = []
+
+        def spy(kind, n=0):
+            G = real(kind, n)
+            built.append(G.order)
+            return G
+
+        monkeypatch.setattr(corpus, "_named", spy)
+        f = tmp_path / "m.model"
+        f.write_text("torus_rank 1\nacting_group c2\nmatrix 1 -1\nextra_factor s3\n")
+        assert main(["--cap", "6", "verify-t1", str(f)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS cp equality: direct 1/8 vs reduced 1/8",
+            "PASS stem clause: D3",
+        ]
+        assert built and max(built) <= 6
+
     def test_rank_11_model(self, tmp_path, capsys):
         # C2 acting on T^11 by -I, times S3: determinant, completion and both
         # cp routes at a rank where a cofactor expansion takes minutes
@@ -264,12 +311,25 @@ class TestCommands:
         ]
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # numpy is imported inside the functions that use it: at import time it
-    # would add about 0.1 s and 12 MB to every command
+def test_cli_import_leaves_numpy_unloaded(tmp_path):
+    # numpy is imported only inside the Monte Carlo functions: anywhere else
+    # it would add about 0.1 s and 12 MB to every command
     src = str(Path(haarcp.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import haarcp.cli, sys; assert 'numpy' not in sys.modules"
+    perm = tmp_path / "perm.group"
+    perm.write_text("perm (1 2 3 4)(5 6 7)\nperm (1 3)\n")
+    table = tmp_path / "table.group"
+    table.write_text("table 3\n0 1 2\n1 2 0\n2 0 1\n")
+    runs = [[verb, str(spec)] for verb in ("cp", "classify", "center") for spec in (perm, table)]
+    runs += [["stem", "c12"], ["isoclinic", "d4", "q8"], ["scan", "--machine"]]
+    code = (
+        "import contextlib, io, sys\n"
+        "from haarcp.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from haarcp import builders
@@ -18,6 +20,7 @@ from haarcp.groups import (
     is_a5,
     is_solvable,
     left_transversal,
+    make_group,
     quotient,
     subgroup_as_group,
     verify_axioms,
@@ -210,6 +213,13 @@ class TestIsA5:
         assert is_solvable(D)
 
 
+def associative_by_triples(G):
+    """Brute-force oracle: (ab)c = a(bc) for every triple."""
+    t, n = G.mul_table, G.order
+    return all(t[t[a][b]][c] == t[a][t[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
 class TestAxioms:
     @pytest.mark.parametrize("max_order", [64])
     def test_corpus_axioms_exhaustive(self, max_order):
@@ -218,6 +228,41 @@ class TestAxioms:
 
     def test_sl25_axioms(self):
         assert verify_axioms(builders.sl25())
+
+    def test_agrees_with_triple_oracle_on_builtins(self):
+        for name, G in builtin_corpus(32):
+            assert verify_axioms(G) and associative_by_triples(G), name
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+        # generated by 1 and 2; every triple (x, 1, y) associates, so only the
+        # second generator exposes the failure
+        [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
+         [3, 2, 5, 4, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]],
+    ], ids=["loop5", "loop6"])
+    def test_non_associative_loop(self, rows):
+        L = make_group(rows)
+        assert verify_axioms(L) is associative_by_triples(L) is False
+
+    def test_agrees_with_triple_oracle_on_perturbed_tables(self):
+        # change one product of a group table, keeping the identity's row and
+        # column, so make_group accepts the result; count both verdicts
+        rng = random.Random(5)
+        verdicts = []
+        for name, G in builtin_corpus(12):
+            if G.order < 3:
+                continue
+            for _ in range(4):
+                rows = [list(r) for r in G.mul_table]
+                a, b = rng.sample([g for g in range(G.order) if g != G.identity], 2)
+                rows[a][b] = rng.randrange(G.order)
+                try:
+                    H = make_group(rows)
+                except ValueError:
+                    continue
+                verdicts.append(verify_axioms(H))
+                assert verdicts[-1] == associative_by_triples(H), name
+        assert True in verdicts and False in verdicts
 
     def test_subgroup_as_group_preserves_structure(self, s4):
         D = derived_subgroup(s4)
