@@ -17,8 +17,8 @@ from .groups import (
     FiniteGroup,
     center,
     derived_subgroup,
-    derived_series,
     is_a5,
+    is_solvable,
     product_set,
     quotient,
     subgroup_as_group,
@@ -44,12 +44,9 @@ class Verdict(str, enum.Enum):
 
 @dataclass(frozen=True)
 class A5Evidence:
-    """The reconstruction facts: G/Z = A5, G' = A5, and G = G'Z(G)."""
+    """Made only once G/Z = A5, G' = A5 and G = G'Z(G) hold; records |Z(G)|."""
 
     center_order: int
-    quotient_is_a5: bool
-    derived_is_a5: bool
-    derived_times_center_covers: bool
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,6 @@ class ClassificationResult:
     verdict: Verdict
     cp_value: Fraction
     solvable: bool
-    derived_length: int | None = None
     a5_evidence: A5Evidence | None = None
 
 
@@ -82,7 +78,7 @@ def detect_a5_x_abelian(G: FiniteGroup) -> A5Evidence | None:
     covers = len(product_set(G, D.members, Z.members)) == G.order
     if not covers:
         return None
-    return A5Evidence(Z.order, True, True, True)
+    return A5Evidence(Z.order)
 
 
 def classify_high_cp(G: FiniteGroup) -> ClassificationResult:
@@ -94,12 +90,9 @@ def classify_high_cp(G: FiniteGroup) -> ClassificationResult:
     """
     cp = cp_pair_count(G)
     if cp == 1:
-        return ClassificationResult(Verdict.ABELIAN, cp, True, derived_length=0)
-    series = derived_series(G)
-    if series[-1].order == 1:
-        return ClassificationResult(
-            Verdict.SOLVABLE_NONABELIAN, cp, True, derived_length=len(series) - 1
-        )
+        return ClassificationResult(Verdict.ABELIAN, cp, True)
+    if is_solvable(G):
+        return ClassificationResult(Verdict.SOLVABLE_NONABELIAN, cp, True)
     evidence = detect_a5_x_abelian(G)
     if evidence is not None:
         return ClassificationResult(

@@ -28,13 +28,8 @@ from typing import Mapping, Sequence
 
 from .builders import trivial
 from .errors import NotAHomomorphism, NotUnimodular, RankMismatch, ZeroSamples
-from .groups import (
-    FiniteGroup,
-    direct_product,
-    subgroup_as_group,
-    subgroup_from_members,
-)
-from .cp import cp_pair_count
+from .groups import FiniteGroup, Subgroup, direct_product, subgroup_as_group
+from .cp import _symmetric_entries, cp_pair_count
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -115,8 +110,8 @@ def build_model(
 
     Matrices may be given for a generating set only; the rest of the action
     is filled in by multiplying along the Cayley table, and the homomorphism
-    law is then verified exhaustively over Q x Q.  An empty matrix map means
-    the trivial action.
+    law is checked on every generator edge of that walk.  An empty matrix
+    map means the trivial action.
     """
     Q = acting_group
     L = extra_factor if extra_factor is not None else trivial()
@@ -137,43 +132,34 @@ def build_model(
             raise NotUnimodular(f"matrix for element {g} has determinant {det}")
         given[g] = m
 
-    action: dict[int, Matrix] = {Q.identity: ident}
     if Q.identity in given and given[Q.identity] != ident:
         raise NotAHomomorphism("identity element must act by the identity matrix")
     gens = [g for g in given if g != Q.identity]
+    if not gens:
+        # no matrices given: trivial action on every element
+        return CompactModel(d, Q, (ident,) * Q.order, L, name=name)
     # Not the closure in groups: GL(d, Z) is infinite, so a closure over
     # (q, M) pairs need not end; this walks Q and checks each matrix it meets.
-    frontier = [Q.identity]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for g in gens:
-                r = Q.mul(q, g)
-                m = mat_mul(action[q], given[g])
-                if r in action:
-                    if action[r] != m:
-                        raise NotAHomomorphism(
-                            f"conflicting matrices reached for element {r}"
-                        )
-                else:
-                    action[r] = m
-                    nxt.append(r)
-        frontier = nxt
+    # Every edge q -> q*g sets or checks M(q*g) = M(q) M(g), and a complete
+    # walk crosses every edge.  That proves the homomorphism law: by
+    # induction on the length of a word w in the generators, M(q w g) =
+    # M(q w) M(g) = M(q) M(w) M(g) = M(q) M(w g), and every element of the
+    # finite group Q is such a word.
+    action: dict[int, Matrix] = {Q.identity: ident}
+    queue = [Q.identity]
+    for q in queue:  # the list grows while it is walked: a FIFO queue
+        for g in gens:
+            r = Q.mul(q, g)
+            m = mat_mul(action[q], given[g])
+            known = action.get(r)
+            if known is None:
+                action[r] = m
+                queue.append(r)
+            elif known != m:
+                raise NotAHomomorphism(f"conflicting matrices reached for element {r}")
     if len(action) < Q.order:
-        if not gens:
-            # no matrices given: trivial action on every element
-            action = {q: ident for q in range(Q.order)}
-        else:
-            raise NotAHomomorphism(
-                "matrix-bearing elements do not generate the acting group"
-            )
+        raise NotAHomomorphism("matrix-bearing elements do not generate the acting group")
     full = tuple(action[q] for q in range(Q.order))
-    for q in range(Q.order):
-        for r in range(Q.order):
-            if full[Q.mul(q, r)] != mat_mul(full[q], full[r]):
-                raise NotAHomomorphism(
-                    f"action is not a homomorphism at elements ({q}, {r})"
-                )
     return CompactModel(d, Q, full, L, name=name)
 
 
@@ -188,8 +174,8 @@ def fc_center(model: CompactModel) -> FcDescription:
     Q = model.acting_group
     ident = identity_matrix(model.torus_rank)
     kernel = tuple(q for q in range(Q.order) if model.action[q] == ident)
-    ksub = subgroup_from_members(Q, kernel)
-    kgrp, _ = subgroup_as_group(ksub, name=f"ker({model.name})")
+    # the kernel of a homomorphism is a subgroup; build_model checked the law
+    kgrp, _ = subgroup_as_group(Subgroup(Q, kernel), name=f"ker({model.name})")
     shadow = direct_product(kgrp, model.extra_factor, name=f"fc({model.name})")
     return FcDescription(kernel, shadow, Q.order // len(kernel))
 
@@ -199,9 +185,7 @@ def cp_semianalytic(model: CompactModel) -> Fraction:
     Q = model.acting_group
     ident = identity_matrix(model.torus_rank)
     kernel = [q for q in range(Q.order) if model.action[q] == ident]
-    surviving = sum(
-        1 for q in kernel for r in kernel if Q.commutes(q, r)
-    )
+    surviving = _symmetric_entries(Q.mul_table, kernel)
     return cp_pair_count(model.extra_factor) * Fraction(surviving, Q.order**2)
 
 

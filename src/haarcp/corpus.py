@@ -3,36 +3,52 @@
 from __future__ import annotations
 
 import functools
-import math
 
 from . import builders
 from .errors import ClosureExceedsCap
 from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, direct_product
 
 
+def _product_from(k: int):
+    """n -> k * (k + 1) * ... * n, stopping once the product passes cap."""
+    def order(n: int, cap: int) -> int:
+        out = 1
+        for j in range(k, n + 1):
+            out *= j
+            if out > cap:
+                break
+        return out
+    return order
+
+
+def _fixed(make, order: int):
+    """A kind without a parameter; its n is always 0."""
+    return lambda n: make(), lambda n, cap: order, (0, 0)
+
+
+# kind -> (constructor of n, order for (n, cap), the n the corpus takes),
+# in corpus order.  The order function may stop at any number above cap.
+# The corpus takes n from first to last, or while the order allows when
+# last is None: every order grows with n, and n <= order for those kinds.
+_KINDS = {
+    "trivial": _fixed(builders.trivial, 1),
+    "cyclic": (builders.cyclic, lambda n, cap: n, (2, None)),
+    "klein4": _fixed(builders.klein4, 4),
+    "dihedral": (builders.dihedral, lambda n, cap: 2 * n, (3, None)),
+    "quaternion8": _fixed(builders.quaternion8, 8),
+    "symmetric": (builders.symmetric, _product_from(2), (3, 5)),  # n!
+    "alternating": (builders.alternating, _product_from(3), (4, 6)),  # n!/2
+    "es27exp3": _fixed(builders.extraspecial27_exponent3, 27),
+    "es27exp9": _fixed(builders.extraspecial27_exponent9, 27),
+    "sl25": _fixed(builders.sl25, 120),
+}
+
+
 @functools.lru_cache(maxsize=None)
-def _named(kind: str, n: int = 0) -> FiniteGroup:
-    if kind == "trivial":
-        return builders.trivial()
-    if kind == "cyclic":
-        return builders.cyclic(n)
-    if kind == "dihedral":
-        return builders.dihedral(n)
-    if kind == "symmetric":
-        return builders.symmetric(n)
-    if kind == "alternating":
-        return builders.alternating(n)
-    if kind == "klein4":
-        return builders.klein4()
-    if kind == "quaternion8":
-        return builders.quaternion8()
-    if kind == "sl25":
-        return builders.sl25()
-    if kind == "es27exp3":
-        return builders.extraspecial27_exponent3()
-    if kind == "es27exp9":
-        return builders.extraspecial27_exponent9()
-    raise KeyError(kind)
+def _named(kind: str, n: int) -> FiniteGroup:
+    """The builtin group kind(n); n is 0 for the kinds without a parameter.
+    Always called with both arguments, so each group has one cache key."""
+    return _KINDS[kind][0](n)
 
 
 _SHORT = {
@@ -58,28 +74,6 @@ _PARAM = {
 }
 
 
-_FIXED_ORDER = {
-    "trivial": 1, "klein4": 4, "quaternion8": 8, "sl25": 120, "es27exp3": 27, "es27exp9": 27,
-}
-
-
-def _exceeds(kind: str, n: int, cap: int) -> bool:
-    """Whether _named(kind, n) has order above cap, decided without building it."""
-    if kind in _FIXED_ORDER:
-        return _FIXED_ORDER[kind] > cap
-    if kind == "cyclic":
-        return n > cap
-    if kind == "dihedral":
-        return 2 * n > cap
-    # n! = 2 * 3 * ... * n for symmetric, n!/2 = 3 * ... * n for alternating
-    order = 1
-    for k in range(2 if kind == "symmetric" else 3, n + 1):
-        order *= k
-        if order > cap:
-            return True
-    return False
-
-
 def builtin_group(name: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup | None:
     """Resolve a builtin name like "alternating 5", "a5", "dihedral 4", "q8".
 
@@ -100,32 +94,19 @@ def builtin_group(name: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup | No
         if len(parts) != 1 or head not in _PARAM or not tail.isdigit():
             return None
         kind, n = _PARAM[head], int(tail)
-    if _exceeds(kind, n, cap):
+    if _KINDS[kind][1](n, cap) > cap:
         raise ClosureExceedsCap(f"builtin group {text!r} has order above cap {cap}")
     return _named(kind, n)
 
 
 def builtin_corpus(max_order: int = 64) -> list[tuple[str, FiniteGroup]]:
     """Every builtin group of order <= max_order, as (name, group) pairs."""
-    entries: list[tuple[str, FiniteGroup]] = [("trivial", _named("trivial"))]
-    entries += [(f"cyclic {n}", _named("cyclic", n)) for n in range(2, max_order + 1)]
-    entries.append(("klein4", _named("klein4")))
-    entries += [
-        (f"dihedral {n}", _named("dihedral", n)) for n in range(3, max_order // 2 + 1)
-    ]
-    if max_order >= 8:
-        entries.append(("quaternion8", _named("quaternion8")))
-    for n in range(3, 6):
-        if math.factorial(n) <= max_order:
-            entries.append((f"symmetric {n}", _named("symmetric", n)))
-    for n in range(4, 7):
-        if math.factorial(n) // 2 <= max_order:
-            entries.append((f"alternating {n}", _named("alternating", n)))
-    if max_order >= 27:
-        entries.append(("es27exp3", _named("es27exp3")))
-        entries.append(("es27exp9", _named("es27exp9")))
-    if max_order >= 120:
-        entries.append(("sl25", _named("sl25")))
+    entries: list[tuple[str, FiniteGroup]] = []
+    for kind, (_make, order_of, (first, last)) in _KINDS.items():
+        for n in range(first, (max_order if last is None else last) + 1):
+            if order_of(n, max_order) > max_order:
+                break
+            entries.append((f"{kind} {n}" if n else kind, _named(kind, n)))
     return entries
 
 
@@ -135,7 +116,7 @@ def classification_corpus() -> list[tuple[str, FiniteGroup]]:
     entries = builtin_corpus(64)
     entries += [
         ("symmetric 5", _named("symmetric", 5)),
-        ("sl25", _named("sl25")),
+        ("sl25", _named("sl25", 0)),
         ("alternating 5 x cyclic 2", direct_product(a5, _named("cyclic", 2))),
         ("alternating 5 x cyclic 6", direct_product(a5, _named("cyclic", 6))),
     ]

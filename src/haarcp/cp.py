@@ -18,26 +18,25 @@ from .groups import (
     center,
     conjugacy_classes,
     left_transversal,
-    picker,
-    subgroup_as_group,
 )
 
 
-def _symmetric_entries(t) -> int:
-    """Number of (a, b) with t[a][b] == t[b][a], over the triangle above the
-    diagonal.  A plain loop: the interpreter's inline int compare beats a
-    C-level map(operator.eq, row, column), which calls eq once per entry."""
-    n = len(t)
-    count = n  # the diagonal
-    for a in range(n):
+def _symmetric_entries(t, idx) -> int:
+    """Number of (a, b) in idx x idx with t[a][b] == t[b][a], read off t in
+    place over the triangle above the diagonal.  A plain loop: the
+    interpreter's inline int compare beats a C-level map(operator.eq, row,
+    column), which calls eq once per entry."""
+    idx = list(idx)  # list slices iterate faster than range slices
+    count = len(idx)  # the diagonal
+    for i, a in enumerate(idx):
         row = t[a]
-        count += 2 * sum(1 for b in range(a + 1, n) if row[b] == t[b][a])
+        count += 2 * sum(1 for b in idx[i + 1:] if row[b] == t[b][a])
     return count
 
 
 def cp_pair_count(G: FiniteGroup) -> Fraction:
     """|{(x, y) : xy = yx}| / |G|^2, counted directly over the Cayley table."""
-    return Fraction(_symmetric_entries(G.mul_table), G.order ** 2)
+    return Fraction(_symmetric_entries(G.mul_table, range(G.order)), G.order ** 2)
 
 
 def cp_class_count(G: FiniteGroup) -> Fraction:
@@ -51,7 +50,6 @@ class CommutationMatrix:
 
     dimension: int
     entries: tuple[tuple[int, ...], ...]
-    transversal: Transversal
 
     def total(self) -> int:
         return sum(sum(row) for row in self.entries)
@@ -72,7 +70,7 @@ def commutation_matrix(G: FiniteGroup, Z: Subgroup, T: Transversal) -> Commutati
         tuple(1 if G.commutes(reps[i], reps[j]) else 0 for j in range(m))
         for i in range(m)
     )
-    return CommutationMatrix(m, entries, T)
+    return CommutationMatrix(m, entries)
 
 
 def cp_coset_formula(G: FiniteGroup, transversal: Transversal | None = None) -> Fraction:
@@ -91,13 +89,11 @@ def cp_coset_formula(G: FiniteGroup, transversal: Transversal | None = None) -> 
     covered = sorted(G.mul(r, z) for r in T.reps if 0 <= r < G.order for z in Z.members)
     if len(T.reps) != index or covered != list(range(G.order)):
         raise CenterMismatch("representatives do not meet each coset of the center once")
-    pick = picker(T.reps)
-    sub = [pick(G.mul_table[r]) for r in T.reps]
-    return Fraction(_symmetric_entries(sub), index * index)
+    return Fraction(_symmetric_entries(G.mul_table, T.reps), index * index)
 
 
 def cp_fc_reduction(G: FiniteGroup, F: Subgroup) -> Fraction:
-    """cp(F as a group) / |G:F|^2.
+    """cp(F as a group) / |G:F|^2, counted as F's commuting pairs over |G|^2.
 
     Equals cp(G) when F is the FC-center (here: F = G for finite groups, or
     the finite shadow a compact model supplies).  For an arbitrary subgroup
@@ -108,9 +104,7 @@ def cp_fc_reduction(G: FiniteGroup, F: Subgroup) -> Fraction:
         raise NotASubgroup("subgroup belongs to a different parent group")
     if not center(G).member_set <= F.member_set:
         raise CenterNotContained("subgroup does not contain the center")
-    Fgrp, _ = subgroup_as_group(F)
-    index = G.order // F.order
-    return cp_pair_count(Fgrp) / (index * index)
+    return Fraction(_symmetric_entries(G.mul_table, F.members), G.order ** 2)
 
 
 def format_rational(x: Fraction) -> str:

@@ -443,15 +443,7 @@ def product_set(G: FiniteGroup, A: Iterable[int], B: Iterable[int]) -> set[int]:
     return {G.mul(a, b) for a in A for b in bl}
 
 
-# -- invariant fingerprints (used for isomorphism screening and is_a5) -----
-
-
-def element_order_histogram(G: FiniteGroup) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for g in range(G.order):
-        o = G.element_order(g)
-        hist[o] = hist.get(o, 0) + 1
-    return hist
+# -- recognizing A5 ---------------------------------------------------------
 
 
 def class_size_multiset(G: FiniteGroup) -> tuple[int, ...]:

@@ -1,7 +1,8 @@
 """Isomorphism testing for small finite groups.
 
-Screening by cheap invariants (order, abelianness, element-order histogram,
-class-size histogram) is followed by backtracking over generator images.
+Screening by each element's (order, class size) key, compared as a multiset
+between the groups, is followed by backtracking over generator images,
+each generator trying only the elements with its own key.
 A partial map is closed under multiplication as it grows, so inconsistent
 candidates die early; a map that covers the whole group is by construction
 a bijective homomorphism.
@@ -12,23 +13,19 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import SearchCapExceeded
-from .groups import (
-    FiniteGroup,
-    class_size_multiset,
-    conjugacy_classes,
-    element_order_histogram,
-    greedy_generators,
-)
+from .groups import FiniteGroup, conjugacy_classes, greedy_generators
 
 DEFAULT_ISO_CAP = 256
 
 
-def _class_size_of(G: FiniteGroup) -> list[int]:
-    sizes = [0] * G.order
+def _element_keys(G: FiniteGroup) -> list[tuple[int, int]]:
+    """(element order, conjugacy class size) of every element; isomorphisms
+    preserve both."""
+    keys: list = [None] * G.order
     for cls in conjugacy_classes(G):
         for g in cls:
-            sizes[g] = len(cls)
-    return sizes
+            keys[g] = (G.element_order(g), len(cls))
+    return keys
 
 
 def generating_sequence(G: FiniteGroup) -> list[int]:
@@ -74,20 +71,13 @@ def iter_isomorphisms(
         )
     if G.order != H.order:
         return
-    if G.is_abelian() != H.is_abelian():
+    g_key = _element_keys(G)
+    h_key = _element_keys(H)
+    if sorted(g_key) != sorted(h_key):
         return
-    if element_order_histogram(G) != element_order_histogram(H):
-        return
-    if class_size_multiset(G) != class_size_multiset(H):
-        return
-
-    g_class = _class_size_of(G)
-    h_class = _class_size_of(H)
-    h_order = [H.element_order(h) for h in range(H.order)]
-    g_order = [G.element_order(g) for g in range(G.order)]
     candidates: dict[tuple[int, int], list[int]] = {}
-    for h in range(H.order):
-        candidates.setdefault((h_order[h], h_class[h]), []).append(h)
+    for h, key in enumerate(h_key):
+        candidates.setdefault(key, []).append(h)
 
     gens = generating_sequence(G)
 
@@ -101,7 +91,7 @@ def iter_isomorphisms(
         if g in phi:
             yield from search(idx + 1, phi, used)
             return
-        for h in candidates.get((g_order[g], g_class[g]), []):
+        for h in candidates[g_key[g]]:
             if h in used:
                 continue
             phi2 = dict(phi)

@@ -124,6 +124,24 @@ class TestModelSpecs:
             parse_model_file(f)
 
 
+class TestCorpus:
+    def test_corpus_orders_within_bound(self):
+        for m in (1, 3, 8, 27, 64, 120, 200):
+            assert all(G.order <= m for _n, G in corpus.builtin_corpus(m)), m
+        # klein4 (order 4) is no longer listed below order 4
+        assert [n for n, _ in corpus.builtin_corpus(3)] == ["trivial", "cyclic 2", "cyclic 3"]
+
+    def test_names_and_corpus_share_one_build(self):
+        by_name = dict(corpus.builtin_corpus(120))
+        for spelled, name in [
+            ("1", "trivial"), ("v4", "klein4"), ("q8", "quaternion8"),
+            ("es27+", "es27exp3"), ("es27-", "es27exp9"), ("sl(2,5)", "sl25"),
+            ("c7", "cyclic 7"), ("dihedral 5", "dihedral 5"), ("s4", "symmetric 4"),
+            ("a 5", "alternating 5"),
+        ]:
+            assert corpus.builtin_group(spelled) is by_name[name], spelled
+
+
 class TestCommands:
     def test_cp_a5(self, capsys):
         assert main(["cp", "alternating", "5"]) == 0

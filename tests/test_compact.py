@@ -83,6 +83,112 @@ class TestValidation:
             build_model(2, c4, {2: ((-1, 0), (0, -1))})
 
 
+def unimodular_sign_matrices(d):
+    """Every d x d matrix with entries in {-1, 0, 1} and determinant +-1."""
+    cells = itertools.product((-1, 0, 1), repeat=d * d)
+    mats = (tuple(c[i * d:(i + 1) * d] for i in range(d)) for c in cells)
+    return [m for m in mats if laplace_det(m) in (1, -1)]
+
+
+def brute_force_action(Q, d, given):
+    """The full action extending `given`, or None when there is none.
+
+    Each element gets the product of the matrices along one word in the
+    non-identity given elements (shortest words, found by a walk over Q);
+    the result is accepted only if it agrees with `given` everywhere and
+    satisfies M(qr) = M(q) M(r) for all |Q|^2 pairs.  No matrices (or only
+    the identity's) means the trivial action.
+    """
+    ident = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+
+    def mul(a, b):
+        return tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d))
+            for i in range(d)
+        )
+
+    gens = [g for g in given if g != Q.identity]
+    full = {Q.identity: ident}
+    if not gens:
+        full = {q: ident for q in range(Q.order)}
+    frontier = [Q.identity]
+    while frontier:
+        q = frontier.pop(0)
+        for g in gens:
+            r = Q.mul(q, g)
+            if r not in full:
+                full[r] = mul(full[q], given[g])
+                frontier.append(r)
+    if len(full) < Q.order:
+        return None
+    if any(full[g] != m for g, m in given.items()):
+        return None
+    for q in range(Q.order):
+        for r in range(Q.order):
+            if full[Q.mul(q, r)] != mul(full[q], full[r]):
+                return None
+    return tuple(full[q] for q in range(Q.order))
+
+
+def model_outcome(Q, d, given):
+    try:
+        return build_model(d, Q, given).action
+    except NotAHomomorphism:
+        return None
+
+
+ORACLE_GROUPS = {
+    "C2": builders.cyclic(2),
+    "C3": builders.cyclic(3),
+    "C4": builders.cyclic(4),
+    "V4": builders.klein4(),
+    "S3": builders.symmetric(3),
+    "D4": builders.dihedral(4),
+    "Q8": builders.quaternion8(),
+    "A4": builders.alternating(4),
+}
+
+
+class TestBuildModelOracle:
+    """build_model accepts exactly the inputs a brute-force |Q|^2 check accepts,
+    and then returns the same action."""
+
+    @pytest.mark.parametrize("d", range(3))
+    @pytest.mark.parametrize("qname", sorted(ORACLE_GROUPS))
+    def test_one_generator_exhaustive(self, qname, d):
+        Q = ORACLE_GROUPS[qname]
+        for g in range(Q.order):
+            for m in unimodular_sign_matrices(d):
+                given = {g: m}
+                assert model_outcome(Q, d, given) == brute_force_action(Q, d, given), given
+
+    @pytest.mark.parametrize("d", range(3))
+    @pytest.mark.parametrize("qname", ["C2", "C3", "V4"])
+    def test_two_generators_exhaustive(self, qname, d):
+        Q = ORACLE_GROUPS[qname]
+        mats = unimodular_sign_matrices(d)
+        for g, h in itertools.combinations(range(Q.order), 2):
+            for m, n in itertools.product(mats, repeat=2):
+                given = {g: m, h: n}
+                assert model_outcome(Q, d, given) == brute_force_action(Q, d, given), given
+
+    @pytest.mark.parametrize("qname", sorted(ORACLE_GROUPS))
+    def test_seeded_random(self, qname):
+        Q = ORACLE_GROUPS[qname]
+        rng = random.Random(f"build-model-{qname}")
+        mats = {d: unimodular_sign_matrices(d) for d in range(3)}
+        accepted = 0
+        for _ in range(1500):
+            d = rng.randrange(3)
+            k = rng.randint(1, min(3, Q.order))
+            gens = rng.sample(range(Q.order), k)
+            given = {g: rng.choice(mats[d]) for g in gens}
+            expected = brute_force_action(Q, d, given)
+            assert model_outcome(Q, d, given) == expected, given
+            accepted += expected is not None
+        assert accepted > 0
+
+
 def laplace_det(a):
     """Cofactor expansion along the first row: the O(d!) oracle for mat_det."""
     d = len(a)

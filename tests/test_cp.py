@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from haarcp import builders
 from haarcp.corpus import builtin_corpus
 from haarcp.cp import (
+    _symmetric_entries,
     commutation_matrix,
     cp_class_count,
     cp_coset_formula,
@@ -129,6 +131,18 @@ class TestCosetFormula:
         with pytest.raises(CenterMismatch):
             cp_coset_formula(q8, Transversal(center(q8), (0, 0, 0, 0)))
 
+    def test_reads_the_table_in_place(self):
+        # with a trivial center every element is a representative; a copied
+        # reps x reps subtable would be 720^2 pointers, over 4 MB
+        s6 = builders.symmetric(6)
+        tracemalloc.start()
+        try:
+            assert cp_coset_formula(s6) == Fraction(11, 720)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestThreeWayAgreement:
     def test_corpus_agreement(self):
@@ -176,6 +190,23 @@ class TestFcReduction:
         H = generated_subgroup(d4, [reflection])
         with pytest.raises(CenterNotContained):
             cp_fc_reduction(d4, H)
+
+
+class TestSymmetricEntries:
+    def test_matches_brute_force_on_fc_reduction_subgroups(self, s3, d4):
+        d6 = builders.dihedral(6)
+        rotation = next(g for g in range(12) if d6.element_order(g) == 6)
+        reflection = next(
+            g for g in range(8) if d4.element_order(g) == 2 and g not in center(d4)
+        )
+        for S in (
+            whole_subgroup(s3),
+            generated_subgroup(d6, [rotation]),
+            generated_subgroup(d4, [reflection]),
+        ):
+            t, idx = S.parent.mul_table, S.members
+            brute = sum(1 for a in idx for b in idx if t[a][b] == t[b][a])
+            assert _symmetric_entries(t, idx) == brute, (S.parent.name, idx)
 
 
 class TestRationalFormat:

@@ -1,6 +1,6 @@
 import pytest
 
-from haarcp import builders
+from haarcp import builders, isomorphism
 from haarcp.corpus import builtin_corpus
 from haarcp.errors import SearchCapExceeded
 from haarcp.groups import direct_product
@@ -73,3 +73,34 @@ def test_corpus_self_isomorphism():
         phi = find_isomorphism(G, G)
         assert phi is not None, name
         assert _is_isomorphism(G, G, phi), name
+
+
+def test_screen_rejects_before_search(monkeypatch, d4, q8):
+    # each pair differs in its multiset of (element order, class size) keys
+    def no_search(*args):
+        raise AssertionError("backtracking entered")
+
+    monkeypatch.setattr(isomorphism, "_close_partial", no_search)
+    pairs = [
+        (builders.cyclic(4), builders.klein4()),
+        (d4, q8),
+        (builders.cyclic(8), d4),
+        (builders.dihedral(6), builders.cyclic(12)),
+        (builders.alternating(4), builders.dihedral(6)),
+    ]
+    for G, H in pairs:
+        assert list(iter_isomorphisms(G, H)) == [], (G.name, H.name)
+
+
+def test_one_class_computation_per_group(monkeypatch, d4, q8):
+    real = isomorphism.conjugacy_classes
+    calls = []
+
+    def counted(G):
+        calls.append(G.name)
+        return real(G)
+
+    monkeypatch.setattr(isomorphism, "conjugacy_classes", counted)
+    assert find_isomorphism(d4, d4) is not None
+    assert find_isomorphism(d4, q8) is None
+    assert len(calls) == 4
