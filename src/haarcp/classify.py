@@ -163,8 +163,8 @@ def check_theorem1(
     softly (the corpus is finite, existence is not in question).
     """
     direct = cp_semianalytic(model)
-    reduced = cp_theorem1(model)
     fc = fc_center(model)
+    reduced = cp_theorem1(model, fc)
     notes: list[str] = []
     stem_name: str | None = None
     stem_cp_equal: bool | None = None
@@ -177,7 +177,8 @@ def check_theorem1(
         if found is not None:
             H, _w = found
             stem_name = H.name
-            stem_cp_equal = cp_pair_count(fc.finite_shadow) == cp_pair_count(H)
+            # cp(shadow) = reduced * index^2: the shadow's pairs are counted once
+            stem_cp_equal = reduced * fc.index**2 == cp_pair_count(H)
         elif not notes:
             notes.append("stem not in corpus (soft report)")
     return Theorem1Report(

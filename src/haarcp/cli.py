@@ -8,6 +8,7 @@ reported, not gated.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -198,7 +199,13 @@ def cmd_mc(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    Parsing does not change the parser, and every parse returns a fresh
+    Namespace, so one parser serves any number of main() calls.
+    """
     parser = argparse.ArgumentParser(
         prog="haarcp",
         description="Exact commuting probability for finite groups and finite-by-torus compact groups.",
@@ -209,37 +216,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cp", help="exact cp by all three finite algorithms")
     p.add_argument("group", nargs="+")
-    p.set_defaults(func=cmd_cp)
 
     p = sub.add_parser("center", help="center of a group")
     p.add_argument("group", nargs="+")
-    p.set_defaults(func=cmd_center)
 
     p = sub.add_parser("fc", help="FC-center of a compact model")
     p.add_argument("model")
-    p.set_defaults(func=cmd_fc)
 
     p = sub.add_parser("classify", help="threshold classification of a group")
     p.add_argument("group", nargs="+")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("isoclinic", help="search for an isoclinism witness")
     p.add_argument("group_a")
     p.add_argument("group_b")
-    p.set_defaults(func=cmd_isoclinic)
 
     p = sub.add_parser("stem", help="find a stem group isoclinic to the input")
     p.add_argument("--max-order", type=int, default=64)
     p.add_argument("group", nargs="+")
-    p.set_defaults(func=cmd_stem)
 
     p = sub.add_parser("verify-t1", help="check both cp routes agree on a model")
     p.add_argument("model")
-    p.set_defaults(func=cmd_verify_t1)
 
     p = sub.add_parser("verify-t2", help="check the 1/4 finiteness threshold")
     p.add_argument("input")
-    p.set_defaults(func=cmd_verify_t2)
 
     p = sub.add_parser("scan", help="census of a corpus against a threshold")
     p.add_argument("--threshold", default="3/40",
@@ -247,22 +246,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machine", action="store_true",
                    help="pipe-delimited output for golden files")
     p.add_argument("inputs", nargs="*")
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("mc", help="Monte Carlo cp estimate for a model")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("model")
-    p.set_defaults(func=cmd_mc)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; may be called many times in one process.
+
+    The verb's cmd_* function is looked up at each call, so a function
+    replaced in this module after the parser was built is the one that runs.
+    """
+    args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.verb.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except HaarcpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -189,13 +189,14 @@ def cp_semianalytic(model: CompactModel) -> Fraction:
     return cp_pair_count(model.extra_factor) * Fraction(surviving, Q.order**2)
 
 
-def cp_theorem1(model: CompactModel) -> Fraction:
+def cp_theorem1(model: CompactModel, fc: FcDescription | None = None) -> Fraction:
     """cp(finite shadow of the FC-center) / index^2.
 
     An infinite FC-index (where the convention 1/inf = 0 would apply) cannot
-    occur in this family: the index always divides |Q|.
+    occur in this family: the index always divides |Q|.  A caller that has
+    fc_center(model) already passes it as `fc`.
     """
-    fc = fc_center(model)
+    fc = fc_center(model) if fc is None else fc
     return cp_pair_count(fc.finite_shadow) / (fc.index**2)
 
 

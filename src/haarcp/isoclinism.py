@@ -141,17 +141,33 @@ def verify_isoclinism(
     random_rechecks: int = 32,
     seed: int = 0,
 ) -> bool:
-    """Check a witness exhaustively: both maps are isomorphisms and the
-    commutator square commutes for every coset pair (canonical preimages,
-    plus randomized preimage re-checks)."""
+    """Check a witness against the groups themselves, exhaustively.
+
+    Z(G), Z(H), G' and H' are recomputed from the tables, never taken from
+    the witness.  Each projection must be a homomorphism onto its quotient
+    with kernel exactly the center, and each derived subgroup must be the
+    recomputed one.  Then alpha and beta must be isomorphisms and the
+    commutator square must commute on canonical coset preimages.  That is
+    exact: [xz, yz'] = [x, y] for central z, z', so a commutator depends
+    only on the cosets of its arguments.  The random re-checks of other
+    preimages are a spot check on top of it.
+    """
     Qg, Qh = w.g_quotient, w.h_quotient
     if Qg.order != Qh.order or len(w.alpha) != Qg.order:
         raise DomainMismatch("alpha does not map G/Z(G) onto H/Z(H)")
+    g_pre = _central_preimages(G, Qg, w.g_proj)
+    h_pre = _central_preimages(H, Qh, w.h_proj)
+    if g_pre is None or h_pre is None:
+        return False
+    if (w.g_derived.member_set != derived_subgroup(G).member_set
+            or w.h_derived.member_set != derived_subgroup(H).member_set):
+        return False
     if sorted(w.alpha) != list(range(Qh.order)):
         return False
     if set(w.beta) != w.g_derived.member_set:
         raise DomainMismatch("beta is not defined on exactly G'")
-    if set(w.beta.values()) != w.h_derived.member_set:
+    image = set(w.beta.values())
+    if image != w.h_derived.member_set or len(image) != len(w.beta):
         return False
     # alpha is a homomorphism of the quotients
     for a in range(Qg.order):
@@ -164,8 +180,6 @@ def verify_isoclinism(
             if w.beta[G.mul(a, b)] != H.mul(w.beta[a], w.beta[b]):
                 return False
     # commutator compatibility over all coset pairs
-    g_pre = _coset_preimages(G, w.g_proj, Qg.order)
-    h_pre = _coset_preimages(H, w.h_proj, Qh.order)
     for c1 in range(Qg.order):
         for c2 in range(Qg.order):
             u = G.commutator(g_pre[c1][0], g_pre[c2][0])
@@ -185,10 +199,32 @@ def verify_isoclinism(
     return True
 
 
-def _coset_preimages(G: FiniteGroup, proj: tuple[int, ...], k: int) -> list[list[int]]:
-    pre: list[list[int]] = [[] for _ in range(k)]
-    for g in range(G.order):
-        pre[proj[g]].append(g)
+def _central_preimages(
+    G: FiniteGroup, Q: FiniteGroup, proj: tuple[int, ...]
+) -> list[list[int]] | None:
+    """The fibres of proj, ascending, if proj is a homomorphism of G onto Q
+    with kernel exactly Z(G); else None.
+
+    proj must be constant on the cosets of Z(G), with every fibre nonempty
+    and the identity's fibre equal to Z(G).  Then proj(x z) = proj(x) for
+    central z, so it is a homomorphism once it is one on the smallest
+    member of each fibre.
+    """
+    if len(proj) != G.order or not all(0 <= c < Q.order for c in proj):
+        return None
+    pre: list[list[int]] = [[] for _ in range(Q.order)]
+    for g, c in enumerate(proj):
+        pre[c].append(g)
+    Z = center(G).members
+    if not all(pre) or tuple(pre[Q.identity]) != Z:
+        return None
+    if any(proj[G.mul(g, z)] != c for g, c in enumerate(proj) for z in Z):
+        return None
+    reps = [fibre[0] for fibre in pre]
+    for a, x in enumerate(reps):
+        for b, y in enumerate(reps):
+            if proj[G.mul(x, y)] != Q.mul(a, b):
+                return None
     return pre
 
 

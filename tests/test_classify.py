@@ -11,6 +11,7 @@ from haarcp.classify import (
     scan_corpus,
 )
 from haarcp.compact import build_model, standard_model_battery
+from haarcp.cp import cp_pair_count
 from haarcp.corpus import builtin_corpus, classification_corpus
 from haarcp.groups import center, direct_product
 
@@ -135,6 +136,38 @@ class TestTheorem1Check:
         for m in standard_model_battery():
             report = check_theorem1(m)
             assert report.equal, m.name
+
+    def test_shadow_built_and_counted_once(self, monkeypatch, a5):
+        from haarcp import classify, compact
+
+        m = build_model(1, builders.cyclic(2), {1: ((-1,),)}, a5, name="o2 x a5")
+        calls = {"fc_center": 0, "direct_product": 0, "shadow_pair_count": 0}
+        shadows = []
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                result = fn(*args, **kwargs)
+                if name == "fc_center":
+                    shadows.append(result.finite_shadow)
+                return result
+            return wrapper
+
+        def spy_pair_count(G):
+            calls["shadow_pair_count"] += any(G is S for S in shadows)
+            return cp_pair_count(G)
+
+        fc_spy = spy("fc_center", compact.fc_center)
+        monkeypatch.setattr(classify, "fc_center", fc_spy)
+        monkeypatch.setattr(compact, "fc_center", fc_spy)
+        monkeypatch.setattr(compact, "direct_product", spy("direct_product", direct_product))
+        monkeypatch.setattr(classify, "cp_pair_count", spy_pair_count)
+        monkeypatch.setattr(compact, "cp_pair_count", spy_pair_count)
+        report = check_theorem1(m, stem_corpus=[a5])
+        assert calls == {"fc_center": 1, "direct_product": 1, "shadow_pair_count": 1}
+        assert report.cp_direct == report.cp_reduced == Fraction(1, 48)
+        assert report.shadow_order == 60
+        assert report.stem_name == a5.name and report.stem_cp_equal
 
 
 class TestScan:

@@ -380,3 +380,96 @@ def test_golden_output(case, tmp_path, capsys):
     assert main(argv) == 0
     expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_output_twice_in_one_process(case, tmp_path, capsys):
+    for name, text in GOLDEN_SPECS.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg
+            for arg in GOLDEN_CASES[case]]
+    expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+    for _ in range(2):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+
+class TestSharedParser:
+    """main() builds its parser once per process and reads everything else per call."""
+
+    def test_valid_call_after_argparse_errors(self, capsys):
+        assert main(["center", "q8"]) == 0
+        expected = capsys.readouterr().out
+        for bad in (["no-such-verb"], ["mc", "model-file"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+            assert "error:" in capsys.readouterr().err
+            assert main(["center", "q8"]) == 0
+            assert capsys.readouterr() == (expected, "")
+
+    def test_cap_read_on_every_call(self, monkeypatch, capsys):
+        monkeypatch.setenv("HAARCP_CAP", "7")
+        assert main(["center", "q8"]) == 2
+        assert capsys.readouterr().err == "error: builtin group 'q8' has order above cap 7\n"
+        monkeypatch.setenv("HAARCP_CAP", "8")
+        assert main(["center", "q8"]) == 0
+        monkeypatch.delenv("HAARCP_CAP")
+        assert main(["--cap", "5", "center", "q8"]) == 2
+        assert main(["center", "q8"]) == 0
+        assert main(["center", "q8"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "error: builtin group 'q8' has order above cap 5\n"
+        assert out.count("center order 2 of group order 8") == 3
+
+    def test_no_parser_built_after_the_first_call(self, monkeypatch, capsys):
+        import argparse
+
+        main(["center", "c2"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        for argv in (["center", "c2"], ["cp", "q8"], ["verify-t2", "s3"], ["scan", "c3"]):
+            assert main(argv) == 0
+        assert built == []
+
+    def test_command_looked_up_per_call(self, monkeypatch, capsys):
+        from haarcp import cli
+
+        main(["center", "c2"])
+        capsys.readouterr()
+        seen = []
+
+        def fake_center(args):
+            seen.append(args.group)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_center", fake_center)
+        assert main(["center", "c2"]) == 0
+        assert seen == [["c2"]]
+        assert capsys.readouterr().out == ""
+
+
+def test_cli_import_builds_no_parser():
+    src = str(Path(haarcp.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import argparse, contextlib, io\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def spy(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = spy\n"
+        "import haarcp.cli\n"
+        "assert built == [], built\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert haarcp.cli.main(['center', 'c2']) == 0\n"
+        "assert built, 'the first call builds the parser'\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

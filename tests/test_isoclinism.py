@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,14 @@ import pytest
 from haarcp import builders
 from haarcp.corpus import builtin_corpus
 from haarcp.errors import SearchCapExceeded, WitnessInvalid
-from haarcp.groups import center, derived_subgroup, direct_product
+from haarcp.groups import (
+    Subgroup,
+    center,
+    derived_subgroup,
+    direct_product,
+    generated_subgroup,
+    quotient,
+)
 from haarcp.isoclinism import (
     IsoclinismWitness,
     cp_isoclinism_invariance_check,
@@ -15,6 +23,10 @@ from haarcp.isoclinism import (
     is_stem_group,
     verify_isoclinism,
 )
+
+
+def _cyclic_subgroup_of_order_4(G):
+    return next(S for S in (generated_subgroup(G, [g]) for g in range(G.order)) if S.order == 4)
 
 
 class TestVerify:
@@ -37,6 +49,111 @@ class TestVerify:
             tuple(alpha), w.g_derived, w.h_derived, w.beta,
         )
         assert not verify_isoclinism(d4, q8, tampered)
+
+    def test_genuine_witnesses_pass_without_rechecks(self, d4, q8):
+        e3 = builders.extraspecial27_exponent3()
+        e9 = builders.extraspecial27_exponent9()
+        for G, H in [(d4, q8), (q8, d4), (e3, e9), (builders.cyclic(2), builders.cyclic(4))]:
+            assert verify_isoclinism(G, H, find_isoclinism(G, H), random_rechecks=0)
+
+    # Each forged witness below must be rejected with no random re-checks.
+
+    def test_forged_projection_rejected(self, d4, q8):
+        w = find_isoclinism(d4, q8)
+
+        def smallest(proj):
+            return [min(g for g in range(d4.order) if proj[g] == c) for c in range(4)]
+
+        # swap the images of the larger members of the last two cosets
+        x, y = (max(g for g in range(d4.order) if w.g_proj[g] == c) for c in (2, 3))
+        proj = list(w.g_proj)
+        proj[x], proj[y] = proj[y], proj[x]
+        # the smallest member of each coset, and so the commutator check on
+        # canonical preimages, is unchanged
+        assert smallest(proj) == smallest(w.g_proj)
+        forged = replace(w, g_proj=tuple(proj))
+        assert not verify_isoclinism(d4, q8, forged, random_rechecks=0)
+
+    def test_projection_not_constant_on_cosets_rejected(self, q8):
+        G = direct_product(builders.dihedral(4), builders.cyclic(3))
+        w = find_isoclinism(G, q8)
+        fibres = [[g for g in range(G.order) if w.g_proj[g] == c] for c in range(4)]
+        reps = [f[0] for f in fibres]
+        products = {G.mul(x, y) for x in reps for y in reps}
+        # the largest members of cosets 2 and 3 that no check on
+        # representatives reads
+        x, y = (max(set(fibres[c]) - products) for c in (2, 3))
+        proj = list(w.g_proj)
+        proj[x], proj[y] = proj[y], proj[x]
+        forged = replace(w, g_proj=tuple(proj))
+        assert [min(g for g in range(G.order) if proj[g] == c) for c in range(4)] == reps
+        assert not verify_isoclinism(G, q8, forged, random_rechecks=0)
+
+    def test_projection_with_larger_kernel_rejected(self, d4, q8):
+        # D4 -> D4/<r> and Q8 -> Q8/<i>, both C2: a homomorphism, constant
+        # on the cosets of the center, but its kernel is not the center
+        w = find_isoclinism(d4, q8)
+        Qg, g_proj = quotient(d4, _cyclic_subgroup_of_order_4(d4))
+        Qh, h_proj = quotient(q8, _cyclic_subgroup_of_order_4(q8))
+        forged = replace(w, g_quotient=Qg, h_quotient=Qh, g_proj=tuple(g_proj),
+                         h_proj=tuple(h_proj), alpha=(0, 1))
+        assert not verify_isoclinism(d4, q8, forged, random_rechecks=0)
+
+    def test_projection_not_onto_rejected(self, d4, q8):
+        w = find_isoclinism(d4, q8)
+        forged = replace(w, g_proj=tuple(2 if c == 3 else c for c in w.g_proj))
+        assert not verify_isoclinism(d4, q8, forged, random_rechecks=0)
+
+    def test_non_injective_beta_rejected(self, d4):
+        # D4 x D4 and its central product D4 o D4 (extraspecial of order 32)
+        # have the same central quotient and compatible commutator maps, but
+        # |G'| = 4 and |H'| = 2: the quotient map sends G' onto H', 2 to 1
+        G = direct_product(d4, d4)
+        Zg = center(G)
+        z = next(g for g in center(d4).members if g != d4.identity)
+        zz = z * d4.order + z  # (z, z), in the product's row-major indexing
+        H, pi = quotient(G, Subgroup(G, tuple(sorted((G.identity, zz)))))
+        Qg, g_proj = quotient(G, Zg)
+        Zh = center(H)
+        Qh, h_proj = quotient(H, Zh)
+        g_reps = [g_proj.index(c) for c in range(Qg.order)]
+        Dg, Dh = derived_subgroup(G), derived_subgroup(H)
+        assert (Zh.order, Dg.order, Dh.order) == (2, 4, 2)
+        forged = IsoclinismWitness(
+            G, H, Qg, Qh, tuple(g_proj), tuple(h_proj),
+            tuple(h_proj[pi[x]] for x in g_reps), Dg, Dh,
+            {u: pi[u] for u in Dg.members},
+        )
+        assert not verify_isoclinism(G, H, forged, random_rechecks=0)
+
+    def test_forged_derived_subgroup_rejected(self, d4):
+        # D4 ~ D4 with "G' = D4" and beta the identity on all of D4
+        w = identity_witness(d4)
+        whole = Subgroup(d4, tuple(range(d4.order)))
+        forged = replace(w, g_derived=whole, h_derived=whole,
+                         beta={g: g for g in range(d4.order)})
+        assert not verify_isoclinism(d4, d4, forged, random_rechecks=0)
+
+    def test_forged_trivial_quotients_rejected(self, d4, s3):
+        # "D4 ~ S3" with trivial quotients and derived subgroups, beta = {e -> e}
+        one = builders.trivial()
+        e = Subgroup(d4, (d4.identity,))
+        forged = IsoclinismWitness(
+            d4, s3, one, one, (0,) * d4.order, (0,) * s3.order, (0,),
+            e, Subgroup(s3, (s3.identity,)), {d4.identity: s3.identity},
+        )
+        assert not verify_isoclinism(d4, s3, forged, random_rechecks=0)
+
+    def test_non_bijective_alpha_rejected(self, d4, q8):
+        w = find_isoclinism(d4, q8)
+        forged = replace(w, alpha=(0,) * len(w.alpha))
+        assert not verify_isoclinism(d4, q8, forged, random_rechecks=0)
+
+    def test_non_homomorphic_beta_rejected(self, d4, q8):
+        w = find_isoclinism(d4, q8)
+        e, z = w.g_derived.members  # G' = {e, r^2}: beta = {e -> z, z -> e}
+        forged = replace(w, beta={e: w.beta[z], z: w.beta[e]})
+        assert not verify_isoclinism(d4, q8, forged, random_rechecks=0)
 
     def test_c2_c4_trivially_isoclinic(self):
         # abelian groups all lie in one isoclinism family
