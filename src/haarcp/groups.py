@@ -10,8 +10,7 @@ subgroups are treated as immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from operator import eq, itemgetter
+from operator import eq, getitem, itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import (
@@ -120,12 +119,14 @@ def make_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
     """
     n = len(table)
     rows = tuple(tuple(row) for row in table)
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        if min(row) < 0 or max(row) >= n:
-            v = next(v for v in row if not 0 <= v < n)
-            raise ValueError(f"table entry {v} out of range 0..{n - 1}")
+    # one C-level pass; the row loop runs only to name the first bad row
+    if not (set(map(len, rows)) <= {n} and set().union(*rows) <= set(range(n))):
+        for i, row in enumerate(rows):
+            if len(row) != n:
+                raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+            if min(row) < 0 or max(row) >= n:
+                v = next(v for v in row if not 0 <= v < n)
+                raise ValueError(f"table entry {v} out of range 0..{n - 1}")
     ident = tuple(range(n))
     identity = next(
         (e for e in range(n)
@@ -159,9 +160,9 @@ def verify_axioms(G: FiniteGroup) -> bool:
     """
     t = G.mul_table
     for g in greedy_generators(G.identity, range(G.order), G.mul):
-        row_g = t[g]
+        pick = picker(t[g])
         for row in t:
-            if t[row[g]] != tuple(map(row.__getitem__, row_g)):
+            if t[row[g]] != pick(row):
                 return False
     return True
 
@@ -212,11 +213,11 @@ def table_from_left(left: Sequence[Sequence[int]], identity: int, n: int):
     rows[identity] = tuple(range(n))
     queue = [identity]
     for x in queue:
-        row = rows[x]
+        pick = picker(rows[x])
         for m in left:
             y = m[x]
             if rows[y] is None:
-                rows[y] = tuple(map(m.__getitem__, row))
+                rows[y] = pick(m)
                 queue.append(y)
     return rows
 
@@ -317,12 +318,14 @@ def derived_subgroup_of(S: Subgroup) -> Subgroup:
 
 def conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
     """Conjugation orbits, ordered by smallest member."""
+    t = G.mul_table
+    inverse_rows = picker(G.inverse_table)(t)  # the row of g^-1 maps x*g to g^-1 x g
     seen = [False] * G.order
     classes = []
     for x in range(G.order):
         if seen[x]:
             continue
-        orbit = sorted({G.conj(g, x) for g in range(G.order)})
+        orbit = sorted(set(map(getitem, inverse_rows, t[x])))
         for y in orbit:
             seen[y] = True
         classes.append(tuple(orbit))
@@ -381,23 +384,20 @@ def picker(idx: Sequence[int]) -> Callable:
 def direct_product(
     G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CLOSURE_CAP, name: str | None = None
 ) -> FiniteGroup:
-    """Componentwise product on index pairs, flattened row-major: (g, h) -> g*|H| + h."""
+    """Componentwise product on index pairs, flattened row-major: (g, h) -> g*|H| + h.
+
+    The table is walked from the left maps of (g, 1) and (1, h) for
+    generators g of G and h of H.
+    """
     n = G.order * H.order
     if n > cap:
         raise ClosureExceedsCap(f"product order {n} exceeds cap {cap}")
-    m = H.order
-    ints = tuple(range(n))
-    # blocks[b1][c] holds the indices of (c, b1*b2) for every b2, so row
-    # (a1, b1) is blocks[b1][a1*a2] chained over a2
-    blocks = [
-        [tuple(map(ints[c * m:(c + 1) * m].__getitem__, hrow)) for c in range(G.order)]
-        for hrow in H.mul_table
-    ]
-    rows = tuple(
-        tuple(chain.from_iterable(map(blocks[b1].__getitem__, grow)))
-        for grow in G.mul_table
-        for b1 in range(m)
-    )
+    s, t, m = G.mul_table, H.mul_table, H.order
+    left = [[c * m + b for c in s[g] for b in range(m)]
+            for g in greedy_generators(G.identity, range(G.order), G.mul)]
+    left += [[a * m + c for a in range(G.order) for c in t[h]]
+             for h in greedy_generators(H.identity, range(m), H.mul)]
+    rows = table_from_left(left, G.identity * m + H.identity, n)
     return make_group(rows, name=name or f"{G.name} x {H.name}")
 
 
@@ -417,7 +417,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
         for h in N.members:
             proj[G.mul(g, h)] = c
     pick = picker(reps)
-    table = tuple(tuple(map(proj.__getitem__, pick(G.mul_table[r]))) for r in reps)
+    table = tuple(picker(pick(G.mul_table[r]))(proj) for r in reps)
     Q = make_group(table, name=f"{G.name}/N{N.order}")
     return Q, proj
 
@@ -433,7 +433,7 @@ def subgroup_as_group(S: Subgroup, name: str | None = None) -> tuple[FiniteGroup
     for i, g in enumerate(emb):
         pos[g] = i
     pick = picker(emb)
-    table = tuple(tuple(map(pos.__getitem__, pick(G.mul_table[a]))) for a in emb)
+    table = tuple(picker(pick(G.mul_table[a]))(pos) for a in emb)
     return make_group(table, name=name or f"{G.name}|{S.order}"), emb
 
 

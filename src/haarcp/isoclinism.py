@@ -10,7 +10,6 @@ on a well-definedness conflict.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -134,13 +133,7 @@ def find_isoclinism(
     return _search(_central_data(G), H, cap)
 
 
-def verify_isoclinism(
-    G: FiniteGroup,
-    H: FiniteGroup,
-    w: IsoclinismWitness,
-    random_rechecks: int = 32,
-    seed: int = 0,
-) -> bool:
+def verify_isoclinism(G: FiniteGroup, H: FiniteGroup, w: IsoclinismWitness) -> bool:
     """Check a witness against the groups themselves, exhaustively.
 
     Z(G), Z(H), G' and H' are recomputed from the tables, never taken from
@@ -149,15 +142,14 @@ def verify_isoclinism(
     recomputed one.  Then alpha and beta must be isomorphisms and the
     commutator square must commute on canonical coset preimages.  That is
     exact: [xz, yz'] = [x, y] for central z, z', so a commutator depends
-    only on the cosets of its arguments.  The random re-checks of other
-    preimages are a spot check on top of it.
+    only on the cosets of its arguments.
     """
     Qg, Qh = w.g_quotient, w.h_quotient
     if Qg.order != Qh.order or len(w.alpha) != Qg.order:
         raise DomainMismatch("alpha does not map G/Z(G) onto H/Z(H)")
-    g_pre = _central_preimages(G, Qg, w.g_proj)
-    h_pre = _central_preimages(H, Qh, w.h_proj)
-    if g_pre is None or h_pre is None:
+    g_reps = _central_reps(G, Qg, w.g_proj)
+    h_reps = _central_reps(H, Qh, w.h_proj)
+    if g_reps is None or h_reps is None:
         return False
     if (w.g_derived.member_set != derived_subgroup(G).member_set
             or w.h_derived.member_set != derived_subgroup(H).member_set):
@@ -182,28 +174,18 @@ def verify_isoclinism(
     # commutator compatibility over all coset pairs
     for c1 in range(Qg.order):
         for c2 in range(Qg.order):
-            u = G.commutator(g_pre[c1][0], g_pre[c2][0])
-            v = H.commutator(h_pre[w.alpha[c1]][0], h_pre[w.alpha[c2]][0])
+            u = G.commutator(g_reps[c1], g_reps[c2])
+            v = H.commutator(h_reps[w.alpha[c1]], h_reps[w.alpha[c2]])
             if w.beta[u] != v:
                 return False
-    rng = random.Random(seed)
-    for _ in range(random_rechecks):
-        c1 = rng.randrange(Qg.order)
-        c2 = rng.randrange(Qg.order)
-        x = rng.choice(g_pre[c1])
-        y = rng.choice(g_pre[c2])
-        xp = rng.choice(h_pre[w.alpha[c1]])
-        yp = rng.choice(h_pre[w.alpha[c2]])
-        if w.beta[G.commutator(x, y)] != H.commutator(xp, yp):
-            return False
     return True
 
 
-def _central_preimages(
+def _central_reps(
     G: FiniteGroup, Q: FiniteGroup, proj: tuple[int, ...]
-) -> list[list[int]] | None:
-    """The fibres of proj, ascending, if proj is a homomorphism of G onto Q
-    with kernel exactly Z(G); else None.
+) -> list[int] | None:
+    """The smallest member of each fibre of proj, if proj is a homomorphism
+    of G onto Q with kernel exactly Z(G); else None.
 
     proj must be constant on the cosets of Z(G), with every fibre nonempty
     and the identity's fibre equal to Z(G).  Then proj(x z) = proj(x) for
@@ -225,7 +207,7 @@ def _central_preimages(
         for b, y in enumerate(reps):
             if proj[G.mul(x, y)] != Q.mul(a, b):
                 return None
-    return pre
+    return reps
 
 
 def identity_witness(G: FiniteGroup) -> IsoclinismWitness:

@@ -5,24 +5,29 @@ products looked up by index, one entry at a time.  The oracles below are
 that construction, kept independent of the library's builders.
 """
 
+import itertools
 import random
 
 import pytest
 
 from haarcp import builders
+from haarcp.cli import main
 from haarcp.corpus import builtin_corpus
 from haarcp.groups import (
     Subgroup,
     center,
     centralizer,
     close_generators,
+    conjugacy_classes,
     derived_subgroup,
     derived_subgroup_of,
     direct_product,
     generated_subgroup,
+    greedy_generators,
     make_group,
     quotient,
     subgroup_as_group,
+    verify_axioms,
     whole_subgroup,
 )
 
@@ -63,6 +68,26 @@ def assert_matches(G, table):
 
 def right_regular(G, gens):
     return [tuple(G.mul_table[x][g] for x in range(G.order)) for g in gens]
+
+
+def oracle_classes(G):
+    """Conjugation orbits by G.conj, one element at a time, by smallest member."""
+    orbits = {tuple(sorted({G.conj(g, x) for g in range(G.order)})) for x in range(G.order)}
+    return sorted(orbits)
+
+
+def oracle_associative(t):
+    n = len(t)
+    return all(t[t[x][y]][z] == t[x][t[y][z]] for x in range(n) for y in range(n) for z in range(n))
+
+
+def oracle_product_table(A, B):
+    """(a, b) -> a*|B| + b, so index[(a1, b1) * (a2, b2)] is this sum."""
+    s, t, m = A.mul_table, B.mul_table, B.order
+    return tuple(
+        tuple(s[a1][a2] * m + t[b1][b2] for a2 in range(A.order) for b2 in range(m))
+        for a1 in range(A.order) for b1 in range(m)
+    )
 
 
 def oracle_derived(G, members):
@@ -186,13 +211,7 @@ class TestAgainstOracle:
         pairs.append((builders.symmetric(6), builders.cyclic(2)))
         for G, H in pairs:
             for A, B in ((G, H), (H, G)):
-                # (a, b) -> a*|B| + b, so index[(a1, b1) * (a2, b2)] is this sum
-                s, t, m = A.mul_table, B.mul_table, B.order
-                table = tuple(
-                    tuple(s[a1][a2] * m + t[b1][b2] for a2 in range(A.order) for b2 in range(m))
-                    for a1 in range(A.order) for b1 in range(m)
-                )
-                assert_matches(direct_product(A, B), table)
+                assert_matches(direct_product(A, B), oracle_product_table(A, B))
 
     def test_quotient(self, groups):
         for G in groups:
@@ -234,3 +253,112 @@ class TestDerivedSubgroup:
         for G in groups:
             S = centralizer(G, G.order - 1)
             assert derived_subgroup_of(S).members == oracle_derived(G, S.members), G.name
+
+
+class TestSingleIndexGathers:
+    """Order-1 rows and one-coset quotients take picker's single-index path."""
+
+    def test_trivial_group(self):
+        G = builders.trivial()
+        assert_matches(G, ((0,),))
+        assert conjugacy_classes(G) == [(0,)]
+        assert verify_axioms(G)
+
+    def test_trivial_times_trivial(self):
+        T = builders.trivial()
+        assert_matches(direct_product(T, T), ((0,),))
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_c1_times_s3(self, swap):
+        A, B = builders.cyclic(1), builders.symmetric(3)
+        if swap:
+            A, B = B, A
+        assert_matches(direct_product(A, B), oracle_product_table(A, B))
+
+    @pytest.mark.parametrize("name", ["trivial", "c2", "s3", "a5"])
+    def test_quotient_by_whole_group(self, name):
+        G = {"trivial": builders.trivial(), "c2": builders.cyclic(2),
+             "s3": builders.symmetric(3), "a5": builders.alternating(5)}[name]
+        Q, proj = quotient(G, whole_subgroup(G))
+        assert list(proj) == [0] * G.order
+        assert_matches(Q, ((0,),))
+
+
+class TestConjugacyClasses:
+    def test_builtins(self, groups):
+        for G in groups:
+            assert conjugacy_classes(G) == oracle_classes(G), G.name
+
+    def test_a5_times_c6(self):
+        G = direct_product(builders.alternating(5), builders.cyclic(6))
+        assert conjugacy_classes(G) == oracle_classes(G)
+
+
+def intercalate_swaps(t):
+    """Copies of t with one 2x2 subsquare swapped: rows a, d and columns b, c
+    with t[a][b] = t[d][c] and t[a][c] = t[d][b], away from the identity's
+    row, column and entries.  Each copy is a Latin square with the same
+    identity and inverses, so make_group accepts it."""
+    n = len(t)
+    e = next(e for e in range(n) if t[e] == tuple(range(n)))
+    others = [x for x in range(n) if x != e]
+    out = []
+    for a, d in itertools.combinations(others, 2):
+        for b, c in itertools.combinations(others, 2):
+            if t[a][b] == t[d][c] and t[a][c] == t[d][b] and e not in (t[a][b], t[a][c]):
+                rows = [list(row) for row in t]
+                rows[a][b], rows[a][c], rows[d][b], rows[d][c] = t[a][c], t[a][b], t[d][c], t[d][b]
+                out.append(rows)
+    return out
+
+
+def in_middle_nucleus(t, g):
+    n = len(t)
+    return all(t[t[x][g]][y] == t[x][t[g][y]] for x in range(n) for y in range(n))
+
+
+class TestVerifyAxioms:
+    def test_agrees_with_triple_loop_on_perturbed_s4(self):
+        t = builders.symmetric(4).mul_table
+        tables = [t] + random.Random(4).sample(intercalate_swaps(t), 60)
+        first_generator_passes = 0
+        for table in tables:
+            G = make_group(table)
+            gens = greedy_generators(G.identity, range(G.order), G.mul)
+            assert len(gens) >= 3
+            associative = oracle_associative(G.mul_table)
+            assert verify_axioms(G) == associative
+            first_generator_passes += not associative and in_middle_nucleus(G.mul_table, gens[0])
+        # tables that only a later generator shows to be non-associative
+        assert first_generator_passes >= 5
+
+    def test_relabelled_s4_is_associative(self):
+        t = builders.symmetric(4).mul_table
+        perm = list(range(24))
+        random.Random(7).shuffle(perm)
+        inv = sorted(range(24), key=perm.__getitem__)
+        table = [[perm[t[inv[x]][inv[y]]] for y in range(24)] for x in range(24)]
+        assert verify_axioms(make_group(table))
+
+
+class TestRangeCheckThroughTableSpec:
+    """Entries a C-level gather would wrap or reject must exit 2 with the
+    first bad row named, exactly as the per-row check words it."""
+
+    @pytest.mark.parametrize("rows, detail", [
+        # C3 with 2 written as -1: a gather would read it as 2
+        (["0 1 -1", "1 -1 0", "-1 0 1"], "table entry -1 out of range 0..2"),
+        # C3 with 0 written as -3 = -n: a gather would read it as 0
+        (["-3 1 2", "1 2 0", "2 0 1"], "table entry -3 out of range 0..2"),
+        (["0 1 2", "1 2 3", "2 0 1"], "table entry 3 out of range 0..2"),
+        (["0 1 2", "1 2 7", "2 0"], "table entry 7 out of range 0..2"),
+        (["0 1 2", "1 2", "2 0 7"], "row 1 has length 2, expected 3"),
+    ], ids=["minus-one", "minus-n", "n", "range-before-length", "length-before-range"])
+    @pytest.mark.parametrize("verb", ["cp", "center"])
+    def test_exits_2(self, verb, rows, detail, tmp_path, capsys):
+        f = tmp_path / "bad.group"
+        f.write_text("table 3\n" + "\n".join(rows) + "\n")
+        assert main([verb, str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad Cayley table: {detail}\n"
