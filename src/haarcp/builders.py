@@ -29,7 +29,7 @@ def group_from_elements(
     identity = next(i for i, e in enumerate(elements) if mul(e, e) == e)
     gens = greedy_generators(elements[identity], elements, mul)
     left = [[index[mul(g, x)] for x in elements] for g in gens]
-    return make_group(table_from_left(left, identity, len(elements)), name=name)
+    return make_group(table_from_left(left, identity, tuple(range(len(elements)))), name=name)
 
 
 def trivial() -> FiniteGroup:

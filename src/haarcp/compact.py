@@ -207,26 +207,32 @@ _SM_M1 = 0xBF58476D1CE4E5B9
 _SM_M2 = 0x94D049BB133111EB
 
 
-def splitmix64_stream(seed: int, count: int, first: int = 1, step: int = 1):
-    """Words first, first + step, ..., of the splitmix64 stream for `seed`.
+def splitmix64_stream(seed: int, count: int, first: int = 1, step: int = 1,
+                      at=None, out=None, scratch=None):
+    """Words first + k * step of the splitmix64 stream for `seed`, k = 0..count-1.
 
     Returns `count` words as a uint64 array; the defaults give words
-    1..count.  Counter-based, so any arithmetic progression of words is
-    computed directly: word i mixes seed + i * golden-gamma.  Same seed
-    gives the same stream everywhere.
+    1..count.  Counter-based, so any word is computed directly: word i
+    mixes seed + i * golden-gamma.  Same seed gives the same stream
+    everywhere.  `at`, a uint64 array of `count` counters, replaces
+    0..count-1 by its own values of k.  `out` and `scratch`, uint64 arrays
+    of `count` words, are written in place of fresh ones; the words land
+    in `out`, which may be `at` itself.
     """
     import numpy as np
 
     mask = 0xFFFFFFFFFFFFFFFF
-    z = np.arange(count, dtype=np.uint64)
+    k = np.arange(count, dtype=np.uint64) if at is None else at
+    z = np.empty(count, dtype=np.uint64) if out is None else out
+    t = np.empty(count, dtype=np.uint64) if scratch is None else scratch
     with np.errstate(over="ignore"):
-        z *= np.uint64(step * _SM_GAMMA & mask)
+        np.multiply(k, np.uint64(step * _SM_GAMMA & mask), out=z)
         z += np.uint64((seed + first * _SM_GAMMA) & mask)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_SM_M1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_SM_M2)
-        z ^= z >> np.uint64(31)
+        for shift, mul in ((30, _SM_M1), (27, _SM_M2), (31, None)):
+            np.right_shift(z, np.uint64(shift), out=t)
+            z ^= t
+            if mul is not None:
+                z *= np.uint64(mul)
     return z
 
 
@@ -251,10 +257,12 @@ def cp_monte_carlo(model: CompactModel, samples: int, seed: int) -> MonteCarloEs
     i starts at word 1 + i * 2(d + 2).  A pair commutes iff the Q parts
     commute, both act trivially on the torus, and the L parts commute; the
     torus coordinates never decide a hit (a continuous sample never lands
-    on the measure-zero commuting sets), so only the four index words of
-    each pair are computed, by strided draws over blocks of MC_BLOCK pairs.
-    The hit count, hence the estimate, is the same as drawing the whole
-    layout, and memory does not grow with `samples`.
+    on the measure-zero commuting sets).  So per block of MC_BLOCK pairs
+    only the two Q index words of every pair are computed, and the two L
+    index words only of the pairs whose Q part hits, each by its position
+    in the layout.  The hit count, hence the estimate, is the same as
+    drawing the whole layout, and memory is three block buffers and the
+    block's counters, whatever `samples` is.
     """
     if samples < 1:
         raise ZeroSamples("need at least one sample")
@@ -264,29 +272,49 @@ def cp_monte_carlo(model: CompactModel, samples: int, seed: int) -> MonteCarloEs
     L = model.extra_factor
     d = model.torus_rank
     ident = identity_matrix(d)
+    nq, nl = Q.order, L.order
 
-    in_kernel = [model.action[q] == ident for q in range(Q.order)]
+    in_kernel = [model.action[q] == ident for q in range(nq)]
+    # flat pair tables: entry a * n + b is pair (a, b)
     q_hit = np.array(
-        [[in_kernel[a] and in_kernel[b] and Q.commutes(a, b) for b in range(Q.order)]
-         for a in range(Q.order)],
+        [in_kernel[a] and in_kernel[b] and Q.commutes(a, b)
+         for a in range(nq) for b in range(nq)],
         dtype=bool,
     )
     l_comm = np.array(
-        [[L.commutes(a, b) for b in range(L.order)] for a in range(L.order)],
-        dtype=bool,
+        [L.commutes(a, b) for a in range(nl) for b in range(nl)], dtype=bool
     )
-    nq, nl = np.uint64(Q.order), np.uint64(L.order)
 
+    counters = np.arange(MC_BLOCK, dtype=np.uint64)
+    words, scratch, index = (np.empty(MC_BLOCK, dtype=np.uint64) for _ in range(3))
     stride = 2 * (d + 2)
+
+    def draw(first, at, out, order):
+        """Words first + k * stride for k in `at`, reduced mod `order`, in `out`."""
+        count = len(at)
+        w = splitmix64_stream(seed, count, first, stride, at, out, scratch[:count])
+        t = np.floor_divide(w, order, out=scratch[:count])
+        t *= order
+        w -= t
+        return w
+
     hits = 0
     for start in range(0, samples, MC_BLOCK):
         n = min(MC_BLOCK, samples - start)
-        q0, l0, q1, l1 = (
-            splitmix64_stream(seed, n, 1 + start * stride + offset, stride)
-            for offset in (d, d + 1, 2 * d + 2, 2 * d + 3)
-        )
-        hit = q_hit[q0 % nq, q1 % nq] & l_comm[l0 % nl, l1 % nl]
-        hits += int(np.count_nonzero(hit))
+        first = 1 + start * stride
+        k = counters[:n]
+        # q0 * |Q| + q1 for every pair of the block
+        pair = np.multiply(draw(first + d, k, words[:n], nq), nq, out=index[:n])
+        pair += draw(first + 2 * d + 2, k, words[:n], nq)
+        q_ok = q_hit[pair.view(np.intp)]
+        m = int(np.count_nonzero(q_ok))
+        if not m:
+            continue
+        # l0 * |L| + l1, only for the pairs whose Q part hits
+        at = np.compress(q_ok, k, out=index[:m])
+        pair = np.multiply(draw(first + d + 1, at, words[:m], nl), nl, out=words[:m])
+        pair += draw(first + 2 * d + 3, at, at, nl)
+        hits += int(np.count_nonzero(l_comm[pair.view(np.intp)]))
     p = hits / samples
     stderr = (p * (1.0 - p) / samples) ** 0.5
     return MonteCarloEstimate(p, stderr, samples, seed, hits)

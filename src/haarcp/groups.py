@@ -160,7 +160,7 @@ def verify_axioms(G: FiniteGroup) -> bool:
     """
     t = G.mul_table
     for g in greedy_generators(G.identity, range(G.order), G.mul):
-        pick = picker(t[g])
+        pick = _picker(t[g])
         for row in t:
             if t[row[g]] != pick(row):
                 return False
@@ -202,18 +202,19 @@ def greedy_generators(identity, elements: Iterable[Hashable], mul: Callable) -> 
     return gens
 
 
-def table_from_left(left: Sequence[Sequence[int]], identity: int, n: int):
+def table_from_left(left: Sequence[Sequence[int]], identity: int, ids: tuple[int, ...]):
     """Cayley table rows from the left-multiplication maps of a generating set.
 
     left[j][x] is the index of g_j * x.  Since (g_j x) b = g_j (x b), the
     row of g_j * x is row x mapped through left[j].  A walk from the
-    identity, whose row is 0..n-1, fills every row with one C-level gather.
+    identity, whose row is ids = (0, ..., n-1), fills every row with one
+    C-level gather.
     """
-    rows: list = [None] * n
-    rows[identity] = tuple(range(n))
+    rows: list = [None] * len(ids)
+    rows[identity] = ids
     queue = [identity]
     for x in queue:
-        pick = picker(rows[x])
+        pick = _picker(rows[x])
         for m in left:
             y = m[x]
             if rows[y] is None:
@@ -242,7 +243,7 @@ def close_generators(
         f"closure exceeds cap {cap} (degree {degree})",
     )
     left = [[index[_compose(g, x)] for x in elements] for g in perms]
-    return make_group(table_from_left(left, 0, len(elements)), name=name)
+    return make_group(table_from_left(left, 0, tuple(range(len(elements)))), name=name)
 
 
 # -- subgroup machinery ----------------------------------------------------
@@ -319,7 +320,7 @@ def derived_subgroup_of(S: Subgroup) -> Subgroup:
 def conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
     """Conjugation orbits, ordered by smallest member."""
     t = G.mul_table
-    inverse_rows = picker(G.inverse_table)(t)  # the row of g^-1 maps x*g to g^-1 x g
+    inverse_rows = _picker(G.inverse_table)(t)  # the row of g^-1 maps x*g to g^-1 x g
     seen = [False] * G.order
     classes = []
     for x in range(G.order):
@@ -373,7 +374,7 @@ def derived_series(G: FiniteGroup) -> list[Subgroup]:
 # -- constructions ---------------------------------------------------------
 
 
-def picker(idx: Sequence[int]) -> Callable:
+def _picker(idx: Sequence[int]) -> Callable:
     """seq -> tuple(seq[i] for i in idx), as one C-level itemgetter call."""
     if len(idx) == 1:
         i = idx[0]
@@ -393,11 +394,15 @@ def direct_product(
     if n > cap:
         raise ClosureExceedsCap(f"product order {n} exceeds cap {cap}")
     s, t, m = G.mul_table, H.mul_table, H.order
-    left = [[c * m + b for c in s[g] for b in range(m)]
+    # every map is cut from the identity row's tuple, so the table holds n int objects
+    ids = tuple(range(n))
+    blocks = [ids[a * m:a * m + m] for a in range(G.order)]
+    left = [[x for c in s[g] for x in blocks[c]]
             for g in greedy_generators(G.identity, range(G.order), G.mul)]
-    left += [[a * m + c for a in range(G.order) for c in t[h]]
-             for h in greedy_generators(H.identity, range(m), H.mul)]
-    rows = table_from_left(left, G.identity * m + H.identity, n)
+    for h in greedy_generators(H.identity, range(m), H.mul):
+        pick = _picker(t[h])
+        left.append([x for block in blocks for x in pick(block)])
+    rows = table_from_left(left, G.identity * m + H.identity, ids)
     return make_group(rows, name=name or f"{G.name} x {H.name}")
 
 
@@ -416,8 +421,8 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
         reps.append(g)
         for h in N.members:
             proj[G.mul(g, h)] = c
-    pick = picker(reps)
-    table = tuple(picker(pick(G.mul_table[r]))(proj) for r in reps)
+    pick = _picker(reps)
+    table = tuple(_picker(pick(G.mul_table[r]))(proj) for r in reps)
     Q = make_group(table, name=f"{G.name}/N{N.order}")
     return Q, proj
 
@@ -432,8 +437,8 @@ def subgroup_as_group(S: Subgroup, name: str | None = None) -> tuple[FiniteGroup
     pos = [-1] * G.order
     for i, g in enumerate(emb):
         pos[g] = i
-    pick = picker(emb)
-    table = tuple(picker(pick(G.mul_table[a]))(pos) for a in emb)
+    pick = _picker(emb)
+    table = tuple(_picker(pick(G.mul_table[a]))(pos) for a in emb)
     return make_group(table, name=name or f"{G.name}|{S.order}"), emb
 
 

@@ -338,8 +338,11 @@ def test_cli_import_leaves_numpy_unloaded(tmp_path):
     perm.write_text("perm (1 2 3 4)(5 6 7)\nperm (1 3)\n")
     table = tmp_path / "table.group"
     table.write_text("table 3\n0 1 2\n1 2 0\n2 0 1\n")
+    model = tmp_path / "o2xs3.model"
+    model.write_text("torus_rank 1\nacting_group cyclic 2\nmatrix 1 -1\nextra_factor s3\n")
     runs = [[verb, str(spec)] for verb in ("cp", "classify", "center") for spec in (perm, table)]
     runs += [["stem", "c12"], ["isoclinic", "d4", "q8"], ["scan", "--machine"]]
+    runs += [[verb, str(model)] for verb in ("fc", "verify-t1", "verify-t2")]
     code = (
         "import contextlib, io, sys\n"
         "from haarcp.cli import main\n"

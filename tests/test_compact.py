@@ -1,5 +1,7 @@
+import functools
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -312,6 +314,55 @@ class TestExactCp:
         assert cp_semianalytic(m) == expected
 
 
+def full_layout_hits(m, samples, seed):
+    """Hits counted on the whole stream layout, every word of every pair drawn."""
+    Q, L, d = m.acting_group, m.extra_factor, m.torus_rank
+    ident = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    q_ok = np.array([[m.action[a] == ident == m.action[b] and Q.commutes(a, b)
+                      for b in range(Q.order)] for a in range(Q.order)])
+    l_comm = np.array([[L.commutes(a, b) for b in range(L.order)] for a in range(L.order)])
+    words = splitmix64_stream(seed, samples * 2 * (d + 2)).reshape(samples, 2, d + 2)
+    q = (words[:, :, d] % np.uint64(Q.order)).astype(np.intp)
+    l = (words[:, :, d + 1] % np.uint64(L.order)).astype(np.intp)
+    return int((q_ok[q[:, 0], q[:, 1]] & l_comm[l[:, 0], l[:, 1]]).sum())
+
+
+def s3_c2_model(d):
+    # Q = S3 x C2 with C2 acting by -I: the kernel S3 is non-abelian, so
+    # a word read from the wrong place changes the count
+    Q = direct_product(builders.symmetric(3), builders.cyclic(2))
+    ident = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    minus = tuple(tuple(-v for v in row) for row in ident)
+    # element 1 is (e, c); elements 4 and 6 are (2, e) and (3, e), which generate S3
+    return build_model(d, Q, {1: minus, 4: ident, 6: ident}, builders.symmetric(3))
+
+
+def faithful_c6_model():
+    # C6 rotating T^2 faithfully: only the identity is in the kernel, so the
+    # Q part hits at rate 1/36 and most blocks of few pairs draw no L word
+    return build_model(2, builders.cyclic(6), {1: ((1, -1), (1, 0))})
+
+
+def c6_c4_model():
+    # the shape of the benchmark's seeded rank-4 model: C6 x C4 on T^4, a
+    # signed 3-cycle of order 6 and a sign of order 2, so the kernel has
+    # order 2; element 4 is (1, 0) and element 1 is (0, 1)
+    Q = direct_product(builders.cyclic(6), builders.cyclic(4))
+    cycle = ((0, 0, -1, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))
+    sign = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1))
+    return build_model(4, Q, {4: cycle, 1: sign}, builders.symmetric(3))
+
+
+# case id -> (model, seed); the ids 0, 1, 2 and 4 are S3 x C2 on T^d.  The
+# last two seeds pass 2^63, so seed + offset wraps mod 2^64.  At one sample,
+# t2-c6 draws no L word, and t4-c6xc4 draws them for its single pair, which hits.
+FULL_LAYOUT_CASES = {
+    **{str(d): (functools.partial(s3_c2_model, d), 20 + d) for d in (0, 1, 2, 4)},
+    "t2-c6": (faithful_c6_model, 2**63 + 11),
+    "t4-c6xc4": (c6_c4_model, 2**64 - 73),
+}
+
+
 class TestMonteCarlo:
     def test_zero_samples_rejected(self):
         with pytest.raises(ZeroSamples):
@@ -349,28 +400,28 @@ class TestMonteCarlo:
         )
         assert bad <= 1
 
-    @pytest.mark.parametrize("d", [0, 1, 2, 4])
+    @pytest.mark.parametrize("case", list(FULL_LAYOUT_CASES))
     @pytest.mark.parametrize("samples", [1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 3, 200003])
-    def test_hits_match_full_layout(self, d, samples):
-        # Q = S3 x C2 with C2 acting by -I: the kernel S3 is non-abelian, so
-        # a word read from the wrong place changes the count
-        Q = direct_product(builders.symmetric(3), builders.cyclic(2))
-        L = builders.symmetric(3)
-        ident = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-        minus = tuple(tuple(-v for v in row) for row in ident)
-        # element 1 is (e, c); elements 4 and 6 are (2, e) and (3, e), which generate S3
-        m = build_model(d, Q, {1: minus, 4: ident, 6: ident}, L)
-        q_ok = np.array([[m.action[a] == ident == m.action[b] and Q.commutes(a, b)
-                          for b in range(Q.order)] for a in range(Q.order)])
-        l_comm = np.array([[L.commutes(a, b) for b in range(L.order)] for a in range(L.order)])
-        seed = 20 + d
-        words = splitmix64_stream(seed, samples * 2 * (d + 2)).reshape(samples, 2, d + 2)
-        q = (words[:, :, d] % np.uint64(Q.order)).astype(np.intp)
-        l = (words[:, :, d + 1] % np.uint64(L.order)).astype(np.intp)
-        expected = int((q_ok[q[:, 0], q[:, 1]] & l_comm[l[:, 0], l[:, 1]]).sum())
+    def test_hits_match_full_layout(self, case, samples):
+        make, seed = FULL_LAYOUT_CASES[case]
+        m = make()
+        expected = full_layout_hits(m, samples, seed)
         est = cp_monte_carlo(m, samples, seed)
         assert est.hits == expected
         assert est.estimate == expected / samples
+
+    def test_memory_is_block_buffers(self):
+        # three block buffers and the counters, 2 MB in all, whatever the
+        # sample count; fresh temporaries per block reach about 4.8 MB
+        m = build_model(1, builders.cyclic(2), {1: ((-1,),)}, builders.alternating(5))
+        cp_monte_carlo(m, 1, 0)  # numpy imported outside the traced window
+        tracemalloc.start()
+        try:
+            cp_monte_carlo(m, 10**6, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
     @pytest.mark.parametrize("first, step", [(1, 1), (1, 12), (5, 7), (40, 3)])
     def test_strided_stream_is_a_slice(self, first, step):

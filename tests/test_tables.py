@@ -213,6 +213,12 @@ class TestAgainstOracle:
             for A, B in ((G, H), (H, G)):
                 assert_matches(direct_product(A, B), oracle_product_table(A, B))
 
+    def test_direct_product_holds_one_int_per_element(self):
+        # every generator map is cut from the identity row's tuple of
+        # indices, so the table refers to n int objects, not one per entry
+        P = direct_product(builders.alternating(5), builders.cyclic(6))
+        assert len({id(v) for row in P.mul_table for v in row}) == P.order == 360
+
     def test_quotient(self, groups):
         for G in groups:
             for N in (center(G), derived_subgroup(G), whole_subgroup(G)):
@@ -256,7 +262,7 @@ class TestDerivedSubgroup:
 
 
 class TestSingleIndexGathers:
-    """Order-1 rows and one-coset quotients take picker's single-index path."""
+    """Order-1 rows and one-coset quotients take `groups._picker`'s single-index path."""
 
     def test_trivial_group(self):
         G = builders.trivial()
