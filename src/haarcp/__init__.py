@@ -31,11 +31,8 @@ from .compact import (
     standard_model_battery,
 )
 from .cp import (
-    CommutationMatrix,
-    commutation_matrix,
     cp_class_count,
     cp_coset_formula,
-    cp_fc_reduction,
     cp_pair_count,
     format_rational,
 )
@@ -44,7 +41,6 @@ from .groups import (
     Subgroup,
     Transversal,
     center,
-    centralizer,
     close_generators,
     conjugacy_classes,
     derived_subgroup,
@@ -56,7 +52,6 @@ from .groups import (
 )
 from .isoclinism import (
     IsoclinismWitness,
-    cp_isoclinism_invariance_check,
     find_isoclinism,
     find_stem_group,
     verify_isoclinism,

@@ -25,10 +25,8 @@ from .groups import (
 )
 from .isoclinism import find_stem_group
 
-NONABELIAN_BOUND = Fraction(5, 8)
 FINITENESS_THRESHOLD = Fraction(1, 4)
 SOLVABILITY_THRESHOLD = Fraction(3, 40)
-A5_CP = Fraction(1, 12)
 
 
 class Verdict(str, enum.Enum):
@@ -54,7 +52,6 @@ class ClassificationResult:
     verdict: Verdict
     cp_value: Fraction
     solvable: bool
-    a5_evidence: A5Evidence | None = None
 
 
 def detect_a5_x_abelian(G: FiniteGroup) -> A5Evidence | None:
@@ -93,11 +90,8 @@ def classify_high_cp(G: FiniteGroup) -> ClassificationResult:
         return ClassificationResult(Verdict.ABELIAN, cp, True)
     if is_solvable(G):
         return ClassificationResult(Verdict.SOLVABLE_NONABELIAN, cp, True)
-    evidence = detect_a5_x_abelian(G)
-    if evidence is not None:
-        return ClassificationResult(
-            Verdict.A5_TIMES_ABELIAN, cp, False, a5_evidence=evidence
-        )
+    if detect_a5_x_abelian(G) is not None:
+        return ClassificationResult(Verdict.A5_TIMES_ABELIAN, cp, False)
     if cp <= SOLVABILITY_THRESHOLD:
         return ClassificationResult(Verdict.NONSOLVABLE_BELOW_THRESHOLD, cp, False)
     return ClassificationResult(Verdict.THEOREM_VIOLATION, cp, False)

@@ -31,9 +31,9 @@ from .cp import (
     parse_rational,
 )
 from .errors import ClosureExceedsCap, HaarcpError
-from .groups import DEFAULT_CLOSURE_CAP, center
+from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, center
 from .isoclinism import find_isoclinism, find_stem_group
-from .specfmt import parse_group_file, parse_model_file, resolve_group
+from .specfmt import parse_model_file, resolve_group, resolve_group_or_model
 
 
 def _cap(args) -> int:
@@ -49,7 +49,7 @@ def _cap(args) -> int:
     return int(text)
 
 
-def _group(args, tokens) -> "FiniteGroup":
+def _group(args, tokens) -> FiniteGroup:
     return resolve_group(" ".join(tokens), cap=_cap(args))
 
 
@@ -139,11 +139,7 @@ def cmd_verify_t1(args) -> int:
 
 
 def cmd_verify_t2(args) -> int:
-    target, cap = args.input, _cap(args)
-    x = corpus.builtin_group(target, cap)
-    if x is None:
-        parse = parse_group_file if _looks_like_group_file(target) else parse_model_file
-        x = parse(target, cap=cap)
+    x = resolve_group_or_model(args.input, cap=_cap(args))
     report = check_theorem2_part1(x)
     mark = "PASS" if report.passed else "FAIL"
     print(f"{mark} cp = {format_rational(report.cp_value)}")
@@ -152,22 +148,10 @@ def cmd_verify_t2(args) -> int:
     return 0 if report.passed else 1
 
 
-def _looks_like_group_file(target: str) -> bool:
-    path = Path(target)
-    if not path.is_file():
-        return False
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        return line.split()[0] in ("perm", "table", "product")
-    return False
-
-
 def cmd_scan(args) -> int:
     threshold = parse_rational(args.threshold)
     cap = _cap(args)
-    entries: list[tuple[str, "FiniteGroup"]] = []
+    entries: list[tuple[str, FiniteGroup]] = []
     if not args.inputs:
         if cap < 64:
             raise ClosureExceedsCap(f"scan corpus up to order 64 exceeds cap {cap}")

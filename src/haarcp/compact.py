@@ -85,10 +85,6 @@ class CompactModel:
     extra_factor: FiniteGroup
     name: str = "model"
 
-    @property
-    def is_finite(self) -> bool:
-        return self.torus_rank == 0
-
 
 @dataclass(frozen=True)
 class FcDescription:

@@ -6,7 +6,7 @@ import functools
 
 from . import builders
 from .errors import ClosureExceedsCap
-from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, direct_product
+from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup
 
 
 def _product_from(k: int):
@@ -109,15 +109,3 @@ def builtin_corpus(max_order: int = 64) -> list[tuple[str, FiniteGroup]]:
             entries.append((f"{kind} {n}" if n else kind, _named(kind, n)))
     return entries
 
-
-def classification_corpus() -> list[tuple[str, FiniteGroup]]:
-    """The builtin corpus up to order 64 plus the classification landmarks."""
-    a5 = _named("alternating", 5)
-    entries = builtin_corpus(64)
-    entries += [
-        ("symmetric 5", _named("symmetric", 5)),
-        ("sl25", _named("sl25", 0)),
-        ("alternating 5 x cyclic 2", direct_product(a5, _named("cyclic", 2))),
-        ("alternating 5 x cyclic 6", direct_product(a5, _named("cyclic", 6))),
-    ]
-    return entries

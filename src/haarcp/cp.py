@@ -7,18 +7,10 @@ class-counting identity and the central-coset formula cross-check it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CenterMismatch, CenterNotContained, NotASubgroup
-from .groups import (
-    FiniteGroup,
-    Subgroup,
-    Transversal,
-    center,
-    conjugacy_classes,
-    left_transversal,
-)
+from .errors import CenterMismatch
+from .groups import FiniteGroup, Transversal, center, conjugacy_classes, left_transversal
 
 
 def _symmetric_entries(t, idx) -> int:
@@ -44,35 +36,6 @@ def cp_class_count(G: FiniteGroup) -> Fraction:
     return Fraction(len(conjugacy_classes(G)), G.order)
 
 
-@dataclass(frozen=True)
-class CommutationMatrix:
-    """0/1 commutation indicators over a central transversal."""
-
-    dimension: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def total(self) -> int:
-        return sum(sum(row) for row in self.entries)
-
-    def serialize(self) -> str:
-        lines = [str(self.dimension)]
-        lines += ["".join(str(v) for v in row) for row in self.entries]
-        return "\n".join(lines)
-
-
-def commutation_matrix(G: FiniteGroup, Z: Subgroup, T: Transversal) -> CommutationMatrix:
-    """entries[i][j] = 1 iff transversal representatives i and j commute in G."""
-    if Z.parent is not G or Z.members != center(G).members:
-        raise CenterMismatch("supplied subgroup is not the center of G")
-    reps = T.reps
-    m = len(reps)
-    entries = tuple(
-        tuple(1 if G.commutes(reps[i], reps[j]) else 0 for j in range(m))
-        for i in range(m)
-    )
-    return CommutationMatrix(m, entries)
-
-
 def cp_coset_formula(G: FiniteGroup, transversal: Transversal | None = None) -> Fraction:
     """(sum of commutation indicators) / |G:Z|^2 over a central transversal.
 
@@ -92,21 +55,6 @@ def cp_coset_formula(G: FiniteGroup, transversal: Transversal | None = None) -> 
     return Fraction(_symmetric_entries(G.mul_table, T.reps), index * index)
 
 
-def cp_fc_reduction(G: FiniteGroup, F: Subgroup) -> Fraction:
-    """cp(F as a group) / |G:F|^2, counted as F's commuting pairs over |G|^2.
-
-    Equals cp(G) when F is the FC-center (here: F = G for finite groups, or
-    the finite shadow a compact model supplies).  For an arbitrary subgroup
-    containing the center the value can differ from cp(G); the engine does
-    not hide that, it only requires Z(G) <= F.
-    """
-    if F.parent is not G:
-        raise NotASubgroup("subgroup belongs to a different parent group")
-    if not center(G).member_set <= F.member_set:
-        raise CenterNotContained("subgroup does not contain the center")
-    return Fraction(_symmetric_entries(G.mul_table, F.members), G.order ** 2)
-
-
 def format_rational(x: Fraction) -> str:
     """Serialize as "p/q" in lowest terms, or "p" for integers."""
     if x.denominator == 1:
@@ -121,5 +69,8 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"decimal notation rejected, use an exact fraction: {text!r}")
     if "/" in text:
         num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        p, q = int(num), int(den)
+        if q == 0:
+            raise ValueError(f"zero denominator: {text!r}")
+        return Fraction(p, q)
     return Fraction(int(text))

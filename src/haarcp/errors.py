@@ -13,10 +13,6 @@ class EmptyGeneratorList(HaarcpError):
     """A group was requested from an empty generator list."""
 
 
-class IndexOutOfRange(HaarcpError):
-    """An element index is not in 0..order-1."""
-
-
 class NotASubgroup(HaarcpError):
     """A member set is not closed under multiplication and inverses."""
 
@@ -31,10 +27,6 @@ class SearchCapExceeded(HaarcpError):
 
 class CenterMismatch(HaarcpError):
     """A subgroup or transversal given as the center's is not the center's."""
-
-
-class CenterNotContained(HaarcpError):
-    """A coset-reduction subgroup does not contain the center."""
 
 
 class NotAHomomorphism(HaarcpError):
@@ -55,10 +47,6 @@ class ZeroSamples(HaarcpError):
 
 class DomainMismatch(HaarcpError):
     """An isoclinism witness has maps with the wrong domains or codomains."""
-
-
-class WitnessInvalid(HaarcpError):
-    """An isoclinism witness failed verification."""
 
 
 class ParseError(HaarcpError):

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from operator import eq, getitem, itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .errors import (
-    ClosureExceedsCap,
-    EmptyGeneratorList,
-    IndexOutOfRange,
-    NotASubgroup,
-    NotNormal,
-)
+from .errors import ClosureExceedsCap, EmptyGeneratorList, NotASubgroup, NotNormal
 
 DEFAULT_CLOSURE_CAP = 20000
 
@@ -38,9 +32,6 @@ class FiniteGroup:
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse_table[a]
 
     def conj(self, g: int, x: int) -> int:
         """g^-1 x g."""
@@ -63,10 +54,6 @@ class FiniteGroup:
             n += 1
         return n
 
-    def is_abelian(self) -> bool:
-        t = self.mul_table
-        return all(row == col for row, col in zip(t, zip(*t)))
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
 
@@ -81,13 +68,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.members)
-
-    @property
-    def index(self) -> int:
-        return self.parent.order // len(self.members)
-
-    def __contains__(self, g: int) -> bool:
-        return g in self.member_set
 
     @property
     def member_set(self) -> frozenset[int]:
@@ -249,29 +229,10 @@ def close_generators(
 # -- subgroup machinery ----------------------------------------------------
 
 
-def subgroup_from_members(G: FiniteGroup, members: Iterable[int]) -> Subgroup:
-    """Wrap a member set as a Subgroup, verifying closure and inverses."""
-    ms = sorted(set(members))
-    mset = set(ms)
-    if G.identity not in mset:
-        raise NotASubgroup("identity not in member set")
-    for a in ms:
-        if G.inv(a) not in mset:
-            raise NotASubgroup(f"inverse of {a} missing")
-        for b in ms:
-            if G.mul(a, b) not in mset:
-                raise NotASubgroup(f"product {a}*{b} escapes member set")
-    return Subgroup(G, tuple(ms))
-
-
 def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """Subgroup generated by the given element indices."""
     elements, _ = _bfs_closure(G.identity, set(gens), G.mul)
     return Subgroup(G, tuple(sorted(elements)))
-
-
-def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, (G.identity,))
 
 
 def whole_subgroup(G: FiniteGroup) -> Subgroup:
@@ -281,14 +242,6 @@ def whole_subgroup(G: FiniteGroup) -> Subgroup:
 def center(G: FiniteGroup) -> Subgroup:
     t = G.mul_table
     members = [z for z, row in enumerate(t) if all(map(eq, row, map(itemgetter(z), t)))]
-    return Subgroup(G, tuple(members))
-
-
-def centralizer(G: FiniteGroup, g: int) -> Subgroup:
-    if not 0 <= g < G.order:
-        raise IndexOutOfRange(f"element index {g} not in 0..{G.order - 1}")
-    t = G.mul_table
-    members = [a for a in range(G.order) if t[a][g] == t[g][a]]
     return Subgroup(G, tuple(members))
 
 

@@ -11,19 +11,10 @@ on a well-definedness conflict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
-from .cp import cp_pair_count
-from .errors import DomainMismatch, SearchCapExceeded, WitnessInvalid
-from .groups import (
-    FiniteGroup,
-    Subgroup,
-    center,
-    derived_subgroup,
-    left_transversal,
-    quotient,
-)
+from .errors import DomainMismatch, SearchCapExceeded
+from .groups import FiniteGroup, Subgroup, center, derived_subgroup, quotient
 from .isomorphism import DEFAULT_ISO_CAP, _close_partial, iter_isomorphisms
 
 
@@ -210,15 +201,6 @@ def _central_reps(
     return reps
 
 
-def identity_witness(G: FiniteGroup) -> IsoclinismWitness:
-    c = _central_data(G)
-    Q, D = c.quotient, c.derived
-    return IsoclinismWitness(
-        G, G, Q, Q, c.proj, c.proj,
-        tuple(range(Q.order)), D, D, {g: g for g in D.members},
-    )
-
-
 def is_stem_group(G: FiniteGroup) -> bool:
     """True iff Z(G) <= G' (the stem condition)."""
     return center(G).member_set <= derived_subgroup(G).member_set
@@ -245,35 +227,3 @@ def find_stem_group(
                 return H, w
     return None
 
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    """Commutation-sum and cp comparison across an isoclinism."""
-
-    sum_g: int
-    sum_h: int
-    cp_g: Fraction
-    cp_h: Fraction
-
-    @property
-    def sums_equal(self) -> bool:
-        return self.sum_g == self.sum_h
-
-    @property
-    def cp_equal(self) -> bool:
-        return self.cp_g == self.cp_h
-
-
-def cp_isoclinism_invariance_check(
-    G: FiniteGroup, H: FiniteGroup, w: IsoclinismWitness
-) -> InvarianceReport:
-    """Verify the witness, then compare commutation sums and cp values."""
-    from .cp import commutation_matrix
-
-    if not verify_isoclinism(G, H, w):
-        raise WitnessInvalid("witness failed verification")
-    Zg = center(G)
-    Zh = center(H)
-    Mg = commutation_matrix(G, Zg, left_transversal(G, Zg))
-    Mh = commutation_matrix(H, Zh, left_transversal(H, Zh))
-    return InvarianceReport(Mg.total(), Mh.total(), cp_pair_count(G), cp_pair_count(H))

@@ -31,6 +31,7 @@ from .groups import (
     verify_axioms,
 )
 
+_GROUP_DIRECTIVES = ("perm", "table", "product")
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
@@ -64,19 +65,31 @@ def _perm_from_cycles(cycles: list[list[int]], degree: int) -> Perm:
     return tuple(mapping)
 
 
-def parse_group_file(path: str | Path, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
-    path = Path(path)
+def _read_lines(path: Path) -> list[str]:
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        return path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
+
+
+def _directives(lines: list[str]):
+    """(line number, stripped line) for each line that is not blank or a comment."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def parse_group_file(path: str | Path, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+    path = Path(path)
+    return _group_from_lines(path, _read_lines(path), cap)
+
+
+def _group_from_lines(path: Path, lines: list[str], cap: int) -> FiniteGroup:
     perm_cycles: list[list[list[int]]] = []
     table: list[list[int]] | None = None
     expect_rows = 0
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _directives(lines):
         if expect_rows:
             try:
                 row = tuple(map(int, line.split()))
@@ -138,20 +151,33 @@ def resolve_group(
     return parse_group_file(path, cap=cap)
 
 
+def resolve_group_or_model(
+    name_or_path: str, cap: int = DEFAULT_CLOSURE_CAP
+) -> FiniteGroup | CompactModel:
+    """Builtin group name first, then a spec file, read once: a group spec
+    when its first directive is a group directive, else a model spec."""
+    g = corpus.builtin_group(name_or_path, cap)
+    if g is not None:
+        return g
+    path = Path(name_or_path)
+    lines = _read_lines(path)
+    first = next(_directives(lines), (0, ""))[1].partition(" ")[0]
+    if first in _GROUP_DIRECTIVES:
+        return _group_from_lines(path, lines, cap)
+    return _model_from_lines(path, lines, cap)
+
+
 def parse_model_file(path: str | Path, cap: int = DEFAULT_CLOSURE_CAP) -> CompactModel:
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
+    return _model_from_lines(path, _read_lines(path), cap)
+
+
+def _model_from_lines(path: Path, lines: list[str], cap: int) -> CompactModel:
     rank: int | None = None
     acting: FiniteGroup | None = None
     extra: FiniteGroup | None = None
     matrices: dict[int, list[list[int]]] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _directives(lines):
         verb, _, rest = line.partition(" ")
         rest = rest.strip()
         if verb == "torus_rank":

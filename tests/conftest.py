@@ -1,6 +1,7 @@
 import pytest
 
 from haarcp import builders
+from haarcp.groups import direct_product
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +27,15 @@ def d4():
 @pytest.fixture(scope="session")
 def a5():
     return builders.alternating(5)
+
+
+@pytest.fixture(scope="session")
+def classification_landmarks(a5):
+    """The groups above order 64 that the threshold scans add to the
+    builtin corpus: S5, SL(2,5) (sharp at 3/40), A5 x C2 and A5 x C6."""
+    return [
+        ("symmetric 5", builders.symmetric(5)),
+        ("sl25", builders.sl25()),
+        ("alternating 5 x cyclic 2", direct_product(a5, builders.cyclic(2))),
+        ("alternating 5 x cyclic 6", direct_product(a5, builders.cyclic(6))),
+    ]

@@ -20,7 +20,7 @@ from haarcp.compact import (
     cp_theorem1,
     standard_model_battery,
 )
-from haarcp.corpus import builtin_corpus, classification_corpus
+from haarcp.corpus import builtin_corpus
 from haarcp.cp import (
     cp_class_count,
     cp_coset_formula,
@@ -36,7 +36,6 @@ from haarcp.groups import (
     left_transversal,
 )
 from haarcp.isoclinism import (
-    cp_isoclinism_invariance_check,
     find_isoclinism,
     find_stem_group,
     verify_isoclinism,
@@ -63,9 +62,9 @@ def test_criterion_2_five_eighths_census():
     attained = set()
     ok = True
     for name, G in builtin_corpus(64):
-        if G.is_abelian():
-            continue
         cp = cp_pair_count(G)
+        if cp == 1:
+            continue
         if cp > bound:
             ok = False
         if cp == bound:
@@ -101,8 +100,10 @@ def test_criterion_3_theorem1_equality_on_battery():
     )
 
 
-def test_criterion_4_threshold_classification():
-    rows = scan_corpus(classification_corpus(), threshold=Fraction(3, 40))
+def test_criterion_4_threshold_classification(classification_landmarks):
+    rows = scan_corpus(
+        builtin_corpus(64) + classification_landmarks, threshold=Fraction(3, 40)
+    )
     ok = all(r.verdict is not Verdict.THEOREM_VIOLATION for r in rows)
     allowed_above = (
         Verdict.ABELIAN,
@@ -122,21 +123,20 @@ def test_criterion_4_threshold_classification():
 
 
 def test_criterion_5_isoclinism_invariance():
+    def commutation_sum(G):
+        return cp_coset_formula(G) * (G.order // center(G).order) ** 2
+
     d4, q8 = builders.dihedral(4), builders.quaternion8()
     w = find_isoclinism(d4, q8)
-    ok = w is not None
-    if ok:
-        report = cp_isoclinism_invariance_check(d4, q8, w)
-        ok = report.sum_g == report.sum_h == 10
-        ok = ok and report.cp_g == report.cp_h == Fraction(5, 8)
+    ok = w is not None and verify_isoclinism(d4, q8, w)
+    ok = ok and commutation_sum(d4) == commutation_sum(q8) == 10
+    ok = ok and cp_pair_count(d4) == cp_pair_count(q8) == Fraction(5, 8)
     e3 = builders.extraspecial27_exponent3()
     e9 = builders.extraspecial27_exponent9()
     w2 = find_isoclinism(e3, e9)
-    ok = ok and w2 is not None
-    if w2 is not None:
-        report2 = cp_isoclinism_invariance_check(e3, e9, w2)
-        ok = ok and report2.sums_equal
-        ok = ok and report2.cp_g == report2.cp_h == Fraction(11, 27)
+    ok = ok and w2 is not None and verify_isoclinism(e3, e9, w2)
+    ok = ok and commutation_sum(e3) == commutation_sum(e9)
+    ok = ok and cp_pair_count(e3) == cp_pair_count(e9) == Fraction(11, 27)
     _report(
         "criterion 5: D4 ~ Q8 with sum(c) = 10 and cp = 5/8 both sides;"
         " extraspecial order-27 pair agrees at 11/27",

@@ -12,7 +12,7 @@ from haarcp.classify import (
 )
 from haarcp.compact import build_model, standard_model_battery
 from haarcp.cp import cp_pair_count
-from haarcp.corpus import builtin_corpus, classification_corpus
+from haarcp.corpus import builtin_corpus
 from haarcp.groups import center, direct_product
 
 
@@ -174,8 +174,8 @@ class TestScan:
     def test_empty_corpus(self):
         assert scan_corpus([]) == []
 
-    def test_no_violations_on_classification_corpus(self):
-        rows = scan_corpus(classification_corpus())
+    def test_no_violations_on_classification_corpus(self, classification_landmarks):
+        rows = scan_corpus(builtin_corpus(64) + classification_landmarks)
         assert all(r.verdict is not Verdict.THEOREM_VIOLATION for r in rows)
         assert all(r.error is None for r in rows)
 

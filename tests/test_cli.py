@@ -190,6 +190,18 @@ class TestCommands:
         assert main(["verify-t2", "q8"]) == 0
         assert "vacuous" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("spec, cp", [
+        ("perm (1 2 3)\nperm (1 2)\n", "1/2"),
+        ("table 3\n0 1 2\n1 2 0\n2 0 1\n", "1"),
+    ], ids=["perm", "table"])
+    def test_verify_t2_group_file(self, spec, cp, tmp_path, capsys):
+        f = tmp_path / "g.group"
+        f.write_text("# a group spec\n\n   \n# read as a group, not a model\n" + spec)
+        assert main(["verify-t2", str(f)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"PASS cp = {cp}\nnote: finite group: conclusion vacuous\n"
+        assert captured.err == ""
+
     def test_verify_t2_model_sharpness(self, o2_file, capsys):
         assert main(["verify-t2", o2_file]) == 0
         assert "sharpness" in capsys.readouterr().out
@@ -220,8 +232,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "c3" in out and "s3" in out
 
-    def test_scan_decimal_threshold_rejected(self, capsys):
-        assert main(["scan", "--threshold", "0.075", "q8"]) == 2
+    @pytest.mark.parametrize("threshold", ["0.075", "1/0"])
+    def test_scan_decimal_threshold_rejected(self, threshold, capsys):
+        assert main(["scan", "--threshold", threshold, "q8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_input_error_exit_code(self, capsys):
         assert main(["cp", "nonexistent-file.group"]) == 2
@@ -276,7 +292,7 @@ class TestCommands:
         assert main(["--cap", "12", "fc", str(f)]) == 2
         assert f"builtin group '{name}' has order above cap 12" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("verb", ["cp", "classify"])
+    @pytest.mark.parametrize("verb", ["cp", "classify", "verify-t2"])
     def test_non_associative_table_exits_2(self, verb, tmp_path, capsys):
         f = tmp_path / "loop.group"
         f.write_text(LOOP5_SPEC)

@@ -7,12 +7,11 @@ from haarcp.corpus import builtin_corpus
 from haarcp.errors import (
     ClosureExceedsCap,
     EmptyGeneratorList,
-    IndexOutOfRange,
     NotNormal,
 )
 from haarcp.groups import (
+    Subgroup,
     center,
-    centralizer,
     close_generators,
     conjugacy_classes,
     derived_subgroup,
@@ -65,30 +64,6 @@ class TestCenterAndCentralizer:
 
     def test_q8_center_order_2(self, q8):
         assert center(q8).order == 2
-
-    def test_centralizer_of_identity(self, s3):
-        assert centralizer(s3, s3.identity).order == s3.order
-
-    def test_centralizer_of_transposition_in_s3(self, s3):
-        transposition = next(
-            g for g in range(s3.order) if s3.element_order(g) == 2
-        )
-        assert centralizer(s3, transposition).order == 2
-
-    def test_centralizer_of_i_in_q8(self, q8):
-        i = next(g for g in range(q8.order) if q8.element_order(g) == 4)
-        assert centralizer(q8, i).order == 4
-
-    def test_centralizer_contains_center(self, d4):
-        z = set(center(d4).members)
-        for g in range(d4.order):
-            c = set(centralizer(d4, g).members)
-            assert z <= c
-            assert (len(c) == d4.order) == (g in z)
-
-    def test_centralizer_index_error(self, s3):
-        with pytest.raises(IndexOutOfRange):
-            centralizer(s3, 99)
 
 
 class TestDerivedAndSolvable:
@@ -146,8 +121,7 @@ class TestTransversalAndQuotient:
             assert t.size * sub.order == d4.order
 
     def test_quotient_by_trivial(self, s3):
-        from haarcp.groups import trivial_subgroup
-        Q, proj = quotient(s3, trivial_subgroup(s3))
+        Q, proj = quotient(s3, Subgroup(s3, (s3.identity,)))
         assert Q.order == s3.order
         assert proj == list(range(s3.order))
 

@@ -5,7 +5,8 @@ import pytest
 
 from haarcp import builders
 from haarcp.corpus import builtin_corpus
-from haarcp.errors import SearchCapExceeded, WitnessInvalid
+from haarcp.cp import cp_coset_formula, cp_pair_count
+from haarcp.errors import SearchCapExceeded
 from haarcp.groups import (
     Subgroup,
     center,
@@ -16,10 +17,8 @@ from haarcp.groups import (
 )
 from haarcp.isoclinism import (
     IsoclinismWitness,
-    cp_isoclinism_invariance_check,
     find_isoclinism,
     find_stem_group,
-    identity_witness,
     is_stem_group,
     verify_isoclinism,
 )
@@ -31,7 +30,10 @@ def _cyclic_subgroup_of_order_4(G):
 
 class TestVerify:
     def test_identity_witness(self, q8):
-        w = identity_witness(q8)
+        # the search finds the identity map first
+        w = find_isoclinism(q8, q8)
+        assert w.alpha == tuple(range(4))
+        assert all(u == v for u, v in w.beta.items())
         assert verify_isoclinism(q8, q8, w)
 
     def test_d4_q8_witness(self, d4, q8):
@@ -128,7 +130,7 @@ class TestVerify:
 
     def test_forged_derived_subgroup_rejected(self, d4):
         # D4 ~ D4 with "G' = D4" and beta the identity on all of D4
-        w = identity_witness(d4)
+        w = find_isoclinism(d4, d4)
         whole = Subgroup(d4, tuple(range(d4.order)))
         forged = replace(w, g_derived=whole, h_derived=whole,
                          beta={g: g for g in range(d4.order)})
@@ -143,6 +145,13 @@ class TestVerify:
             e, Subgroup(s3, (s3.identity,)), {d4.identity: s3.identity},
         )
         assert not verify_isoclinism(d4, s3, forged)
+
+    def test_swapped_beta_rejected(self, d4, q8):
+        w = find_isoclinism(d4, q8)
+        beta = dict(w.beta)
+        ks = sorted(beta)
+        beta[ks[0]], beta[ks[1]] = beta[ks[1]], beta[ks[0]]
+        assert not verify_isoclinism(d4, q8, replace(w, beta=beta))
 
     def test_non_bijective_alpha_rejected(self, d4, q8):
         w = find_isoclinism(d4, q8)
@@ -188,8 +197,6 @@ class TestFind:
     def test_isoclinic_implies_equal_cp(self):
         # spot-check across the small corpus: whenever a witness is found,
         # cp agrees exactly
-        from haarcp.cp import cp_pair_count
-
         groups = [G for _n, G in builtin_corpus(16)]
         for i, G in enumerate(groups):
             for H in groups[i + 1:]:
@@ -198,32 +205,25 @@ class TestFind:
                     assert cp_pair_count(G) == cp_pair_count(H), (G.name, H.name)
 
 
+def _commutation_sum(G):
+    """The commutation indicators summed over a central transversal."""
+    return cp_coset_formula(G) * (G.order // center(G).order) ** 2
+
+
 class TestInvariance:
     def test_d4_q8_sums_and_cp(self, d4, q8):
         w = find_isoclinism(d4, q8)
-        report = cp_isoclinism_invariance_check(d4, q8, w)
-        assert report.sum_g == report.sum_h == 10
-        assert report.cp_g == report.cp_h == Fraction(5, 8)
+        assert verify_isoclinism(d4, q8, w)
+        assert _commutation_sum(d4) == _commutation_sum(q8) == 10
+        assert cp_pair_count(d4) == cp_pair_count(q8) == Fraction(5, 8)
 
     def test_extraspecial_27_cp(self):
         e3 = builders.extraspecial27_exponent3()
         e9 = builders.extraspecial27_exponent9()
         w = find_isoclinism(e3, e9)
-        report = cp_isoclinism_invariance_check(e3, e9, w)
-        assert report.sums_equal
-        assert report.cp_g == report.cp_h == Fraction(11, 27)
-
-    def test_invalid_witness_raises(self, d4, q8):
-        w = find_isoclinism(d4, q8)
-        beta = dict(w.beta)
-        ks = sorted(beta)
-        beta[ks[0]], beta[ks[1]] = beta[ks[1]], beta[ks[0]]
-        broken = IsoclinismWitness(
-            w.G, w.H, w.g_quotient, w.h_quotient, w.g_proj, w.h_proj,
-            w.alpha, w.g_derived, w.h_derived, beta,
-        )
-        with pytest.raises(WitnessInvalid):
-            cp_isoclinism_invariance_check(d4, q8, broken)
+        assert verify_isoclinism(e3, e9, w)
+        assert _commutation_sum(e3) == _commutation_sum(e9)
+        assert cp_pair_count(e3) == cp_pair_count(e9) == Fraction(11, 27)
 
 
 class TestStemGroups:
@@ -242,7 +242,6 @@ class TestStemGroups:
         H, w = found
         assert H.order == 8  # D4 or Q8, the stems of the family
         assert is_stem_group(H)
-        from haarcp.cp import cp_pair_count
         assert cp_pair_count(F) == cp_pair_count(H)
 
     def test_a5_x_c6(self, a5):
