@@ -89,24 +89,17 @@ class Transversal:
 def make_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
     """Build a FiniteGroup from a Cayley table, locating identity and inverses.
 
-    Raises ValueError, in this order of checks, for a row of the wrong
-    length or an entry outside 0..n-1 (the first such row), a table with no
-    two-sided identity, or an element with no two-sided inverse.  The
-    identity is the first index whose row and column are the identity map;
-    an element's inverse is the first h with g*h = h*g = identity.
+    The table must be n rows of n entries in 0..n-1: builders make it so,
+    and the `table` spec parser checks tables read from files.  Raises
+    ValueError for a table with no two-sided identity or an element with no
+    two-sided inverse.  The identity is the first index whose row and column
+    are the identity map; an element's inverse is the first h with
+    g*h = h*g = identity.
     Associativity is not checked here: verify_axioms does that, and table
     specs read from files go through it.
     """
     n = len(table)
     rows = tuple(tuple(row) for row in table)
-    # one C-level pass; the row loop runs only to name the first bad row
-    if not (set(map(len, rows)) <= {n} and set().union(*rows) <= set(range(n))):
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-            if min(row) < 0 or max(row) >= n:
-                v = next(v for v in row if not 0 <= v < n)
-                raise ValueError(f"table entry {v} out of range 0..{n - 1}")
     ident = tuple(range(n))
     identity = next(
         (e for e in range(n)
@@ -286,19 +279,25 @@ def conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
     return classes
 
 
-def left_transversal(G: FiniteGroup, H: Subgroup) -> Transversal:
-    """One representative per left coset rep*H, smallest unassigned index first."""
+def _cosets(G: FiniteGroup, H: Subgroup) -> tuple[list[int], list[int]]:
+    """(projection, representatives) of the left cosets g*H, smallest unassigned g first."""
     if H.parent is not G:
         raise NotASubgroup("subgroup belongs to a different parent group")
-    assigned = [False] * G.order
-    reps = []
+    proj = [-1] * G.order
+    reps: list[int] = []
     for g in range(G.order):
-        if assigned[g]:
+        if proj[g] >= 0:
             continue
+        c = len(reps)
         reps.append(g)
         for h in H.members:
-            assigned[G.mul(g, h)] = True
-    return Transversal(H, tuple(reps))
+            proj[G.mul(g, h)] = c
+    return proj, reps
+
+
+def left_transversal(G: FiniteGroup, H: Subgroup) -> Transversal:
+    """One representative per left coset rep*H, smallest unassigned index first."""
+    return Transversal(H, tuple(_cosets(G, H)[1]))
 
 
 def is_normal(G: FiniteGroup, N: Subgroup) -> bool:
@@ -361,19 +360,9 @@ def direct_product(
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
     """Quotient group G/N plus the projection element-index -> coset-index."""
-    if N.parent is not G:
-        raise NotASubgroup("subgroup belongs to a different parent group")
+    proj, reps = _cosets(G, N)
     if not is_normal(G, N):
         raise NotNormal(f"subgroup of order {N.order} is not normal")
-    proj = [-1] * G.order
-    reps: list[int] = []
-    for g in range(G.order):
-        if proj[g] >= 0:
-            continue
-        c = len(reps)
-        reps.append(g)
-        for h in N.members:
-            proj[G.mul(g, h)] = c
     pick = _picker(reps)
     table = tuple(_picker(pick(G.mul_table[r]))(proj) for r in reps)
     Q = make_group(table, name=f"{G.name}/N{N.order}")

@@ -28,11 +28,6 @@ def _element_keys(G: FiniteGroup) -> list[tuple[int, int]]:
     return keys
 
 
-def generating_sequence(G: FiniteGroup) -> list[int]:
-    """Small generating sequence, greedily extending by smallest outside index."""
-    return greedy_generators(G.identity, range(G.order), G.mul)
-
-
 def _close_partial(
     G: FiniteGroup, H: FiniteGroup, phi: dict[int, int], used: set[int], fresh: list[int]
 ) -> bool:
@@ -79,7 +74,7 @@ def iter_isomorphisms(
     for h, key in enumerate(h_key):
         candidates.setdefault(key, []).append(h)
 
-    gens = generating_sequence(G)
+    gens = greedy_generators(G.identity, range(G.order), G.mul)
 
     def search(idx: int, phi: dict[int, int], used: set[int]) -> Iterator[list[int]]:
         if len(phi) == G.order:

@@ -80,6 +80,12 @@ def _directives(lines: list[str]):
             yield lineno, line
 
 
+def _split_directive(line: str) -> tuple[str, str]:
+    """(directive, operands) of a stripped line, split at its first whitespace."""
+    verb, *rest = line.split(None, 1)
+    return verb, rest[0] if rest else ""
+
+
 def parse_group_file(path: str | Path, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     path = Path(path)
     return _group_from_lines(path, _read_lines(path), cap)
@@ -98,11 +104,11 @@ def _group_from_lines(path: Path, lines: list[str], cap: int) -> FiniteGroup:
             table.append(row)
             expect_rows -= 1
             continue
-        verb, _, rest = line.partition(" ")
+        verb, rest = _split_directive(line)
         if verb == "perm":
             perm_cycles.append(parse_cycles(rest, lineno))
         elif verb == "table":
-            if not rest.strip().isdigit():
+            if not rest.isdigit():
                 raise ParseError(f"table needs a size: {line!r}", lineno)
             expect_rows = int(rest)
             table = []
@@ -118,6 +124,13 @@ def _group_from_lines(path: Path, lines: list[str], cap: int) -> FiniteGroup:
     if expect_rows:
         raise ParseError(f"table ended early, {expect_rows} rows missing")
     if table is not None:
+        n = len(table)
+        for i, row in enumerate(table):  # the one shape check: make_group trusts it
+            if len(row) != n:
+                raise ParseError(f"bad Cayley table: row {i} has length {len(row)}, expected {n}")
+            if min(row) < 0 or max(row) >= n:
+                v = next(v for v in row if not 0 <= v < n)
+                raise ParseError(f"bad Cayley table: table entry {v} out of range 0..{n - 1}")
         try:
             G = make_group(table, name=path.stem)
         except ValueError as exc:
@@ -161,8 +174,8 @@ def resolve_group_or_model(
         return g
     path = Path(name_or_path)
     lines = _read_lines(path)
-    first = next(_directives(lines), (0, ""))[1].partition(" ")[0]
-    if first in _GROUP_DIRECTIVES:
+    first = next(_directives(lines), None)
+    if first is not None and _split_directive(first[1])[0] in _GROUP_DIRECTIVES:
         return _group_from_lines(path, lines, cap)
     return _model_from_lines(path, lines, cap)
 
@@ -178,8 +191,7 @@ def _model_from_lines(path: Path, lines: list[str], cap: int) -> CompactModel:
     extra: FiniteGroup | None = None
     matrices: dict[int, list[list[int]]] = {}
     for lineno, line in _directives(lines):
-        verb, _, rest = line.partition(" ")
-        rest = rest.strip()
+        verb, rest = _split_directive(line)
         if verb == "torus_rank":
             if not rest.lstrip("-").isdigit():
                 raise ParseError(f"bad torus rank: {rest!r}", lineno)

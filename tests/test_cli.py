@@ -96,6 +96,16 @@ class TestGroupSpecs:
         with pytest.raises(ParseError):
             resolve_group("no such group")
 
+    @pytest.mark.parametrize("spec, order", [
+        ("perm\t(1 2 3)\nperm \t(1 2)\n", 6),
+        ("table\t3\n0 1 2\n1 2 0\n2 0 1\n", 3),
+        ("product\tc2 c3\n", 6),
+    ], ids=["perm", "table", "product"])
+    def test_tab_after_directive(self, spec, order, tmp_path):
+        f = tmp_path / "g.group"
+        f.write_text(spec)
+        assert parse_group_file(f).order == order
+
     def test_non_associative_table_rejected(self, tmp_path):
         f = tmp_path / "loop.group"
         f.write_text(LOOP5_SPEC)
@@ -116,6 +126,14 @@ class TestModelSpecs:
         from haarcp.errors import NotUnimodular
         with pytest.raises(NotUnimodular):
             parse_model_file(f)
+
+    def test_tab_after_directive(self, tmp_path):
+        f = tmp_path / "o2xc3.model"
+        f.write_text("torus_rank\t1\nacting_group\tcyclic 2\nmatrix\t1 -1\nextra_factor\tc3\n")
+        m = parse_model_file(f)
+        assert m.torus_rank == 1
+        assert m.action[1] == ((-1,),)
+        assert m.extra_factor.order == 3
 
     def test_missing_rank(self, tmp_path):
         f = tmp_path / "bad.model"
@@ -193,7 +211,9 @@ class TestCommands:
     @pytest.mark.parametrize("spec, cp", [
         ("perm (1 2 3)\nperm (1 2)\n", "1/2"),
         ("table 3\n0 1 2\n1 2 0\n2 0 1\n", "1"),
-    ], ids=["perm", "table"])
+        ("perm\t(1 2 3)\nperm\t(1 2)\n", "1/2"),
+        ("table\t3\n0 1 2\n1 2 0\n2 0 1\n", "1"),
+    ], ids=["perm", "table", "perm-tab", "table-tab"])
     def test_verify_t2_group_file(self, spec, cp, tmp_path, capsys):
         f = tmp_path / "g.group"
         f.write_text("# a group spec\n\n   \n# read as a group, not a model\n" + spec)

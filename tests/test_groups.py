@@ -7,6 +7,7 @@ from haarcp.corpus import builtin_corpus
 from haarcp.errors import (
     ClosureExceedsCap,
     EmptyGeneratorList,
+    NotASubgroup,
     NotNormal,
 )
 from haarcp.groups import (
@@ -140,6 +141,11 @@ class TestTransversalAndQuotient:
         H = generated_subgroup(s3, [transposition])
         with pytest.raises(NotNormal):
             quotient(s3, H)
+
+    @pytest.mark.parametrize("build", [left_transversal, quotient])
+    def test_subgroup_of_another_group_rejected(self, build, s3, d4):
+        with pytest.raises(NotASubgroup):
+            build(s3, center(d4))
 
     def test_quotient_by_center_never_nontrivial_cyclic(self):
         for name, G in builtin_corpus(24):

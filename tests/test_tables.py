@@ -7,12 +7,14 @@ that construction, kept independent of the library's builders.
 
 import itertools
 import random
+import sys
 
 import pytest
 
 from haarcp import builders
 from haarcp.cli import main
 from haarcp.corpus import builtin_corpus
+from haarcp.errors import ParseError
 from haarcp.groups import (
     Subgroup,
     center,
@@ -29,6 +31,7 @@ from haarcp.groups import (
     verify_axioms,
     whole_subgroup,
 )
+from haarcp.specfmt import parse_group_file
 
 
 def oracle_table(elements, mul):
@@ -126,7 +129,19 @@ def groups():
     return out
 
 
+def table_spec(tmp_path, rows, size=None):
+    """A `table` spec file of the given rows, declaring size rows (default: as many as given)."""
+    f = tmp_path / "t.group"
+    f.write_text(f"table {len(rows) if size is None else size}\n"
+                 + "".join(" ".join(map(str, row)) + "\n" for row in rows))
+    return f
+
+
 class TestMakeGroupRejects:
+    """Tables that are not groups.  Row lengths and entry ranges are checked
+    where a table enters, by the `table` spec parser; make_group finds the
+    identity and inverses."""
+
     @pytest.mark.parametrize("table, message", [
         ([[0, 1], [1]], "row 1 has length 1, expected 2"),
         ([[0, 1], [1, 2]], "table entry 2 out of range 0..1"),
@@ -135,20 +150,67 @@ class TestMakeGroupRejects:
         ([[1, 0], [1, 0]], "no two-sided identity in table"),
         ([[0, 1, 2], [1, 1, 1], [2, 1, 0]], "element 1 has no two-sided inverse"),
     ])
-    def test_message(self, table, message):
-        with pytest.raises(ValueError) as err:
-            make_group(table)
-        assert str(err.value) == message
+    def test_message(self, table, message, tmp_path):
+        if message.startswith(("row ", "table entry ")):
+            with pytest.raises(ParseError) as err:
+                parse_group_file(table_spec(tmp_path, table))
+            assert str(err.value) == f"bad Cayley table: {message}"
+        else:
+            with pytest.raises(ValueError) as err:
+                make_group(table)
+            assert str(err.value) == message
 
-    def test_first_bad_row_reported(self):
-        with pytest.raises(ValueError) as err:
-            make_group([[0, 1, 2], [1, 5, 9], [2]])
-        assert str(err.value) == "table entry 5 out of range 0..2"
+    def test_first_bad_row_reported(self, tmp_path):
+        with pytest.raises(ParseError) as err:
+            parse_group_file(table_spec(tmp_path, [[0, 1, 2], [1, 5, 9], [2]]))
+        assert str(err.value) == "bad Cayley table: table entry 5 out of range 0..2"
+
+    def test_short_table_reported_before_bad_entry(self, tmp_path):
+        with pytest.raises(ParseError) as err:
+            parse_group_file(table_spec(tmp_path, [[0, 1, 2], [1, 5, 9]], size=3))
+        assert str(err.value) == "table ended early, 1 rows missing"
 
     def test_first_two_sided_inverse_taken(self):
         # row 1 holds the identity at 2 and 3, but only 3 is a two-sided inverse
         t = [[0, 1, 2, 3], [1, 1, 0, 0], [2, 2, 0, 1], [3, 0, 1, 0]]
         assert make_group(t).inverse_table == (0, 3, 2, 1)
+
+
+# Each builds one table from an input group G, its derived subgroup N and a
+# `table` spec file of G.
+TABLE_BUILDS = {
+    "close_generators": lambda G, N, spec: close_generators([(1, 0, 2), (0, 2, 1)]),
+    "group_from_elements": lambda G, N, spec: builders.dihedral(4),
+    "cyclic": lambda G, N, spec: builders.cyclic(5),
+    "klein4": lambda G, N, spec: builders.klein4(),
+    "trivial": lambda G, N, spec: builders.trivial(),
+    "direct_product": lambda G, N, spec: direct_product(G, G),
+    "quotient": lambda G, N, spec: quotient(G, N)[0],
+    "subgroup_as_group": lambda G, N, spec: subgroup_as_group(N)[0],
+    "table-spec": lambda G, N, spec: parse_group_file(spec),
+}
+
+
+class TestOneMakeGroupPerTable:
+    """Every table reaches make_group exactly once, whoever builds it: the
+    traced benchmark counts tables, and picks the largest, by its calls."""
+
+    @pytest.mark.parametrize("build", TABLE_BUILDS.values(), ids=TABLE_BUILDS.keys())
+    def test_counted_once(self, build, s4, monkeypatch, tmp_path):
+        N = derived_subgroup(s4)
+        spec = table_spec(tmp_path, s4.mul_table)
+        made = []
+
+        def counting(*args, **kwargs):
+            made.append(make_group(*args, **kwargs))
+            return made[-1]
+
+        # every haarcp module that imported the name, as the tracer patches it
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "haarcp" and getattr(module, "make_group", None) is make_group:
+                monkeypatch.setattr(module, "make_group", counting)
+        G = build(s4, N, spec)
+        assert len(made) == 1 and made[0] is G
 
 
 class TestAgainstOracle:
@@ -362,7 +424,10 @@ class TestRangeCheckThroughTableSpec:
         (["0 1 2", "1 2 3", "2 0 1"], "table entry 3 out of range 0..2"),
         (["0 1 2", "1 2 7", "2 0"], "table entry 7 out of range 0..2"),
         (["0 1 2", "1 2", "2 0 7"], "row 1 has length 2, expected 3"),
-    ], ids=["minus-one", "minus-n", "n", "range-before-length", "length-before-range"])
+        # no row is the identity map
+        (["1 2 0", "2 0 1", "0 1 3"], "table entry 3 out of range 0..2"),
+    ], ids=["minus-one", "minus-n", "n", "range-before-length", "length-before-range",
+            "range-before-identity"])
     @pytest.mark.parametrize("verb", ["cp", "center"])
     def test_exits_2(self, verb, rows, detail, tmp_path, capsys):
         f = tmp_path / "bad.group"
