@@ -86,7 +86,7 @@ def builtin_group(name: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup | No
     parts = text.split()
     if text in _SHORT:
         kind, n = _SHORT[text]
-    elif len(parts) == 2 and parts[0] in _PARAM and parts[1].isdigit():
+    elif len(parts) == 2 and parts[0] in _PARAM and parts[1].isascii() and parts[1].isdigit():
         kind, n = _PARAM[parts[0]], int(parts[1])
     else:
         head = text.rstrip("0123456789")

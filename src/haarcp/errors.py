@@ -45,10 +45,6 @@ class ZeroSamples(HaarcpError):
     """A Monte Carlo estimate was requested with no samples."""
 
 
-class DomainMismatch(HaarcpError):
-    """An isoclinism witness has maps with the wrong domains or codomains."""
-
-
 class ParseError(HaarcpError):
     """A group or model spec file is malformed."""
 

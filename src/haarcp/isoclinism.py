@@ -5,7 +5,8 @@ are isomorphic by a pair of maps compatible with the commutator map.  The
 search enumerates isomorphisms of the central quotients; the derived-side
 map is then forced by the commutator correspondence and extended
 multiplicatively, so a candidate either determines a full witness or dies
-on a well-definedness conflict.
+on a well-definedness conflict.  The verifier checks a witness against the
+tables alone, sharing no coset or quotient code with the search.
 """
 
 from __future__ import annotations
@@ -13,30 +14,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainMismatch, SearchCapExceeded
+from .errors import SearchCapExceeded
 from .groups import FiniteGroup, Subgroup, center, derived_subgroup, quotient
-from .isomorphism import DEFAULT_ISO_CAP, _close_partial, iter_isomorphisms
+from .isomorphism import SEARCH_CAP, _close_partial, iter_isomorphisms
 
 
 @dataclass(frozen=True)
 class IsoclinismWitness:
-    """The pair (alpha, beta) realizing an isoclinism G ~ H.
+    """The pair (alpha, beta) realizing an isoclinism G ~ H, as serialize prints it.
 
-    alpha maps coset indices of G/Z(G) to coset indices of H/Z(H); beta maps
-    element indices of G' (as G-elements) to element indices of H' (as
-    H-elements).  The quotients, projections and derived subgroups the maps
-    refer to are carried along so the witness is self-contained.
+    alpha maps G/Z(G) onto H/Z(H), each side's cosets of the center numbered
+    in the order of their smallest members; beta maps element indices of G'
+    to element indices of H'.
     """
 
-    G: FiniteGroup
-    H: FiniteGroup
-    g_quotient: FiniteGroup
-    h_quotient: FiniteGroup
-    g_proj: tuple[int, ...]
-    h_proj: tuple[int, ...]
     alpha: tuple[int, ...]
-    g_derived: Subgroup
-    h_derived: Subgroup
     beta: dict[int, int]
 
     def serialize(self) -> str:
@@ -48,12 +40,11 @@ class IsoclinismWitness:
 
 
 class _Central(NamedTuple):
-    """A group's isoclinism data: G/Z(G) with its projection, coset
-    representatives (the smallest member of each coset) and G'."""
+    """A group's isoclinism data: G/Z(G), its coset representatives (the
+    smallest member of each coset) and G'."""
 
     group: FiniteGroup
     quotient: FiniteGroup
-    proj: tuple[int, ...]
     pre: tuple[int, ...]
     derived: Subgroup
 
@@ -68,7 +59,7 @@ def _central_data(
     for g in reversed(range(G.order)):
         pre[proj[g]] = g
     D = derived_subgroup(G) if D is None else D
-    return _Central(G, Q, tuple(proj), tuple(pre), D)
+    return _Central(G, Q, tuple(pre), D)
 
 
 def _beta_from_alpha(
@@ -94,111 +85,77 @@ def _beta_from_alpha(
 
 
 def _search(
-    g: _Central, H: FiniteGroup, cap: int,
-    Z: Subgroup | None = None, D: Subgroup | None = None,
+    g: _Central, H: FiniteGroup, Z: Subgroup | None = None, D: Subgroup | None = None
 ) -> IsoclinismWitness | None:
-    """First witness G ~ H, or None.  The cap is judged from the orders of
-    both central quotients; H's quotient is built only when |H/Z(H)| and
-    |H'| match G's."""
+    """First witness G ~ H, or None.  The search cap is judged from the
+    orders of both central quotients; H's quotient is built only when
+    |H/Z(H)| and |H'| match G's."""
     Z = center(H) if Z is None else Z
     D = derived_subgroup(H) if D is None else D
-    if max(g.quotient.order, H.order // Z.order) > cap:
-        raise SearchCapExceeded(f"central quotient order exceeds search cap {cap}")
+    if max(g.quotient.order, H.order // Z.order) > SEARCH_CAP:
+        raise SearchCapExceeded(f"central quotient order exceeds search cap {SEARCH_CAP}")
     if (g.quotient.order, g.derived.order) != (H.order // Z.order, D.order):
         return None
     h = _central_data(H, Z, D)
-    for alpha in iter_isomorphisms(g.quotient, h.quotient, cap=cap):
+    for alpha in iter_isomorphisms(g.quotient, h.quotient):
         beta = _beta_from_alpha(g, h, alpha)
         if beta is not None:
-            return IsoclinismWitness(
-                g.group, H, g.quotient, h.quotient, g.proj, h.proj,
-                tuple(alpha), g.derived, D, beta,
-            )
+            return IsoclinismWitness(tuple(alpha), beta)
     return None
 
 
-def find_isoclinism(
-    G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_ISO_CAP
-) -> IsoclinismWitness | None:
+def find_isoclinism(G: FiniteGroup, H: FiniteGroup) -> IsoclinismWitness | None:
     """Search for an isoclinism witness; None if the groups are not isoclinic."""
-    return _search(_central_data(G), H, cap)
+    return _search(_central_data(G), H)
 
 
 def verify_isoclinism(G: FiniteGroup, H: FiniteGroup, w: IsoclinismWitness) -> bool:
-    """Check a witness against the groups themselves, exhaustively.
+    """Whether (alpha, beta) is an isoclinism G ~ H, checked exhaustively.
 
-    Z(G), Z(H), G' and H' are recomputed from the tables, never taken from
-    the witness.  Each projection must be a homomorphism onto its quotient
-    with kernel exactly the center, and each derived subgroup must be the
-    recomputed one.  Then alpha and beta must be isomorphisms and the
-    commutator square must commute on canonical coset preimages.  That is
-    exact: [xz, yz'] = [x, y] for central z, z', so a commutator depends
-    only on the cosets of its arguments.
+    Z(G), Z(H), G', H' and both coset numberings are worked out here from
+    the tables, apart from the search.  alpha must be a bijective
+    homomorphism of the central quotients, beta one of the derived
+    subgroups, and the commutator square must commute on coset
+    representatives.  That is exact: [xz, yz'] = [x, y] for central z, z',
+    so a commutator depends only on the cosets of its arguments.  A map
+    with the wrong domain is no witness either.
     """
-    Qg, Qh = w.g_quotient, w.h_quotient
-    if Qg.order != Qh.order or len(w.alpha) != Qg.order:
-        raise DomainMismatch("alpha does not map G/Z(G) onto H/Z(H)")
-    g_reps = _central_reps(G, Qg, w.g_proj)
-    h_reps = _central_reps(H, Qh, w.h_proj)
-    if g_reps is None or h_reps is None:
+    g_proj, g_reps = _center_cosets(G)
+    h_proj, h_reps = _center_cosets(H)
+    alpha, beta = w.alpha, w.beta
+    if len(h_reps) != len(g_reps) or sorted(alpha) != list(range(len(h_reps))):
         return False
-    if (w.g_derived.member_set != derived_subgroup(G).member_set
-            or w.h_derived.member_set != derived_subgroup(H).member_set):
+    Dg, Dh = derived_subgroup(G).member_set, derived_subgroup(H).member_set
+    if set(beta) != Dg or set(beta.values()) != Dh or len(Dg) != len(Dh):
         return False
-    if sorted(w.alpha) != list(range(Qh.order)):
-        return False
-    if set(w.beta) != w.g_derived.member_set:
-        raise DomainMismatch("beta is not defined on exactly G'")
-    image = set(w.beta.values())
-    if image != w.h_derived.member_set or len(image) != len(w.beta):
-        return False
-    # alpha is a homomorphism of the quotients
-    for a in range(Qg.order):
-        for b in range(Qg.order):
-            if w.alpha[Qg.mul(a, b)] != Qh.mul(w.alpha[a], w.alpha[b]):
+    s, t = G.mul_table, H.mul_table
+    for a, x in enumerate(g_reps):
+        for b, y in enumerate(g_reps):
+            if alpha[g_proj[s[x][y]]] != h_proj[t[h_reps[alpha[a]]][h_reps[alpha[b]]]]:
                 return False
-    # beta is a homomorphism of the derived subgroups
-    for a in w.g_derived.members:
-        for b in w.g_derived.members:
-            if w.beta[G.mul(a, b)] != H.mul(w.beta[a], w.beta[b]):
+    for x in beta:
+        for y in beta:
+            if beta[s[x][y]] != t[beta[x]][beta[y]]:
                 return False
-    # commutator compatibility over all coset pairs
-    for c1 in range(Qg.order):
-        for c2 in range(Qg.order):
-            u = G.commutator(g_reps[c1], g_reps[c2])
-            v = H.commutator(h_reps[w.alpha[c1]], h_reps[w.alpha[c2]])
-            if w.beta[u] != v:
+    for a, x in enumerate(g_reps):
+        for b, y in enumerate(g_reps):
+            if beta[G.commutator(x, y)] != H.commutator(h_reps[alpha[a]], h_reps[alpha[b]]):
                 return False
     return True
 
 
-def _central_reps(
-    G: FiniteGroup, Q: FiniteGroup, proj: tuple[int, ...]
-) -> list[int] | None:
-    """The smallest member of each fibre of proj, if proj is a homomorphism
-    of G onto Q with kernel exactly Z(G); else None.
-
-    proj must be constant on the cosets of Z(G), with every fibre nonempty
-    and the identity's fibre equal to Z(G).  Then proj(x z) = proj(x) for
-    central z, so it is a homomorphism once it is one on the smallest
-    member of each fibre.
-    """
-    if len(proj) != G.order or not all(0 <= c < Q.order for c in proj):
-        return None
-    pre: list[list[int]] = [[] for _ in range(Q.order)]
-    for g, c in enumerate(proj):
-        pre[c].append(g)
+def _center_cosets(G: FiniteGroup) -> tuple[list[int], list[int]]:
+    """(coset number of each element, smallest member of each coset) for the
+    cosets of Z(G), numbered in the order of their smallest members."""
     Z = center(G).members
-    if not all(pre) or tuple(pre[Q.identity]) != Z:
-        return None
-    if any(proj[G.mul(g, z)] != c for g, c in enumerate(proj) for z in Z):
-        return None
-    reps = [fibre[0] for fibre in pre]
-    for a, x in enumerate(reps):
-        for b, y in enumerate(reps):
-            if proj[G.mul(x, y)] != Q.mul(a, b):
-                return None
-    return reps
+    proj = [-1] * G.order
+    reps: list[int] = []
+    for g in range(G.order):
+        if proj[g] < 0:
+            for z in Z:
+                proj[G.mul(g, z)] = len(reps)
+            reps.append(g)
+    return proj, reps
 
 
 def is_stem_group(G: FiniteGroup) -> bool:
@@ -209,7 +166,6 @@ def is_stem_group(G: FiniteGroup) -> bool:
 def find_stem_group(
     F: FiniteGroup,
     corpus: list[FiniteGroup],
-    cap: int = DEFAULT_ISO_CAP,
 ) -> tuple[FiniteGroup, IsoclinismWitness] | None:
     """First corpus group (order-ascending) that is a stem group isoclinic to F.
 
@@ -222,7 +178,7 @@ def find_stem_group(
     for H in sorted(corpus, key=lambda g: (g.order, g.name)):
         Z, D = center(H), derived_subgroup(H)
         if Z.member_set <= D.member_set:
-            w = _search(f, H, cap, Z, D)
+            w = _search(f, H, Z, D)
             if w is not None:
                 return H, w
     return None

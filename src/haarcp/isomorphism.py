@@ -15,7 +15,7 @@ from typing import Iterator
 from .errors import SearchCapExceeded
 from .groups import FiniteGroup, conjugacy_classes, greedy_generators
 
-DEFAULT_ISO_CAP = 256
+SEARCH_CAP = 256  # largest group order an isomorphism search takes
 
 
 def _element_keys(G: FiniteGroup) -> list[tuple[int, int]]:
@@ -56,13 +56,11 @@ def _close_partial(
     return True
 
 
-def iter_isomorphisms(
-    G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_ISO_CAP
-) -> Iterator[list[int]]:
+def iter_isomorphisms(G: FiniteGroup, H: FiniteGroup) -> Iterator[list[int]]:
     """Yield every isomorphism G -> H as a list mapping element indices."""
-    if max(G.order, H.order) > cap:
+    if max(G.order, H.order) > SEARCH_CAP:
         raise SearchCapExceeded(
-            f"order {max(G.order, H.order)} exceeds isomorphism search cap {cap}"
+            f"order {max(G.order, H.order)} exceeds isomorphism search cap {SEARCH_CAP}"
         )
     if G.order != H.order:
         return
@@ -99,8 +97,6 @@ def iter_isomorphisms(
     yield from search(0, {G.identity: H.identity}, {H.identity})
 
 
-def find_isomorphism(
-    G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_ISO_CAP
-) -> list[int] | None:
+def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> list[int] | None:
     """First isomorphism G -> H found, or None."""
-    return next(iter_isomorphisms(G, H, cap=cap), None)
+    return next(iter_isomorphisms(G, H), None)

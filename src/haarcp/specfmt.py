@@ -108,7 +108,7 @@ def _group_from_lines(path: Path, lines: list[str], cap: int) -> FiniteGroup:
         if verb == "perm":
             perm_cycles.append(parse_cycles(rest, lineno))
         elif verb == "table":
-            if not rest.isdigit():
+            if not (rest.isascii() and rest.isdigit()):
                 raise ParseError(f"table needs a size: {line!r}", lineno)
             expect_rows = int(rest)
             table = []
@@ -193,7 +193,8 @@ def _model_from_lines(path: Path, lines: list[str], cap: int) -> CompactModel:
     for lineno, line in _directives(lines):
         verb, rest = _split_directive(line)
         if verb == "torus_rank":
-            if not rest.lstrip("-").isdigit():
+            digits = rest.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
                 raise ParseError(f"bad torus rank: {rest!r}", lineno)
             rank = int(rest)
         elif verb == "acting_group":

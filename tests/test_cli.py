@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import haarcp
 from haarcp import corpus
 from haarcp.cli import main
 from haarcp.errors import ClosureExceedsCap, ParseError
+from haarcp.isoclinism import IsoclinismWitness, verify_isoclinism
 from haarcp.specfmt import parse_group_file, parse_model_file, resolve_group
 
 
@@ -191,6 +193,11 @@ class TestCommands:
         assert main(["isoclinic", "s3", "c6"]) == 0
         assert capsys.readouterr().out.strip() == "none"
 
+    def test_isoclinic_above_search_cap(self, capsys):
+        # |A6/Z(A6)| = 360 is above the isomorphism search cap of 256
+        assert main(["isoclinic", "a6", "a6"]) == 2
+        assert capsys.readouterr() == ("", "error: central quotient order exceeds search cap 256\n")
+
     def test_stem(self, capsys):
         assert main(["stem", "--max-order", "16", "c12"]) == 0
         assert "order 1" in capsys.readouterr().out
@@ -258,6 +265,25 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("verb, spec, message", [
+        ("cp", "table ²\n", "line 1: table needs a size: 'table ²'"),
+        ("fc", "torus_rank ²\nacting_group c2\n", "line 1: bad torus rank: '²'"),
+        ("fc", "torus_rank --1\nacting_group c2\n", "line 1: bad torus rank: '--1'"),
+    ], ids=["table-size", "torus-rank", "torus-rank-two-minus"])
+    def test_size_that_is_not_an_ascii_number(self, verb, spec, message, tmp_path, capsys):
+        # str.isdigit accepts '²', which int() rejects
+        f = tmp_path / "bad.spec"
+        f.write_text(spec, encoding="utf-8")
+        assert main([verb, str(f)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("name", ["c ²", "c ٣", "c٣", "dihedral ٤"])
+    def test_builtin_order_in_non_ascii_digits(self, name, capsys):
+        # int() reads '٣' as 3: the two-word form took "c ٣" for C3
+        assert corpus.builtin_group(name) is None
+        assert main(["cp", name]) == 2
+        assert capsys.readouterr() == ("", f"error: not a builtin group and not a file: {name!r}\n")
 
     def test_input_error_exit_code(self, capsys):
         assert main(["cp", "nonexistent-file.group"]) == 2
@@ -410,12 +436,17 @@ GOLDEN_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
-def test_golden_output(case, tmp_path, capsys):
+def golden_argv(case, tmp_path):
+    """The argv of a golden case, with its spec files written to tmp_path."""
     for name, text in GOLDEN_SPECS.items():
         (tmp_path / name).write_text(text)
-    argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg
+    return [str(tmp_path / arg[1:]) if arg.startswith("@") else arg
             for arg in GOLDEN_CASES[case]]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_output(case, tmp_path, capsys):
+    argv = golden_argv(case, tmp_path)
     assert main(argv) == 0
     expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
@@ -423,14 +454,39 @@ def test_golden_output(case, tmp_path, capsys):
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
 def test_golden_output_twice_in_one_process(case, tmp_path, capsys):
-    for name, text in GOLDEN_SPECS.items():
-        (tmp_path / name).write_text(text)
-    argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg
-            for arg in GOLDEN_CASES[case]]
+    argv = golden_argv(case, tmp_path)
     expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
     for _ in range(2):
         assert main(argv) == 0
         assert capsys.readouterr().out == expected
+
+
+def parse_witness(lines):
+    """The witness that the quotient-map and derived-map lines spell."""
+    split = lines.index("derived-map")
+    assert lines[0] == "quotient-map"
+    alpha = [tuple(map(int, line.split(" -> "))) for line in lines[1:split]]
+    assert [c for c, _ in alpha] == list(range(len(alpha)))
+    beta = dict(tuple(map(int, line.split(" -> "))) for line in lines[split + 1:])
+    return IsoclinismWitness(tuple(a for _, a in alpha), beta)
+
+
+WITNESS_CASES = sorted(c for c in GOLDEN_CASES if c.startswith(("isoclinic", "stem")))
+
+
+@pytest.mark.parametrize("case", WITNESS_CASES)
+def test_golden_witness_verifies(case, tmp_path):
+    # what isoclinic and stem print is exactly what verify_isoclinism checks
+    verb, *names = golden_argv(case, tmp_path)
+    groups = [resolve_group(name) for name in names]
+    lines = (GOLDEN / f"{case}.out").read_text(encoding="utf-8").splitlines()
+    if verb == "stem":  # H is named on the first line
+        m = re.fullmatch(r"stem: (\S+) \(order (\d+)\)", lines.pop(0))
+        groups.append(resolve_group(m.group(1)))
+        assert groups[-1].order == int(m.group(2))
+    w = parse_witness(lines)
+    assert w.serialize() == "\n".join(lines)
+    assert verify_isoclinism(*groups, w)
 
 
 class TestSharedParser:
