@@ -9,8 +9,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .compact import CompactModel, cp_semianalytic, cp_theorem1, fc_center
+from .corpus import CorpusEntry
 from .cp import cp_pair_count, format_rational
 from .errors import HaarcpError
 from .groups import (
@@ -148,7 +150,7 @@ class Theorem1Report:
 
 def check_theorem1(
     model: CompactModel,
-    stem_corpus: list[FiniteGroup] | None = None,
+    stem_corpus: Iterable[FiniteGroup | CorpusEntry] | None = None,
 ) -> Theorem1Report:
     """Assert the two cp routes agree; optionally realize the stem clause.
 

@@ -106,11 +106,12 @@ def cmd_isoclinic(args) -> int:
 
 def cmd_stem(args) -> int:
     cap = _cap(args)
+    if args.max_order <= 0:
+        raise ValueError(f"--max-order must be a positive integer, got '{args.max_order}'")
     if args.max_order > cap:
         raise ClosureExceedsCap(f"--max-order {args.max_order} exceeds cap {cap}")
     F = _group(args, args.group)
-    groups = [g for _n, g in corpus.builtin_corpus(args.max_order)]
-    found = find_stem_group(F, groups)
+    found = find_stem_group(F, corpus.builtin_entries(args.max_order))
     if found is None:
         print("none (corpus exhausted)")
         return 0
@@ -123,8 +124,7 @@ def cmd_stem(args) -> int:
 def cmd_verify_t1(args) -> int:
     cap = _cap(args)
     model = parse_model_file(args.model, cap=cap)
-    stem_groups = [g for _n, g in corpus.builtin_corpus(min(32, cap))]
-    report = check_theorem1(model, stem_corpus=stem_groups)
+    report = check_theorem1(model, stem_corpus=corpus.builtin_entries(min(32, cap)))
     eq = "PASS" if report.equal else "FAIL"
     print(
         f"{eq} cp equality: direct {format_rational(report.cp_direct)}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 from . import builders
 from .errors import ClosureExceedsCap
@@ -99,13 +100,31 @@ def builtin_group(name: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup | No
     return _named(kind, n)
 
 
-def builtin_corpus(max_order: int = 64) -> list[tuple[str, FiniteGroup]]:
-    """Every builtin group of order <= max_order, as (name, group) pairs."""
-    entries: list[tuple[str, FiniteGroup]] = []
+class CorpusEntry(NamedTuple):
+    """A builtin group by corpus name and order; group() builds it (once per
+    process, as builtin_group does)."""
+
+    name: str
+    order: int
+    kind: str
+    n: int
+
+    def group(self) -> FiniteGroup:
+        return _named(self.kind, self.n)
+
+
+def builtin_entries(max_order: int = 64) -> list[CorpusEntry]:
+    """Every builtin group of order <= max_order, in corpus order, none built."""
+    entries: list[CorpusEntry] = []
     for kind, (_make, order_of, (first, last)) in _KINDS.items():
         for n in range(first, (max_order if last is None else last) + 1):
-            if order_of(n, max_order) > max_order:
+            order = order_of(n, max_order)
+            if order > max_order:
                 break
-            entries.append((f"{kind} {n}" if n else kind, _named(kind, n)))
+            entries.append(CorpusEntry(f"{kind} {n}" if n else kind, order, kind, n))
     return entries
 
+
+def builtin_corpus(max_order: int = 64) -> list[tuple[str, FiniteGroup]]:
+    """Every builtin group of order <= max_order, as (name, group) pairs."""
+    return [(e.name, e.group()) for e in builtin_entries(max_order)]

@@ -12,8 +12,9 @@ tables alone, sharing no coset or quotient code with the search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
+from .corpus import CorpusEntry
 from .errors import SearchCapExceeded
 from .groups import FiniteGroup, Subgroup, center, derived_subgroup, quotient
 from .isomorphism import SEARCH_CAP, _close_partial, iter_isomorphisms
@@ -165,21 +166,33 @@ def is_stem_group(G: FiniteGroup) -> bool:
 
 def find_stem_group(
     F: FiniteGroup,
-    corpus: list[FiniteGroup],
+    corpus: Iterable[FiniteGroup | CorpusEntry],
 ) -> tuple[FiniteGroup, IsoclinismWitness] | None:
-    """First corpus group (order-ascending) that is a stem group isoclinic to F.
+    """First corpus group, by (order, name), that is a stem group isoclinic to F.
 
     Every isoclinism family contains a stem group, but the corpus may not;
-    None means "not found here", never "does not exist".  F's data is built
-    once, and each candidate's center and derived subgroup serve both the
-    stem test and the search.
+    None means "not found here", never "does not exist".  A corpus entry
+    is built only when it is tried, and is ordered by its corpus name.
+
+    A stem group H isoclinic to F has H/Z(H) ~ F/Z(F), H' ~ F' and
+    Z(H) <= H' (Hall), so |H| = q*m with q = |F:Z(F)| and m = |Z(H)|
+    dividing d = |F'|.  Candidates of any other order are skipped unless q
+    or |H| is above the search cap: the search raises SearchCapExceeded on
+    those, and must still do so.  F's central quotient is built once, when
+    the first stem candidate is reached; each candidate's center and
+    derived subgroup serve both the stem test and the search.
     """
-    f = _central_data(F)
-    for H in sorted(corpus, key=lambda g: (g.order, g.name)):
-        Z, D = center(H), derived_subgroup(H)
-        if Z.member_set <= D.member_set:
-            w = _search(f, H, Z, D)
+    Z, D = center(F), derived_subgroup(F)
+    q, d = F.order // Z.order, D.order
+    f: _Central | None = None
+    for c in sorted(corpus, key=lambda c: (c.order, c.name)):
+        if max(q, c.order) <= SEARCH_CAP and (c.order % q or d % (c.order // q)):
+            continue
+        H = c if isinstance(c, FiniteGroup) else c.group()
+        ZH, DH = center(H), derived_subgroup(H)
+        if ZH.member_set <= DH.member_set:
+            f = f or _central_data(F, Z, D)
+            w = _search(f, H, ZH, DH)
             if w is not None:
                 return H, w
     return None
-

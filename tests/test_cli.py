@@ -10,6 +10,7 @@ import haarcp
 from haarcp import corpus
 from haarcp.cli import main
 from haarcp.errors import ClosureExceedsCap, ParseError
+from haarcp.groups import quotient
 from haarcp.isoclinism import IsoclinismWitness, verify_isoclinism
 from haarcp.specfmt import parse_group_file, parse_model_file, resolve_group
 
@@ -38,6 +39,19 @@ def no_builtin_builds(monkeypatch):
     def no_build(*args):
         raise AssertionError("builtin table built")
     monkeypatch.setattr(corpus, "_named", no_build)
+
+
+@pytest.fixture
+def builtin_builds(monkeypatch):
+    """The (kind, n) of every builtin group table asked for, in call order."""
+    real, built = corpus._named, []
+
+    def spy(kind, n):
+        built.append((kind, n))
+        return real(kind, n)
+
+    monkeypatch.setattr(corpus, "_named", spy)
+    return built
 
 
 class TestGroupSpecs:
@@ -202,6 +216,16 @@ class TestCommands:
         assert main(["stem", "--max-order", "16", "c12"]) == 0
         assert "order 1" in capsys.readouterr().out
 
+    def test_stem_above_search_cap(self, tmp_path, capsys):
+        # |A6/Z(A6)| = 360 is above the search cap; S3 x S3 is not, but the
+        # corpus up to order 720 holds stem groups whose central quotient is,
+        # such as D129 (order 258, trivial center)
+        f = tmp_path / "s3xs3.group"
+        f.write_text("product s3 s3\n")
+        for argv in (["stem", "a6"], ["stem", "--max-order", "720", str(f)]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", "error: central quotient order exceeds search cap 256\n")
+
     def test_fc_and_verify_t1(self, o2_file, capsys):
         assert main(["fc", o2_file]) == 0
         out = capsys.readouterr().out
@@ -306,6 +330,12 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"--cap must be a positive integer, got '{value}'" in err
 
+    @pytest.mark.parametrize("value, group", [("0", "d4"), ("-3", "c12")])
+    def test_max_order_not_positive(self, value, group, capsys):
+        assert main(["stem", "--max-order", value, group]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --max-order must be a positive integer, got '{value}'\n")
+
     def test_cap_env_not_a_number(self, monkeypatch, capsys):
         monkeypatch.setenv("HAARCP_CAP", "abc")
         assert main(["cp", "q8"]) == 2
@@ -371,6 +401,46 @@ class TestCommands:
             "PASS stem clause: D3",
         ]
         assert built and max(built) <= 6
+
+    def test_stem_builds_only_screened_candidates(self, builtin_builds, tmp_path, capsys):
+        # F = C12: |F:Z(F)| = |F'| = 1, so only order 1 is tried; the first
+        # build is F itself
+        assert main(["stem", "c12"]) == 0
+        assert capsys.readouterr().out.startswith("stem: 1 (order 1)\n")
+        assert builtin_builds == [("cyclic", 12), ("trivial", 0)]
+        # F = A5 x C6 from generators, so that every build is a candidate:
+        # |F:Z(F)| = |F'| = 60 leaves order 60, where A5 comes first
+        builtin_builds.clear()
+        f = tmp_path / "a5xc6.group"
+        f.write_text("perm (1 2 3 4 5)\nperm (1 2 3)\nperm (6 7 8 9 10 11)\n")
+        assert main(["stem", str(f)]) == 0
+        assert capsys.readouterr().out.startswith("stem: A5 (order 60)\n")
+        assert builtin_builds == [("alternating", 5)]
+
+    def test_verify_t1_a5_shadow_builds_no_candidate(self, builtin_builds, monkeypatch,
+                                                     tmp_path, capsys):
+        # the shadow has |F:Z(F)| = 60, above every order in the verify-t1
+        # corpus (32): no corpus group and no quotient of the shadow is built
+        quotients = []
+
+        def spy(G, N):
+            quotients.append(G.order)
+            return quotient(G, N)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "haarcp" and getattr(module, "quotient", None) is quotient:
+                monkeypatch.setattr(module, "quotient", spy)
+        (tmp_path / "c2.group").write_text("perm (1 2)\n")
+        (tmp_path / "a5.group").write_text("perm (1 2 3 4 5)\nperm (1 2 3)\n")
+        f = tmp_path / "m.model"
+        f.write_text("torus_rank 1\nacting_group c2.group\nmatrix 1 -1\nextra_factor a5.group\n")
+        assert main(["verify-t1", str(f)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS cp equality: direct 1/48 vs reduced 1/48",
+            "note: stem not in corpus (soft report)",
+        ]
+        assert builtin_builds == []
+        assert 60 not in quotients
 
     def test_rank_11_model(self, tmp_path, capsys):
         # C2 acting on T^11 by -I, times S3: determinant, completion and both

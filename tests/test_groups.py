@@ -3,7 +3,7 @@ import random
 import pytest
 
 from haarcp import builders
-from haarcp.corpus import builtin_corpus
+from haarcp.corpus import builtin_corpus, builtin_entries
 from haarcp.errors import (
     ClosureExceedsCap,
     EmptyGeneratorList,
@@ -251,3 +251,11 @@ class TestAxioms:
         for a in range(12):
             for b in range(12):
                 assert emb[A4.mul(a, b)] == s4.mul(emb[a], emb[b])
+
+
+class TestCorpusListing:
+    def test_entries_list_the_built_corpus(self):
+        # an entry's order comes from its name alone; building must agree
+        for max_order in range(121):
+            built = [(name, G.order) for name, G in builtin_corpus(max_order)]
+            assert [(e.name, e.order) for e in builtin_entries(max_order)] == built

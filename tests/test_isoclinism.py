@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from haarcp import builders
-from haarcp.corpus import builtin_corpus
+from haarcp.corpus import builtin_corpus, builtin_entries
 from haarcp.cp import cp_coset_formula, cp_pair_count
 from haarcp.errors import SearchCapExceeded
 from haarcp.groups import (
@@ -226,6 +226,23 @@ class TestInvariance:
         assert cp_pair_count(e3) == cp_pair_count(e9) == Fraction(11, 27)
 
 
+def _reference_stem(F, groups):
+    """The unscreened stem search: center and derived subgroup of every
+    candidate, in (order, name) order, and a full search on each stem group."""
+    for H in sorted(groups, key=lambda g: (g.order, g.name)):
+        if is_stem_group(H):
+            w = find_isoclinism(F, H)
+            if w is not None:
+                return H, w
+    return None
+
+
+def _passes_screen(F, order):
+    """Whether order = |F:Z(F)| * m for some m dividing |F'|."""
+    q, d = F.order // center(F).order, derived_subgroup(F).order
+    return order % q == 0 and d % (order // q) == 0
+
+
 class TestStemGroups:
     def test_abelian_has_trivial_stem(self):
         corpus = [G for _n, G in builtin_corpus(16)]
@@ -261,3 +278,29 @@ class TestStemGroups:
             H, w = found
             assert center(H).member_set <= derived_subgroup(H).member_set
             assert verify_isoclinism(F, H, w)
+
+    def test_screen_matches_unscreened_reference(self, d4, q8, s3, a5):
+        # at order 120 the corpus names and the group names of S5 and
+        # SL(2,5) sort in opposite orders; the two are not isoclinic, so
+        # either order finds the same stem
+        products = [(d4, 3), (s3, 4), (q8, 2), (a5, 6)]
+        cases = [(F, 64) for _n, F in builtin_corpus(32)]
+        cases += [(direct_product(G, builders.cyclic(m)), 64) for G, m in products]
+        cases += [(builders.symmetric(5), 120), (builders.sl25(), 120)]
+        for F, max_order in cases:
+            found = find_stem_group(F, builtin_entries(max_order))
+            expected = _reference_stem(F, [G for _n, G in builtin_corpus(max_order)])
+            assert found is not None and expected is not None, F.name
+            assert found[0].name == expected[0].name, F.name
+            assert found[1].serialize() == expected[1].serialize(), F.name
+
+    def test_isoclinic_stem_groups_pass_the_screen(self):
+        groups = [G for _n, G in builtin_corpus(64)]
+        stems = [H for H in groups if is_stem_group(H)]
+        hits = 0
+        for F in groups:
+            for H in stems:
+                if find_isoclinism(F, H) is not None:
+                    hits += 1
+                    assert _passes_screen(F, H.order), (F.name, H.name)
+        assert hits > len(stems)  # each stem with itself, and more
