@@ -1,8 +1,13 @@
 """Exact commuting probability of finite groups, three independent ways.
 
 All values are `fractions.Fraction` in lowest terms; floating point never
-enters these code paths.  The pair-counting loop is the ground truth, the
-class-counting identity and the central-coset formula cross-check it.
+enters these code paths.  The direct pair count is the ground truth, the
+class-counting identity and the central-coset formula cross-check it.  The
+pair count has its own kernel, which reads the table once per pair of
+inverse classes {x, x^-1}.  The coset formula, and the semi-analytic model
+route in `compact`, use the plain triangle loop `_symmetric_entries`.  The
+two kernels share no code, so a bug in either shows up as a disagreement
+between routes.
 """
 
 from __future__ import annotations
@@ -27,8 +32,29 @@ def _symmetric_entries(t, idx) -> int:
 
 
 def cp_pair_count(G: FiniteGroup) -> Fraction:
-    """|{(x, y) : xy = yx}| / |G|^2, counted directly over the Cayley table."""
-    return Fraction(_symmetric_entries(G.mul_table, range(G.order)), G.order ** 2)
+    """|{(x, y) : xy = yx}| / |G|^2, counted directly over the Cayley table.
+
+    x commutes with y exactly when it commutes with y^-1, so commuting is
+    constant on each block {x, x^-1} x {y, y^-1}.  The count reads one
+    entry pair per pair of inverse classes, represented by the x with
+    x^-1 >= x: a class of weight w (1 if x = x^-1, else 2) adds w^2 for its
+    diagonal block, and two commuting classes r < s add 2 w_r w_s.  The
+    self-inverse representatives come first, so each row's later
+    representatives split into a weight-1 run and a weight-2 run.  Exact,
+    and it uses neither Z(G) nor the classes.
+    """
+    t, inv = G.mul_table, G.inverse_table
+    ones = [x for x in range(G.order) if inv[x] == x]
+    twos = [x for x in range(G.order) if inv[x] > x]
+    count = len(ones) + 4 * len(twos)
+    for i, a in enumerate(ones):
+        row = t[a]
+        count += 2 * sum(1 for b in ones[i + 1:] if row[b] == t[b][a])
+        count += 4 * sum(1 for b in twos if row[b] == t[b][a])
+    for i, a in enumerate(twos):
+        row = t[a]
+        count += 8 * sum(1 for b in twos[i + 1:] if row[b] == t[b][a])
+    return Fraction(count, G.order ** 2)
 
 
 def cp_class_count(G: FiniteGroup) -> Fraction:

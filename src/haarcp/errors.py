@@ -6,7 +6,7 @@ class HaarcpError(Exception):
 
 
 class ClosureExceedsCap(HaarcpError):
-    """Generator closure (or a product construction) passed the order cap."""
+    """A closure, a product or a torus rank's d^2 passed the order cap."""
 
 
 class EmptyGeneratorList(HaarcpError):

@@ -176,17 +176,18 @@ def find_stem_group(
 
     A stem group H isoclinic to F has H/Z(H) ~ F/Z(F), H' ~ F' and
     Z(H) <= H' (Hall), so |H| = q*m with q = |F:Z(F)| and m = |Z(H)|
-    dividing d = |F'|.  Candidates of any other order are skipped unless q
-    or |H| is above the search cap: the search raises SearchCapExceeded on
-    those, and must still do so.  F's central quotient is built once, when
-    the first stem candidate is reached; each candidate's center and
-    derived subgroup serve both the stem test and the search.
+    dividing d = |F'|.  Candidates of any other order are skipped, however
+    large, unless q itself is above the search cap: the search then raises
+    SearchCapExceeded on the first stem candidate, and must still do so.
+    F's central quotient is built once, when the first stem candidate is
+    reached; each candidate's center and derived subgroup serve both the
+    stem test and the search.
     """
     Z, D = center(F), derived_subgroup(F)
     q, d = F.order // Z.order, D.order
     f: _Central | None = None
     for c in sorted(corpus, key=lambda c: (c.order, c.name)):
-        if max(q, c.order) <= SEARCH_CAP and (c.order % q or d % (c.order // q)):
+        if q <= SEARCH_CAP and (c.order % q or d % (c.order // q)):
             continue
         H = c if isinstance(c, FiniteGroup) else c.group()
         ZH, DH = center(H), derived_subgroup(H)

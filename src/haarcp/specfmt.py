@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import corpus
 from .compact import CompactModel, build_model
-from .errors import ParseError
+from .errors import ClosureExceedsCap, ParseError
 from .groups import (
     DEFAULT_CLOSURE_CAP,
     FiniteGroup,
@@ -197,6 +197,8 @@ def _model_from_lines(path: Path, lines: list[str], cap: int) -> CompactModel:
             if not (digits.isascii() and digits.isdigit()):
                 raise ParseError(f"bad torus rank: {rest!r}", lineno)
             rank = int(rest)
+            if rank > 0 and rank * rank > cap:  # an action matrix holds d^2 entries
+                raise ClosureExceedsCap(f"torus rank {rank} squared exceeds cap {cap}")
         elif verb == "acting_group":
             acting = resolve_group(rest, cap=cap, relative_to=path.parent)
         elif verb == "extra_factor":

@@ -216,15 +216,20 @@ class TestCommands:
         assert main(["stem", "--max-order", "16", "c12"]) == 0
         assert "order 1" in capsys.readouterr().out
 
-    def test_stem_above_search_cap(self, tmp_path, capsys):
-        # |A6/Z(A6)| = 360 is above the search cap; S3 x S3 is not, but the
-        # corpus up to order 720 holds stem groups whose central quotient is,
-        # such as D129 (order 258, trivial center)
+    def test_stem_above_search_cap(self, tmp_path, capsys, builtin_builds):
+        # |A6/Z(A6)| = 360 is above the search cap, so A6 still exits 2
+        assert main(["stem", "a6"]) == 2
+        assert capsys.readouterr() == ("", "error: central quotient order exceeds search cap 256\n")
+        # |S3 x S3 : Z| = 36 is not: candidates whose order is not 36*m with
+        # m | |F'| = 9 are skipped however large, so D129 (order 258, above
+        # the cap) is never built, and only orders 36, 108 and 324 are tried
         f = tmp_path / "s3xs3.group"
         f.write_text("product s3 s3\n")
-        for argv in (["stem", "a6"], ["stem", "--max-order", "720", str(f)]):
-            assert main(argv) == 2
-            assert capsys.readouterr() == ("", "error: central quotient order exceeds search cap 256\n")
+        builtin_builds.clear()
+        assert main(["stem", "--max-order", "720", str(f)]) == 0
+        assert capsys.readouterr() == ("none (corpus exhausted)\n", "")
+        assert builtin_builds[2:] == [("cyclic", 36), ("dihedral", 18), ("cyclic", 108),
+                                      ("dihedral", 54), ("cyclic", 324), ("dihedral", 162)]
 
     def test_fc_and_verify_t1(self, o2_file, capsys):
         assert main(["fc", o2_file]) == 0
@@ -367,6 +372,23 @@ class TestCommands:
         f.write_text(f"torus_rank 1\nacting_group {acting}\nextra_factor {extra}\n")
         assert main(["--cap", "12", "fc", str(f)]) == 2
         assert f"builtin group '{name}' has order above cap 12" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, rank, cap", [
+        (["fc"], 99999999, 20000),
+        (["--cap", "8", "verify-t1"], 3, 8),
+    ], ids=["huge-rank", "rank-3-cap-8"])
+    def test_torus_rank_honours_cap(self, argv, rank, cap, tmp_path, capsys):
+        # d^2 above the cap exits 2 before any matrix is built: at rank
+        # 99999999 the d x d identity matrix alone would never finish
+        f = tmp_path / "m.model"
+        f.write_text(f"torus_rank {rank}\nacting_group c2\n")
+        assert main(argv + [str(f)]) == 2
+        assert capsys.readouterr() == ("", f"error: torus rank {rank} squared exceeds cap {cap}\n")
+
+    def test_torus_rank_at_cap_allowed(self, tmp_path, capsys):
+        f = tmp_path / "m.model"
+        f.write_text("torus_rank 3\nacting_group c2\n")
+        assert main(["--cap", "9", "fc", str(f)]) == 0
 
     @pytest.mark.parametrize("verb", ["cp", "classify", "verify-t2"])
     def test_non_associative_table_exits_2(self, verb, tmp_path, capsys):

@@ -1,10 +1,12 @@
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from haarcp import builders
+from haarcp import builders, cp
+from haarcp.cli import main
 from haarcp.corpus import builtin_corpus
 from haarcp.cp import (
     _symmetric_entries,
@@ -21,8 +23,29 @@ from haarcp.groups import (
     direct_product,
     generated_subgroup,
     left_transversal,
+    make_group,
     whole_subgroup,
 )
+
+
+def brute_commuting_pairs(G) -> int:
+    """The number of ordered pairs (a, b) with ab = ba, checked one by one."""
+    t, n = G.mul_table, G.order
+    return sum(1 for a in range(n) for b in range(n) if t[a][b] == t[b][a])
+
+
+@pytest.fixture(scope="module")
+def corpus_120():
+    return builtin_corpus(120)
+
+
+def plant(monkeypatch, fake):
+    """Put `fake` in place of cp._symmetric_entries in every haarcp module
+    that holds it, as a bug in its body would reach every caller."""
+    real = cp._symmetric_entries
+    for name, module in list(sys.modules.items()):
+        if name.startswith("haarcp") and getattr(module, "_symmetric_entries", None) is real:
+            monkeypatch.setattr(module, "_symmetric_entries", fake)
 
 
 class TestPairCount:
@@ -39,6 +62,83 @@ class TestPairCount:
 
     def test_abelian_is_one(self):
         assert cp_pair_count(builders.cyclic(17)) == 1
+
+
+class TestPairCountOracle:
+    """n^2 * cp_pair_count(G) against the all-pairs count above, on groups
+    that stress the inverse-class reduction."""
+
+    def test_builtins_up_to_120(self, corpus_120):
+        for name, G in corpus_120:
+            assert cp_pair_count(G) * G.order**2 == brute_commuting_pairs(G), name
+
+    @pytest.mark.parametrize("left, right", [
+        (lambda: builders.dihedral(4), lambda: builders.cyclic(3)),
+        (lambda: builders.alternating(5), lambda: builders.cyclic(6)),
+    ], ids=["d4-c3", "a5-c6"])
+    def test_products_in_both_factor_orders(self, left, right):
+        G, H = left(), right()
+        for P in (direct_product(G, H), direct_product(H, G)):
+            assert cp_pair_count(P) * P.order**2 == brute_commuting_pairs(P), P.name
+
+    def test_every_element_self_inverse(self):
+        # C2 x C2 x C2: every inverse class is a singleton, 64 commuting pairs
+        c2 = builders.cyclic(2)
+        G = direct_product(direct_product(c2, c2), c2)
+        assert all(G.inverse_table[x] == x for x in range(G.order))
+        assert cp_pair_count(G) * 64 == brute_commuting_pairs(G) == 64
+
+    @pytest.mark.parametrize("make", [
+        lambda: builders.cyclic(27),
+        builders.extraspecial27_exponent3,
+        builders.extraspecial27_exponent9,
+    ], ids=["c27", "es27-exp3", "es27-exp9"])
+    def test_odd_order(self, make):
+        # only the identity is its own inverse
+        G = make()
+        assert [x for x in range(G.order) if G.inverse_table[x] == x] == [G.identity]
+        assert cp_pair_count(G) * G.order**2 == brute_commuting_pairs(G)
+
+    def test_relabelled_s4(self, s4):
+        t, perm = s4.mul_table, list(range(24))
+        random.Random(13).shuffle(perm)
+        inv = sorted(range(24), key=perm.__getitem__)
+        G = make_group([[perm[t[inv[x]][inv[y]]] for y in range(24)] for x in range(24)])
+        # inverse pairs land on non-adjacent indices
+        assert any(abs(G.inverse_table[x] - x) > 1 for x in range(G.order))
+        assert cp_pair_count(G) * 576 == brute_commuting_pairs(G) == 120
+
+
+class TestKernelIndependence:
+    """The pair count and the triangle loop share no code, so a bug in the
+    triangle loop shows up as a disagreement between routes."""
+
+    def test_off_by_two_triangle_loop_is_caught(self, monkeypatch, tmp_path, capsys):
+        real = cp._symmetric_entries
+        plant(monkeypatch, lambda t, idx: real(t, idx) + 2)
+        assert main(["cp", "s5"]) == 1
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            "pair-count:    7/120",
+            "class-count:   7/120",
+            "coset-formula: 421/7200",  # (840 + 2) / 120^2
+        ]
+        # trivial action of S3: the kernel is all of S3, and the
+        # semi-analytic route counts its pairs with the triangle loop
+        f = tmp_path / "trivial-s3-q8.model"
+        f.write_text("torus_rank 2\nacting_group s3\nextra_factor q8\n")
+        assert main(["verify-t1", str(f)]) == 1
+        assert capsys.readouterr().out.startswith(
+            "FAIL cp equality: direct 25/72 vs reduced 5/16\n")
+
+    def test_pair_count_does_not_call_the_triangle_loop(self, monkeypatch, corpus_120):
+        def broken(t, idx):
+            raise AssertionError("triangle loop called")
+
+        plant(monkeypatch, broken)
+        with pytest.raises(AssertionError, match="triangle loop called"):
+            cp_coset_formula(builders.symmetric(3))
+        for name, G in corpus_120:
+            assert cp_pair_count(G) == cp_class_count(G), name
 
 
 class TestClassCount:
