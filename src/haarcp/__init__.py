@@ -45,7 +45,6 @@ from .groups import (
     conjugacy_classes,
     derived_subgroup,
     direct_product,
-    is_a5,
     is_solvable,
     left_transversal,
     quotient,

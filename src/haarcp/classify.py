@@ -15,16 +15,7 @@ from .compact import CompactModel, cp_semianalytic, cp_theorem1, fc_center
 from .corpus import CorpusEntry
 from .cp import cp_pair_count, format_rational
 from .errors import HaarcpError
-from .groups import (
-    FiniteGroup,
-    center,
-    derived_subgroup,
-    is_a5,
-    is_solvable,
-    product_set,
-    quotient,
-    subgroup_as_group,
-)
+from .groups import FiniteGroup, center, derived_series, is_solvable
 from .isoclinism import find_stem_group
 
 FINITENESS_THRESHOLD = Fraction(1, 4)
@@ -43,41 +34,23 @@ class Verdict(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class A5Evidence:
-    """Made only once G/Z = A5, G' = A5 and G = G'Z(G) hold; records |Z(G)|."""
-
-    center_order: int
-
-
-@dataclass(frozen=True)
 class ClassificationResult:
     verdict: Verdict
     cp_value: Fraction
     solvable: bool
 
 
-def detect_a5_x_abelian(G: FiniteGroup) -> A5Evidence | None:
-    """Evidence that G is A5 times an abelian group, or None.
+def detect_a5_x_abelian(G: FiniteGroup) -> bool:
+    """Whether G is A5 times an abelian group: |G| = 60|Z(G)| and the last
+    term P of the derived series has order 60.
 
-    The three checks mirror the reconstruction: the central quotient is A5,
-    the derived subgroup is A5, and the product set G'Z(G) covers G.
+    P is perfect, and every group of order 60 other than A5 is solvable, so
+    P = A5.  P meets Z(G) inside Z(P) = 1, so |P Z(G)| = 60|Z(G)| = |G| and
+    G = P x Z(G).  Conversely A5 x T has center T and series G > A5 = A5'.
     """
     if G.order % 60 != 0:
-        return None
-    Z = center(G)
-    if G.order // Z.order != 60:
-        return None
-    Q, _ = quotient(G, Z)
-    if not is_a5(Q):
-        return None
-    D = derived_subgroup(G)
-    Dg, _ = subgroup_as_group(D)
-    if not is_a5(Dg):
-        return None
-    covers = len(product_set(G, D.members, Z.members)) == G.order
-    if not covers:
-        return None
-    return A5Evidence(Z.order)
+        return False
+    return G.order == 60 * center(G).order and derived_series(G)[-1].order == 60
 
 
 def classify_high_cp(G: FiniteGroup) -> ClassificationResult:
@@ -92,7 +65,7 @@ def classify_high_cp(G: FiniteGroup) -> ClassificationResult:
         return ClassificationResult(Verdict.ABELIAN, cp, True)
     if is_solvable(G):
         return ClassificationResult(Verdict.SOLVABLE_NONABELIAN, cp, True)
-    if detect_a5_x_abelian(G) is not None:
+    if detect_a5_x_abelian(G):
         return ClassificationResult(Verdict.A5_TIMES_ABELIAN, cp, False)
     if cp <= SOLVABILITY_THRESHOLD:
         return ClassificationResult(Verdict.NONSOLVABLE_BELOW_THRESHOLD, cp, False)
@@ -102,8 +75,6 @@ def classify_high_cp(G: FiniteGroup) -> ClassificationResult:
 @dataclass(frozen=True)
 class Theorem2Part1Report:
     cp_value: Fraction
-    applicable: bool  # cp > 1/4 on a genuinely infinite model
-    fc_index: int | None
     passed: bool
     notes: tuple[str, ...]
 
@@ -118,19 +89,17 @@ def check_theorem2_part1(x: FiniteGroup | CompactModel) -> Theorem2Part1Report:
     """
     if isinstance(x, FiniteGroup):
         cp = cp_pair_count(x)
-        return Theorem2Part1Report(
-            cp, False, None, True, ("finite group: conclusion vacuous",)
-        )
+        return Theorem2Part1Report(cp, True, ("finite group: conclusion vacuous",))
     cp = cp_semianalytic(x)
     fc = fc_center(x)
     if cp > FINITENESS_THRESHOLD:
         ok = fc.index == 1
         notes = (f"cp = {format_rational(cp)} > 1/4: FC index must be 1",)
-        return Theorem2Part1Report(cp, True, fc.index, ok, notes)
+        return Theorem2Part1Report(cp, ok, notes)
     notes = (f"cp = {format_rational(cp)} <= 1/4: nothing asserted",)
     if cp == FINITENESS_THRESHOLD and fc.index > 1:
         notes += ("sharpness: cp exactly 1/4 with infinite derived subgroup",)
-    return Theorem2Part1Report(cp, False, fc.index, True, notes)
+    return Theorem2Part1Report(cp, True, notes)
 
 
 @dataclass(frozen=True)
@@ -138,7 +107,6 @@ class Theorem1Report:
     cp_direct: Fraction
     cp_reduced: Fraction
     equal: bool
-    shadow_order: int
     stem_name: str | None
     stem_cp_equal: bool | None
     notes: tuple[str, ...]
@@ -178,8 +146,7 @@ def check_theorem1(
         elif not notes:
             notes.append("stem not in corpus (soft report)")
     return Theorem1Report(
-        direct, reduced, direct == reduced,
-        fc.finite_shadow.order, stem_name, stem_cp_equal, tuple(notes),
+        direct, reduced, direct == reduced, stem_name, stem_cp_equal, tuple(notes)
     )
 
 

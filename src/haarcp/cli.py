@@ -94,8 +94,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_isoclinic(args) -> int:
-    G = resolve_group(args.group_a, cap=_cap(args))
-    H = resolve_group(args.group_b, cap=_cap(args))
+    cap = _cap(args)
+    G = resolve_group(args.group_a, cap=cap)
+    H = resolve_group(args.group_b, cap=cap)
     w = find_isoclinism(G, H)
     if w is None:
         print("none")
@@ -249,10 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     command = globals()["cmd_" + args.verb.replace("-", "_")]
     try:
         return command(args)
-    except HaarcpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (HaarcpError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

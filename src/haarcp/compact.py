@@ -237,7 +237,6 @@ class MonteCarloEstimate:
     estimate: float
     stderr: float
     samples: int
-    seed: int
     hits: int
 
 
@@ -313,7 +312,7 @@ def cp_monte_carlo(model: CompactModel, samples: int, seed: int) -> MonteCarloEs
         hits += int(np.count_nonzero(l_comm[pair.view(np.intp)]))
     p = hits / samples
     stderr = (p * (1.0 - p) / samples) ** 0.5
-    return MonteCarloEstimate(p, stderr, samples, seed, hits)
+    return MonteCarloEstimate(p, stderr, samples, hits)
 
 
 # -- standard test battery -------------------------------------------------

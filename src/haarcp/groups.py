@@ -382,34 +382,3 @@ def subgroup_as_group(S: Subgroup, name: str | None = None) -> tuple[FiniteGroup
     pick = _picker(emb)
     table = tuple(_picker(pick(G.mul_table[a]))(pos) for a in emb)
     return make_group(table, name=name or f"{G.name}|{S.order}"), emb
-
-
-def product_set(G: FiniteGroup, A: Iterable[int], B: Iterable[int]) -> set[int]:
-    """The set {a*b : a in A, b in B}."""
-    bl = list(B)
-    return {G.mul(a, b) for a in A for b in bl}
-
-
-# -- recognizing A5 ---------------------------------------------------------
-
-
-def class_size_multiset(G: FiniteGroup) -> tuple[int, ...]:
-    return tuple(sorted(len(c) for c in conjugacy_classes(G)))
-
-
-def is_perfect(G: FiniteGroup) -> bool:
-    return derived_subgroup(G).order == G.order
-
-
-def is_a5(G: FiniteGroup) -> bool:
-    """Recognize the alternating group of degree 5 by its class census.
-
-    Order 60 with class sizes {1, 12, 12, 15, 20} and a perfect derived
-    subgroup pins down A5 among all order-60 groups; the census test is
-    cross-checked against isomorphism search in the test suite.
-    """
-    if G.order != 60:
-        return False
-    if class_size_multiset(G) != (1, 12, 12, 15, 20):
-        return False
-    return is_perfect(G)

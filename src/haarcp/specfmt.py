@@ -1,12 +1,13 @@
 """Parsers for the line-oriented group and model spec formats.
 
-Group files:
+Group files use exactly one of: perm lines, one table block, or one
+product line and nothing else.
     perm (1 2 3)(4 5)        generators in disjoint-cycle notation
     table n                  followed by n rows of n indices
     product fileA fileB      direct product of two specs
     # comment
 
-Model files:
+Model files, each directive at most once (matrix at most once per element):
     torus_rank d
     acting_group <file or builtin name>
     matrix <element-index> <d*d integers row-major>
@@ -92,6 +93,7 @@ def parse_group_file(path: str | Path, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
 
 
 def _group_from_lines(path: Path, lines: list[str], cap: int) -> FiniteGroup:
+    kind: str | None = None  # the first directive; a spec uses only that kind
     perm_cycles: list[list[list[int]]] = []
     table: list[list[int]] | None = None
     expect_rows = 0
@@ -105,6 +107,13 @@ def _group_from_lines(path: Path, lines: list[str], cap: int) -> FiniteGroup:
             expect_rows -= 1
             continue
         verb, rest = _split_directive(line)
+        if verb not in _GROUP_DIRECTIVES:
+            raise ParseError(f"unknown directive {verb!r}", lineno)
+        if kind is not None and not kind == verb == "perm":
+            raise ParseError(
+                f"{verb} line after {kind}: use one product line, one table, or perm lines",
+                lineno)
+        kind = verb
         if verb == "perm":
             perm_cycles.append(parse_cycles(rest, lineno))
         elif verb == "table":
@@ -112,15 +121,13 @@ def _group_from_lines(path: Path, lines: list[str], cap: int) -> FiniteGroup:
                 raise ParseError(f"table needs a size: {line!r}", lineno)
             expect_rows = int(rest)
             table = []
-        elif verb == "product":
-            parts = rest.split()
-            if len(parts) != 2:
-                raise ParseError("product needs exactly two operands", lineno)
-            a = resolve_group(parts[0], cap=cap, relative_to=path.parent)
-            b = resolve_group(parts[1], cap=cap, relative_to=path.parent)
-            return direct_product(a, b, cap=cap, name=f"{a.name} x {b.name}")
         else:
-            raise ParseError(f"unknown directive {verb!r}", lineno)
+            factors = rest.split()
+            if len(factors) != 2:
+                raise ParseError("product needs exactly two operands", lineno)
+    if kind == "product":
+        a, b = (resolve_group(f, cap=cap, relative_to=path.parent) for f in factors)
+        return direct_product(a, b, cap=cap)
     if expect_rows:
         raise ParseError(f"table ended early, {expect_rows} rows missing")
     if table is not None:
@@ -190,8 +197,12 @@ def _model_from_lines(path: Path, lines: list[str], cap: int) -> CompactModel:
     acting: FiniteGroup | None = None
     extra: FiniteGroup | None = None
     matrices: dict[int, list[list[int]]] = {}
+    seen: set[str] = set()
     for lineno, line in _directives(lines):
         verb, rest = _split_directive(line)
+        if verb in seen and verb != "matrix":
+            raise ParseError(f"second {verb} line", lineno)
+        seen.add(verb)
         if verb == "torus_rank":
             digits = rest.removeprefix("-")
             if not (digits.isascii() and digits.isdigit()):
@@ -216,6 +227,8 @@ def _model_from_lines(path: Path, lines: list[str], cap: int) -> CompactModel:
                     f"matrix needs element index plus {rank * rank} entries", lineno
                 )
             g = vals[0]
+            if g in matrices:
+                raise ParseError(f"second matrix for element {g}", lineno)
             matrices[g] = [
                 vals[1 + i * rank: 1 + (i + 1) * rank] for i in range(rank)
             ]

@@ -1,4 +1,7 @@
+import sys
 from fractions import Fraction
+
+import pytest
 
 from haarcp import builders
 from haarcp.classify import (
@@ -10,10 +13,10 @@ from haarcp.classify import (
     detect_a5_x_abelian,
     scan_corpus,
 )
-from haarcp.compact import build_model, standard_model_battery
+from haarcp.compact import build_model, fc_center, standard_model_battery
 from haarcp.cp import cp_pair_count
 from haarcp.corpus import builtin_corpus
-from haarcp.groups import center, direct_product
+from haarcp.groups import center, direct_product, make_group
 
 
 class TestClassify:
@@ -40,17 +43,22 @@ class TestClassify:
 
 class TestDetectA5:
     def test_a5_itself(self, a5):
-        ev = detect_a5_x_abelian(a5)
-        assert ev is not None
-        assert ev.center_order == 1
+        assert detect_a5_x_abelian(a5) is True
 
     def test_a5_x_c4(self, a5):
-        ev = detect_a5_x_abelian(direct_product(a5, builders.cyclic(4)))
-        assert ev is not None
-        assert ev.center_order == 4
+        assert detect_a5_x_abelian(direct_product(a5, builders.cyclic(4))) is True
 
     def test_s5_rejected(self):
-        assert detect_a5_x_abelian(builders.symmetric(5)) is None
+        assert detect_a5_x_abelian(builders.symmetric(5)) is False
+
+    @pytest.mark.parametrize("build", [
+        builders.sl25,  # |G:Z| = 60, but the perfect core SL(2,5) has order 120
+        lambda: direct_product(builders.sl25(), builders.cyclic(2)),
+        lambda: direct_product(builders.symmetric(3), builders.dihedral(5)),  # order 60
+        lambda: direct_product(builders.alternating(5), builders.symmetric(3)),
+    ], ids=["sl25", "sl25 x c2", "s3 x d5", "a5 x s3"])
+    def test_negatives(self, build):
+        assert detect_a5_x_abelian(build()) is False
 
     def test_agrees_with_isomorphism_search(self, a5):
         from haarcp.groups import subgroup_as_group
@@ -58,40 +66,45 @@ class TestDetectA5:
 
         for T in (builders.trivial(), builders.cyclic(2), builders.cyclic(3)):
             G = direct_product(a5, T)
-            detected = detect_a5_x_abelian(G) is not None
+            detected = detect_a5_x_abelian(G)
             Zg, _ = subgroup_as_group(center(G))
             searched = find_isomorphism(G, direct_product(a5, Zg)) is not None
             assert detected == searched
 
-    def test_central_quotient_not_of_order_60_never_built(self, monkeypatch):
-        from haarcp import classify
+    def test_builds_no_table(self, monkeypatch, a5):
+        groups = [builders.symmetric(5), builders.cyclic(60), builders.alternating(6),
+                  direct_product(a5, builders.cyclic(4)), builders.sl25()]
+        built = []
 
-        def no_quotient(*args):
-            raise AssertionError("quotient built")
+        def spy(table, name="G"):
+            built.append(name)
+            return make_group(table, name)
 
-        monkeypatch.setattr(classify, "quotient", no_quotient)
-        for G in (builders.symmetric(5), builders.cyclic(60), builders.alternating(6)):
-            assert detect_a5_x_abelian(G) is None
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "haarcp" and getattr(module, "make_group", None) is make_group:
+                monkeypatch.setattr(module, "make_group", spy)
+        assert [detect_a5_x_abelian(G) for G in groups] == [False, False, False, True, False]
+        assert built == []
 
 
 class TestTheorem2Part1:
     def test_finite_group_vacuous(self, q8):
         report = check_theorem2_part1(q8)
         assert report.passed
-        assert not report.applicable
+        assert report.notes == ("finite group: conclusion vacuous",)
 
     def test_trivial_action_q8_model(self, q8):
         m = build_model(1, builders.trivial(), {}, q8)
         report = check_theorem2_part1(m)
-        assert report.applicable  # cp = 5/8 > 1/4
-        assert report.fc_index == 1
+        assert report.notes == ("cp = 5/8 > 1/4: FC index must be 1",)
+        assert fc_center(m).index == 1
         assert report.passed
 
     def test_o2_sharpness(self):
         m = build_model(1, builders.cyclic(2), {1: ((-1,),)}, name="o2")
         report = check_theorem2_part1(m)
         assert report.cp_value == Fraction(1, 4)
-        assert not report.applicable
+        assert report.notes[0] == "cp = 1/4 <= 1/4: nothing asserted"
         assert report.passed
         assert any("sharpness" in n for n in report.notes)
 
@@ -120,7 +133,7 @@ class TestTheorem1Check:
         report = check_theorem1(m, stem_corpus=corpus)
         assert report.equal
         assert report.cp_direct == Fraction(5, 128)
-        assert report.shadow_order == 8
+        assert fc_center(m).finite_shadow.order == 8
         assert report.stem_name in ("D4", "Q8")
         assert report.stem_cp_equal
 
@@ -166,7 +179,7 @@ class TestTheorem1Check:
         report = check_theorem1(m, stem_corpus=[a5])
         assert calls == {"fc_center": 1, "direct_product": 1, "shadow_pair_count": 1}
         assert report.cp_direct == report.cp_reduced == Fraction(1, 48)
-        assert report.shadow_order == 60
+        assert fc_center(m).finite_shadow.order == 60
         assert report.stem_name == a5.name and report.stem_cp_equal
 
 

@@ -307,6 +307,34 @@ class TestCommands:
         assert main([verb, str(f)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize("verb, spec, message", [
+        ("cp", "product s3 c2\nbogus directive here\n", "line 2: unknown directive 'bogus'"),
+        ("cp", "product s3 c2\nperm (1 2)\n",
+         "line 2: perm line after product: use one product line, one table, or perm lines"),
+        ("cp", "product s3 c2\nproduct c2 c2\n",
+         "line 2: product line after product: use one product line, one table, or perm lines"),
+        ("cp", "perm (1 2 3)\ntable 2\n0 1\n1 0\n",
+         "line 2: table line after perm: use one product line, one table, or perm lines"),
+        ("cp", "table 2\n0 1\n1 0\nperm (1 2 3)\n",
+         "line 4: perm line after table: use one product line, one table, or perm lines"),
+        ("cp", "table 1\n0\ntable 2\n0 1\n1 0\n",
+         "line 3: table line after table: use one product line, one table, or perm lines"),
+        ("fc", "torus_rank 1\nacting_group c2\nmatrix 1 -1\nmatrix 1 1\n",
+         "line 4: second matrix for element 1"),
+        ("fc", "torus_rank 1\nacting_group c2\nacting_group c4\n",
+         "line 3: second acting_group line"),
+        ("fc", "torus_rank 1\ntorus_rank 2\nacting_group c2\n", "line 2: second torus_rank line"),
+        ("fc", "torus_rank 0\nacting_group c2\nextra_factor c2\nextra_factor c3\n",
+         "line 4: second extra_factor line"),
+    ], ids=["product-then-bogus", "product-then-perm", "two-products", "perm-then-table",
+            "table-then-perm", "two-tables", "two-matrices", "two-acting-groups",
+            "two-torus-ranks", "two-extra-factors"])
+    def test_spec_says_one_thing_twice(self, verb, spec, message, tmp_path, capsys):
+        f = tmp_path / "twice.spec"
+        f.write_text(spec)
+        assert main([verb, str(f)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("name", ["c ²", "c ٣", "c٣", "dihedral ٤"])
     def test_builtin_order_in_non_ascii_digits(self, name, capsys):
         # int() reads '٣' as 3: the two-word form took "c ٣" for C3

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from haarcp.classify import Verdict, classify_high_cp
 from haarcp.cp import cp_class_count, cp_coset_formula, cp_pair_count
 from haarcp.groups import center, close_generators, conjugacy_classes, derived_subgroup
 
@@ -55,3 +56,32 @@ def test_sample_covers_orders():
     assert min(order for order, *_ in invariants) == 1
     assert any(1 < order == classes for order, classes, *_ in invariants)
     assert max(order for order, *_ in invariants) == 720
+
+
+def sl25_generators():
+    """SL(2,5) on the 24 nonzero vectors of F_5^2, from two matrices."""
+    points = [(x, y) for x in range(5) for y in range(5) if (x, y) != (0, 0)]
+    return [[points.index(((a * x + b * y) % 5, (c * x + d * y) % 5)) for x, y in points]
+            for a, b, c, d in ((1, 1, 0, 1), (0, 4, 1, 0))]
+
+
+def direct_products():
+    """Generator sets of A5 x C2, C3, C4 and SL(2,5) x C2, built by sympy."""
+    named = sympy_comb.named_groups
+    factors = [(named.AlternatingGroup(5), m) for m in (2, 3, 4)]
+    factors.append((sympy_comb.PermutationGroup(
+        [sympy_comb.Permutation(g) for g in sl25_generators()]), 2))
+    return [tuple(tuple(g.array_form) for g in
+                  sympy_comb.group_constructs.DirectProduct(P, named.CyclicGroup(m)).generators)
+            for P, m in factors]
+
+
+@pytest.mark.parametrize("gens", GENERATOR_SETS + direct_products(),
+                         ids=[f"R{i}" for i in range(len(GENERATOR_SETS))]
+                         + ["A5xC2", "A5xC3", "A5xC4", "SL25xC2"])
+def test_a5_times_abelian_against_sympy(gens):
+    P = sympy_comb.PermutationGroup([sympy_comb.Permutation(list(g)) for g in gens])
+    D = P.derived_subgroup()
+    expected = D.order() == 60 and D.is_perfect and 60 * P.center().order() == P.order()
+    verdict = classify_high_cp(close_generators(gens)).verdict
+    assert (verdict is Verdict.A5_TIMES_ABELIAN) == expected
