@@ -15,7 +15,7 @@ from .compact import CompactModel, cp_semianalytic, cp_theorem1, fc_center
 from .corpus import CorpusEntry
 from .cp import cp_pair_count, format_rational
 from .errors import HaarcpError
-from .groups import FiniteGroup, center, derived_series, is_solvable
+from .groups import FiniteGroup, Subgroup, center, derived_series
 from .isoclinism import find_stem_group
 
 FINITENESS_THRESHOLD = Fraction(1, 4)
@@ -40,17 +40,19 @@ class ClassificationResult:
     solvable: bool
 
 
-def detect_a5_x_abelian(G: FiniteGroup) -> bool:
+def detect_a5_x_abelian(G: FiniteGroup, series: list[Subgroup] | None = None) -> bool:
     """Whether G is A5 times an abelian group: |G| = 60|Z(G)| and the last
     term P of the derived series has order 60.
 
     P is perfect, and every group of order 60 other than A5 is solvable, so
     P = A5.  P meets Z(G) inside Z(P) = 1, so |P Z(G)| = 60|Z(G)| = |G| and
     G = P x Z(G).  Conversely A5 x T has center T and series G > A5 = A5'.
+    A caller that already has G's derived series passes it as series.
     """
-    if G.order % 60 != 0:
+    if G.order % 60 != 0 or G.order != 60 * center(G).order:
         return False
-    return G.order == 60 * center(G).order and derived_series(G)[-1].order == 60
+    series = derived_series(G) if series is None else series
+    return series[-1].order == 60
 
 
 def classify_high_cp(G: FiniteGroup) -> ClassificationResult:
@@ -58,14 +60,16 @@ def classify_high_cp(G: FiniteGroup) -> ClassificationResult:
 
     A THEOREM_VIOLATION verdict means a non-solvable group above 3/40 that
     is not A5 times abelian; no such group exists, so any occurrence is an
-    engine bug surfaced loudly.
+    engine bug surfaced loudly.  The derived series is worked out once and
+    serves both the solvability test and the A5 test.
     """
     cp = cp_pair_count(G)
     if cp == 1:
         return ClassificationResult(Verdict.ABELIAN, cp, True)
-    if is_solvable(G):
+    series = derived_series(G)
+    if series[-1].order == 1:
         return ClassificationResult(Verdict.SOLVABLE_NONABELIAN, cp, True)
-    if detect_a5_x_abelian(G):
+    if detect_a5_x_abelian(G, series):
         return ClassificationResult(Verdict.A5_TIMES_ABELIAN, cp, False)
     if cp <= SOLVABILITY_THRESHOLD:
         return ClassificationResult(Verdict.NONSOLVABLE_BELOW_THRESHOLD, cp, False)

@@ -3,8 +3,8 @@
 Two groups are isoclinic when their central quotients and derived subgroups
 are isomorphic by a pair of maps compatible with the commutator map.  The
 search enumerates isomorphisms of the central quotients; the derived-side
-map is then forced by the commutator correspondence and extended
-multiplicatively, so a candidate either determines a full witness or dies
+map is then forced by the commutator correspondence and extended along
+generator edges, so a candidate either determines a full witness or dies
 on a well-definedness conflict.  The verifier checks a witness against the
 tables alone, sharing no coset or quotient code with the search.
 """
@@ -12,12 +12,14 @@ tables alone, sharing no coset or quotient code with the search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from operator import getitem
+from typing import Iterable
 
 from .corpus import CorpusEntry
 from .errors import SearchCapExceeded
-from .groups import FiniteGroup, Subgroup, center, derived_subgroup, quotient
-from .isomorphism import SEARCH_CAP, _close_partial, iter_isomorphisms
+from .groups import FiniteGroup, Subgroup, _picker, center, derived_subgroup, quotient
+from .isomorphism import SEARCH_CAP, _close_partial, _identity_start, iter_isomorphisms
 
 
 @dataclass(frozen=True)
@@ -40,14 +42,30 @@ class IsoclinismWitness:
         return "\n".join(lines)
 
 
-class _Central(NamedTuple):
+class _Central:
     """A group's isoclinism data: G/Z(G), its coset representatives (the
     smallest member of each coset) and G'."""
 
-    group: FiniteGroup
-    quotient: FiniteGroup
-    pre: tuple[int, ...]
-    derived: Subgroup
+    def __init__(
+        self, group: FiniteGroup, quotient: FiniteGroup, pre: tuple[int, ...], derived: Subgroup
+    ):
+        self.group = group
+        self.quotient = quotient
+        self.pre = pre
+        self.derived = derived
+
+    @cached_property
+    def commutators(self) -> tuple[tuple[int, ...], ...]:
+        """commutators[c1][c2] = [pre[c1], pre[c2]], built when a search
+        first needs it: alpha only permutes these, so every candidate
+        alpha reads the same table."""
+        t, inv, pre = self.group.mul_table, self.group.inverse_table, self.pre
+        # [x, y] = x^-1 (y^-1 x y), and y^-1 x y is entry x*y of the row of y^-1
+        at_pre = _picker(pre)
+        inv_rows = [t[inv[y]] for y in pre]
+        return tuple(
+            _picker(tuple(map(getitem, inv_rows, at_pre(t[x]))))(t[inv[x]]) for x in pre
+        )
 
 
 def _central_data(
@@ -66,23 +84,33 @@ def _central_data(
 def _beta_from_alpha(
     g: _Central, h: _Central, alpha: list[int] | tuple[int, ...]
 ) -> dict[int, int] | None:
-    """Derived-subgroup map forced by alpha, or None if it is inconsistent."""
+    """Derived-subgroup map forced by alpha, or None if it is inconsistent.
+
+    alpha forces beta([x, y]) = [alpha(x), alpha(y)] on every pair of coset
+    representatives.  beta starts from identity -> identity and grows by the
+    generator-edge walk of `_close_partial`: a forced commutator the walk
+    has not reached yet becomes a generator.  Each row of forced values is
+    then compared with the walked ones, in one gather per side.  The
+    commutators generate G', so beta maps G' injectively and
+    homomorphically, and it must map onto H'.
+    """
     G, H = g.group, h.group
-    m = len(alpha)
-    beta: dict[int, int] = {}
-    for c1 in range(m):
-        for c2 in range(m):
-            u = G.commutator(g.pre[c1], g.pre[c2])
-            v = H.commutator(h.pre[alpha[c1]], h.pre[alpha[c2]])
-            if beta.setdefault(u, v) != v:
-                return None
-    # extend multiplicatively from commutators to all of G'
-    used = set(beta.values())
-    if len(used) != len(beta) or not _close_partial(G, H, beta, used, list(beta)):
+    beta, used, dom = _identity_start(G, H)
+    gens: list[int] = []
+    at_alpha = _picker(alpha)
+    for a, g_row in zip(alpha, g.commutators):
+        h_row = at_alpha(h.commutators[a])
+        if len(dom) < g.derived.order:  # the walk may not have reached this row
+            for u, v in zip(g_row, h_row):
+                if beta[u] < 0:
+                    gens.append(u)
+                    if not _close_partial(G, H, beta, used, dom, gens, v):
+                        return None
+        if _picker(g_row)(beta) != h_row:
+            return None
+    if set(dom) != g.derived.member_set or {beta[x] for x in dom} != h.derived.member_set:
         return None
-    if set(beta) != g.derived.member_set or used != h.derived.member_set:
-        return None
-    return beta
+    return {x: beta[x] for x in dom}
 
 
 def _search(

@@ -3,9 +3,10 @@
 Screening by each element's (order, class size) key, compared as a multiset
 between the groups, is followed by backtracking over generator images,
 each generator trying only the elements with its own key.
-A partial map is closed under multiplication as it grows, so inconsistent
-candidates die early; a map that covers the whole group is by construction
-a bijective homomorphism.
+Each generator's image is extended along the generator edges of the
+subgroup mapped so far (`_close_partial`), the walk that also fills in a
+model's action, so inconsistent candidates die early; a map that covers
+the whole group is by construction a bijective homomorphism.
 """
 
 from __future__ import annotations
@@ -28,31 +29,60 @@ def _element_keys(G: FiniteGroup) -> list[tuple[int, int]]:
     return keys
 
 
-def _close_partial(
-    G: FiniteGroup, H: FiniteGroup, phi: dict[int, int], used: set[int], fresh: list[int]
-) -> bool:
-    """Close a partial map under products starting from freshly added elements.
+def _identity_start(
+    G: FiniteGroup, H: FiniteGroup
+) -> tuple[list[int], list[bool], list[int]]:
+    """(phi, used, dom) for the map identity -> identity, where every walk starts."""
+    phi = [-1] * G.order
+    used = [False] * H.order
+    phi[G.identity] = H.identity
+    used[H.identity] = True
+    return phi, used, [G.identity]
 
-    Returns False on any homomorphism or injectivity conflict; phi/used are
-    mutated in place and only valid when True is returned.
+
+def _close_partial(
+    G: FiniteGroup,
+    H: FiniteGroup,
+    phi: list[int],
+    used: list[bool],
+    dom: list[int],
+    gens: list[int],
+    h: int,
+) -> bool:
+    """Extend an injective homomorphism by one generator, along generator edges.
+
+    phi (-1 where unmapped) maps the subgroup S = <gens[:-1]>, whose members
+    dom lists with the identity among them, injectively and homomorphically
+    into H; used marks its images.  The new generator gens[-1] is to map to
+    h.  The walk crosses every edge x -> x*k of <gens> not already inside S:
+    x*g for the members x of S and the new generator g, and x*k for every
+    generator k from each newly reached x.  Each edge sets or checks
+    phi(x*k) = phi(x)*phi(k), and a new image must be unused.  By induction
+    on word length that makes phi a homomorphism on <gens>, so it accepts
+    exactly the maps that extend to an injective homomorphism, and builds
+    the unique extension, at one table read per edge on each side.
+
+    Returns False on a conflict; phi, used and dom are then left partly
+    extended, and the caller discards them.
     """
-    queue = list(fresh)
-    while queue:
-        x = queue.pop()
-        for a in list(phi):
-            for p, q in ((a, x), (x, a)):
-                prod = G.mul(p, q)
-                img = H.mul(phi[p], phi[q])
-                known = phi.get(prod)
-                if known is not None:
-                    if known != img:
-                        return False
-                elif img in used:
+    s, t = G.mul_table, H.mul_table
+    old = len(dom)
+    edges = [(gens[-1], h)]
+    for i, x in enumerate(dom):  # dom grows while it is walked: a FIFO queue
+        if i == old:  # from here on every member is new: walk every generator
+            edges = [(k, phi[k]) for k in gens]
+        sx, tx = s[x], t[phi[x]]
+        for k, hk in edges:
+            y, v = sx[k], tx[hk]
+            known = phi[y]
+            if known < 0:
+                if used[v]:
                     return False
-                else:
-                    phi[prod] = img
-                    used.add(img)
-                    queue.append(prod)
+                phi[y] = v
+                used[v] = True
+                dom.append(y)
+            elif known != v:
+                return False
     return True
 
 
@@ -72,29 +102,25 @@ def iter_isomorphisms(G: FiniteGroup, H: FiniteGroup) -> Iterator[list[int]]:
     for h, key in enumerate(h_key):
         candidates.setdefault(key, []).append(h)
 
+    # each generator lies outside the span of the ones before, so after idx
+    # steps phi maps exactly <gens[:idx]>, and all of G once idx = len(gens)
     gens = greedy_generators(G.identity, range(G.order), G.mul)
 
-    def search(idx: int, phi: dict[int, int], used: set[int]) -> Iterator[list[int]]:
-        if len(phi) == G.order:
-            yield [phi[g] for g in range(G.order)]
-            return
+    def search(
+        idx: int, phi: list[int], used: list[bool], dom: list[int]
+    ) -> Iterator[list[int]]:
         if idx == len(gens):
+            yield phi
             return
-        g = gens[idx]
-        if g in phi:
-            yield from search(idx + 1, phi, used)
-            return
-        for h in candidates[g_key[g]]:
-            if h in used:
+        mapped = gens[:idx + 1]
+        for h in candidates[g_key[gens[idx]]]:
+            if used[h]:
                 continue
-            phi2 = dict(phi)
-            used2 = set(used)
-            phi2[g] = h
-            used2.add(h)
-            if _close_partial(G, H, phi2, used2, [g]):
-                yield from search(idx + 1, phi2, used2)
+            phi2, used2, dom2 = phi[:], used[:], dom[:]
+            if _close_partial(G, H, phi2, used2, dom2, mapped, h):
+                yield from search(idx + 1, phi2, used2, dom2)
 
-    yield from search(0, {G.identity: H.identity}, {H.identity})
+    yield from search(0, *_identity_start(G, H))
 
 
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> list[int] | None:

@@ -16,7 +16,7 @@ from haarcp.classify import (
 from haarcp.compact import build_model, fc_center, standard_model_battery
 from haarcp.cp import cp_pair_count
 from haarcp.corpus import builtin_corpus
-from haarcp.groups import center, direct_product, make_group
+from haarcp.groups import center, derived_series, direct_product, make_group
 
 
 class TestClassify:
@@ -85,6 +85,27 @@ class TestDetectA5:
                 monkeypatch.setattr(module, "make_group", spy)
         assert [detect_a5_x_abelian(G) for G in groups] == [False, False, False, True, False]
         assert built == []
+
+    @pytest.mark.parametrize("build, verdict", [
+        (lambda: direct_product(builders.alternating(5), builders.cyclic(6)),
+         Verdict.A5_TIMES_ABELIAN),
+        (lambda: builders.symmetric(5), Verdict.NONSOLVABLE_BELOW_THRESHOLD),
+    ], ids=["a5 x c6", "s5"])
+    def test_one_derived_series_per_classification(self, monkeypatch, build, verdict):
+        # the series serves both the solvability test and the A5 test
+        G = build()
+        calls = []
+
+        def counted(H):
+            calls.append(H)
+            return derived_series(H)
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "haarcp"
+                    and getattr(module, "derived_series", None) is derived_series):
+                monkeypatch.setattr(module, "derived_series", counted)
+        assert classify_high_cp(G).verdict is verdict
+        assert calls == [G]
 
 
 class TestTheorem2Part1:

@@ -17,11 +17,14 @@ from haarcp.groups import (
 )
 from haarcp.isoclinism import (
     IsoclinismWitness,
+    _beta_from_alpha,
+    _central_data,
     find_isoclinism,
     find_stem_group,
     is_stem_group,
     verify_isoclinism,
 )
+from haarcp.isomorphism import iter_isomorphisms
 
 
 def _central_product(d4):
@@ -168,6 +171,33 @@ class TestVerify:
         w = find_isoclinism(builders.cyclic(2), builders.cyclic(4))
         assert w is not None
         assert w.alpha == (0,)
+
+
+class TestBetaFromAlpha:
+    """Which maps alpha of the central quotients extend to an isoclinism.
+
+    In both groups below G/Z(G) = C2^4, so alpha runs over all 20160 maps
+    of GL(4, 2), and the commutator map is built from symplectic forms.
+    """
+
+    @staticmethod
+    def _extending(G):
+        g = _central_data(G)
+        alphas = list(iter_isomorphisms(g.quotient, g.quotient))
+        assert len(alphas) == 20160
+        found = [(a, b) for a in alphas if (b := _beta_from_alpha(g, g, a)) is not None]
+        for a, b in found:
+            assert verify_isoclinism(G, G, IsoclinismWitness(tuple(a), b))
+        return len(found)
+
+    def test_d4_x_d4(self, d4):
+        # one form per factor, valued in G' = C2^2: alpha must keep or swap
+        # the two factors, (S3 x S3) : C2, of order 72
+        assert self._extending(direct_product(d4, d4)) == 72
+
+    def test_central_product_d4_o_d4(self, d4):
+        # one nondegenerate form valued in G' = C2: Sp(4, 2) = S6, order 720
+        assert self._extending(_central_product(d4)[1]) == 720
 
 
 class TestFind:

@@ -1,10 +1,17 @@
+import itertools
+
 import pytest
 
 from haarcp import builders, isomorphism
 from haarcp.corpus import builtin_corpus
 from haarcp.errors import SearchCapExceeded
-from haarcp.groups import direct_product
-from haarcp.isomorphism import find_isomorphism, iter_isomorphisms
+from haarcp.groups import FiniteGroup, direct_product, generated_subgroup, greedy_generators
+from haarcp.isomorphism import (
+    _close_partial,
+    _identity_start,
+    find_isomorphism,
+    iter_isomorphisms,
+)
 
 
 def _is_isomorphism(G, H, phi):
@@ -104,3 +111,137 @@ def test_one_class_computation_per_group(monkeypatch, d4, q8):
     assert find_isomorphism(d4, d4) is not None
     assert find_isomorphism(d4, q8) is None
     assert len(calls) == 4
+
+
+# -- automorphism counts ------------------------------------------------------
+
+
+def _c2_cubed():
+    c2 = builders.cyclic(2)
+    return direct_product(direct_product(c2, c2), c2)
+
+
+@pytest.mark.parametrize("build, count", [
+    (lambda: builders.cyclic(12), 4),
+    (builders.klein4, 6),
+    (lambda: builders.symmetric(3), 6),
+    (lambda: builders.dihedral(4), 8),
+    (builders.quaternion8, 24),
+    (lambda: builders.alternating(4), 24),
+    (lambda: builders.symmetric(4), 24),
+    (lambda: builders.dihedral(5), 20),
+    (_c2_cubed, 168),  # GL(3, 2)
+    (builders.extraspecial27_exponent3, 432),
+    (builders.extraspecial27_exponent9, 54),
+    (lambda: builders.alternating(5), 120),
+    (builders.sl25, 120),
+], ids=["C12", "V4", "S3", "D4", "Q8", "A4", "S4", "D5", "C2^3", "ES27+", "ES27-",
+        "A5", "SL(2,5)"])
+def test_automorphism_count(build, count):
+    G = build()
+    autos = list(iter_isomorphisms(G, G))
+    assert len(autos) == count
+    assert len({tuple(phi) for phi in autos}) == count
+    for phi in autos:
+        assert _is_isomorphism(G, G, phi)
+
+
+# -- the generator-edge walk --------------------------------------------------
+
+
+def _extend(G, H, images):
+    """Walk G's greedy generators onto images one at a time; the map, or None."""
+    gens = greedy_generators(G.identity, range(G.order), G.mul)
+    phi, used, dom = _identity_start(G, H)
+    for j, h in enumerate(images):
+        if not _close_partial(G, H, phi, used, dom, gens[:j + 1], h):
+            return None
+    return phi
+
+
+def _all_pairs_extend(G, H, images):
+    """The same extension by closing under every product of mapped elements:
+    the injective homomorphism on the generated subgroup, or None."""
+    gens = greedy_generators(G.identity, range(G.order), G.mul)
+    phi = {G.identity: H.identity, **dict(zip(gens, images))}
+    if len(set(phi.values())) < len(phi):
+        return None
+    changed = True
+    while changed:
+        changed = False
+        for a, b in itertools.product(list(phi), repeat=2):
+            x, v = G.mul(a, b), H.mul(phi[a], phi[b])
+            if x in phi:
+                if phi[x] != v:
+                    return None
+            elif v in phi.values():
+                return None
+            else:
+                phi[x] = v
+                changed = True
+    return [phi.get(x, -1) for x in range(G.order)]
+
+
+class _CountingRow(tuple):
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountingRow.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def _counting(G):
+    rows = tuple(_CountingRow(row) for row in G.mul_table)
+    return FiniteGroup(G.order, rows, G.identity, G.inverse_table, G.name)
+
+
+class TestClosePartial:
+    def test_rejects_non_injective(self):
+        C4 = builders.cyclic(4)
+        assert C4.element_order(1) == 4 and C4.element_order(2) == 2
+        phi, used, dom = _identity_start(C4, C4)
+        assert not _close_partial(C4, C4, phi, used, dom, [1], 2)
+
+    def test_rejects_non_homomorphic(self):
+        # the generator of C2 cannot map to an element of order 4
+        C2, C4 = builders.cyclic(2), builders.cyclic(4)
+        phi, used, dom = _identity_start(C2, C4)
+        assert not _close_partial(C2, C4, phi, used, dom, [1], 1)
+
+    def test_returns_the_unique_extension(self):
+        # x -> x^5 is an automorphism of C12, and C12's element i is x^i
+        C12 = builders.cyclic(12)
+        phi, used, dom = _identity_start(C12, C12)
+        assert _close_partial(C12, C12, phi, used, dom, [1], 5)
+        assert phi == [5 * i % 12 for i in range(12)]
+        assert sorted(dom) == list(range(12)) and all(used)
+
+    @pytest.mark.parametrize("G, H", [
+        (builders.symmetric(3), builders.symmetric(3)),
+        (builders.dihedral(4), builders.quaternion8()),
+        (builders.dihedral(4), builders.dihedral(4)),
+        (builders.alternating(4), builders.alternating(4)),
+        (_c2_cubed(), _c2_cubed()),
+        (builders.cyclic(6), direct_product(builders.cyclic(2), builders.cyclic(3))),
+    ], ids=["S3", "D4-Q8", "D4", "A4", "C2^3", "C6-C2xC3"])
+    def test_agrees_with_all_pairs_closure(self, G, H):
+        # every assignment of generator images, accepted or not
+        k = len(greedy_generators(G.identity, range(G.order), G.mul))
+        for images in itertools.product(range(H.order), repeat=k):
+            assert _extend(G, H, images) == _all_pairs_extend(G, H, images), images
+
+    def test_work_is_edges_not_pairs(self, a5):
+        # one entry read on each side per generator edge: step j walks the
+        # new generator from the |S_j-1| old members and all j generators
+        # from the new ones, at most 2|G|k reads in all; closing under all
+        # products instead reads about 2|S|^2 entries per step
+        gens = greedy_generators(a5.identity, range(a5.order), a5.mul)
+        sizes = [generated_subgroup(a5, gens[:j]).order for j in range(len(gens) + 1)]
+        edges = sum(sizes[j - 1] + j * (sizes[j] - sizes[j - 1]) for j in range(1, len(sizes)))
+        G = _counting(a5)
+        phi, used, dom = _identity_start(G, G)
+        _CountingRow.reads = 0
+        for j, g in enumerate(gens):
+            assert _close_partial(G, G, phi, used, dom, gens[:j + 1], g)
+        assert phi == list(range(G.order))
+        assert _CountingRow.reads == 2 * edges <= 2 * G.order * len(gens)
