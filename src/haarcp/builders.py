@@ -8,6 +8,7 @@ from typing import Callable, Hashable, Sequence
 from .groups import (
     FiniteGroup,
     Perm,
+    _compose,
     close_generators,
     greedy_generators,
     make_group,
@@ -71,11 +72,7 @@ def symmetric(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("symmetric degree must be >= 1")
     perms: list[Perm] = sorted(itertools.permutations(range(n)))
-
-    def mul(p, q):
-        return tuple(q[i] for i in p)
-
-    return group_from_elements(perms, mul, name=f"S{n}")
+    return group_from_elements(perms, _compose, name=f"S{n}")
 
 
 def alternating(n: int) -> FiniteGroup:
@@ -83,11 +80,7 @@ def alternating(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("alternating degree must be >= 1")
     perms = sorted(p for p in itertools.permutations(range(n)) if _is_even(p))
-
-    def mul(p, q):
-        return tuple(q[i] for i in p)
-
-    return group_from_elements(perms, mul, name=f"A{n}")
+    return group_from_elements(perms, _compose, name=f"A{n}")
 
 
 def _is_even(p: Perm) -> bool:

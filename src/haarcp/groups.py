@@ -143,23 +143,29 @@ def verify_axioms(G: FiniteGroup) -> bool:
 # -- closure ---------------------------------------------------------------
 
 
-def _bfs_closure(start, gens, mul, cap: int | None = None, cap_message: str = ""):
-    """Everything reachable from start by right multiplication with gens.
+def _grow(members: list, index: dict, gens: Sequence, mul: Callable, old: int,
+          cap: int | None = None, cap_message: str = "") -> None:
+    """Close members, whose first old entries are closed under gens[:-1], under gens.
 
-    Returns (elements in BFS order, element -> position).  Raises
-    ClosureExceedsCap(cap_message) before the element list passes cap.
+    index maps each member to its position; both grow in place, in BFS
+    order.  From the first old members the walk crosses only x -> x*gens[-1];
+    from every later one, each generator.  A fresh closure is the walk from
+    [start] with old = 0.  Growing a span of s members by one generator to
+    s' members takes s + k*(s' - s) products, so a span of n elements grown
+    one generator at a time takes n*k.  Raises ClosureExceedsCap(cap_message)
+    before members passes cap.
     """
-    elements = [start]
-    index = {start: 0}
-    for x in elements:  # the list grows while it is walked: a FIFO queue
-        for g in gens:
+    edges = gens[-1:]
+    for i, x in enumerate(members):  # members grows while it is walked: a FIFO queue
+        if i == old:  # from here on every member is new: walk every generator
+            edges = gens
+        for g in edges:
             y = mul(x, g)
             if y not in index:
-                if cap is not None and len(elements) >= cap:
+                if cap is not None and len(members) >= cap:
                     raise ClosureExceedsCap(cap_message)
-                index[y] = len(elements)
-                elements.append(y)
-    return elements, index
+                index[y] = len(members)
+                members.append(y)
 
 
 def greedy_generators(identity, elements: Iterable[Hashable], mul: Callable) -> list:
@@ -167,11 +173,11 @@ def greedy_generators(identity, elements: Iterable[Hashable], mul: Callable) -> 
     ones before.  Together they generate every element, each as a product
     of generators."""
     gens: list = []
-    reached = {identity}
+    span, reached = [identity], {identity: 0}
     for x in elements:
         if x not in reached:
             gens.append(x)
-            reached = _bfs_closure(identity, gens, mul)[1]
+            _grow(span, reached, gens, mul, len(span))
     return gens
 
 
@@ -211,10 +217,9 @@ def close_generators(
     for p in perms:
         if len(p) != degree or sorted(p) != list(range(degree)):
             raise ValueError(f"not a permutation of 0..{degree - 1}: {p}")
-    elements, index = _bfs_closure(
-        tuple(range(degree)), perms, _compose, cap,
-        f"closure exceeds cap {cap} (degree {degree})",
-    )
+    elements = [tuple(range(degree))]
+    index = {elements[0]: 0}
+    _grow(elements, index, perms, _compose, 0, cap, f"closure exceeds cap {cap} (degree {degree})")
     left = [[index[_compose(g, x)] for x in elements] for g in perms]
     return make_group(table_from_left(left, 0, tuple(range(len(elements)))), name=name)
 
@@ -224,7 +229,8 @@ def close_generators(
 
 def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """Subgroup generated by the given element indices."""
-    elements, _ = _bfs_closure(G.identity, set(gens), G.mul)
+    elements = [G.identity]
+    _grow(elements, {G.identity: 0}, list(set(gens)), G.mul, 0)
     return Subgroup(G, tuple(sorted(elements)))
 
 
@@ -253,13 +259,14 @@ def derived_subgroup_of(S: Subgroup) -> Subgroup:
     G = S.parent
     X = greedy_generators(G.identity, S.members, G.mul)
     gens = list({G.commutator(x, y) for i, x in enumerate(X) for y in X[i + 1:]})
-    N = _bfs_closure(G.identity, gens, G.mul)[1]
+    N, index = [G.identity], {G.identity: 0}
+    _grow(N, index, gens, G.mul, 0)
     for c in gens:  # gens grows while it is walked: new ones are conjugated too
         for x in X:
             y = G.conj(x, c)
-            if y not in N:
+            if y not in index:
                 gens.append(y)
-                N = _bfs_closure(G.identity, gens, G.mul)[1]
+                _grow(N, index, gens, G.mul, len(N))
     return Subgroup(G, tuple(sorted(N)))
 
 

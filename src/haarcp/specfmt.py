@@ -92,7 +92,13 @@ def parse_group_file(path: str | Path, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
     return _group_from_lines(path, _read_lines(path), cap)
 
 
-def _group_from_lines(path: Path, lines: list[str], cap: int) -> FiniteGroup:
+def _group_from_lines(
+    path: Path, lines: list[str], cap: int, chain: tuple[Path, ...] = ()
+) -> FiniteGroup:
+    """The group a spec's lines describe.  chain lists the product specs
+    whose operands led here, outermost first; a product spec whose resolved
+    path is already on it is a cycle.  Paths are resolved only to check a
+    nested product spec, so a spec named on the command line pays nothing."""
     kind: str | None = None  # the first directive; a spec uses only that kind
     perm_cycles: list[list[list[int]]] = []
     table: list[list[int]] | None = None
@@ -125,8 +131,11 @@ def _group_from_lines(path: Path, lines: list[str], cap: int) -> FiniteGroup:
             factors = rest.split()
             if len(factors) != 2:
                 raise ParseError("product needs exactly two operands", lineno)
+            product_line = lineno
     if kind == "product":
-        a, b = (resolve_group(f, cap=cap, relative_to=path.parent) for f in factors)
+        if chain and path.resolve() in map(Path.resolve, chain):
+            raise ParseError(f"product cycle through {path.name}", product_line)
+        a, b = (_resolve_group(f, cap, path.parent, (*chain, path)) for f in factors)
         return direct_product(a, b, cap=cap)
     if expect_rows:
         raise ParseError(f"table ended early, {expect_rows} rows missing")
@@ -148,6 +157,8 @@ def _group_from_lines(path: Path, lines: list[str], cap: int) -> FiniteGroup:
     if not perm_cycles:
         raise ParseError("no generators and no table in group spec")
     degree = max((p for cyc in perm_cycles for c in cyc for p in c), default=1)
+    if degree > cap:  # every permutation is a tuple of degree entries
+        raise ClosureExceedsCap(f"perm point {degree} exceeds cap {cap}")
     perms = [_perm_from_cycles(cyc, degree) for cyc in perm_cycles]
     return close_generators(perms, cap=cap, name=path.stem)
 
@@ -158,6 +169,12 @@ def resolve_group(
     relative_to: Path | None = None,
 ) -> FiniteGroup:
     """Builtin name first, then filesystem path."""
+    return _resolve_group(name_or_path, cap, relative_to, ())
+
+
+def _resolve_group(
+    name_or_path: str, cap: int, relative_to: Path | None, chain: tuple[Path, ...]
+) -> FiniteGroup:
     g = corpus.builtin_group(name_or_path, cap)
     if g is not None:
         return g
@@ -168,7 +185,9 @@ def resolve_group(
             path = candidate
     if not path.exists():
         raise ParseError(f"not a builtin group and not a file: {name_or_path!r}")
-    return parse_group_file(path, cap=cap)
+    if not chain:  # the same read; traced runs time spec files named by the user here
+        return parse_group_file(path, cap=cap)
+    return _group_from_lines(path, _read_lines(path), cap, chain)
 
 
 def resolve_group_or_model(

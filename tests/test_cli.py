@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import haarcp
-from haarcp import corpus
+from haarcp import corpus, specfmt
 from haarcp.cli import main
 from haarcp.errors import ClosureExceedsCap, ParseError
 from haarcp.groups import quotient
@@ -417,6 +417,53 @@ class TestCommands:
         f = tmp_path / "m.model"
         f.write_text("torus_rank 3\nacting_group c2\n")
         assert main(["--cap", "9", "fc", str(f)]) == 0
+
+    @pytest.mark.parametrize("argv, point, cap", [
+        (["cp"], 10000000, 20000),
+        (["--cap", "8", "center"], 9, 8),
+    ], ids=["huge-point", "point-9-cap-8"])
+    def test_perm_point_honours_cap(self, argv, point, cap, tmp_path, capsys, monkeypatch):
+        # a point above the cap exits 2 before any permutation is built: at
+        # 10000000 each permutation alone would be a tuple of that length
+        def no_build(*args):
+            raise AssertionError("permutation built")
+        monkeypatch.setattr(specfmt, "_perm_from_cycles", no_build)
+        f = tmp_path / "g.group"
+        f.write_text(f"perm (1 2 3)\nperm (1 {point})\n")
+        assert main(argv + [str(f)]) == 2
+        assert capsys.readouterr() == ("", f"error: perm point {point} exceeds cap {cap}\n")
+
+    def test_perm_point_at_cap_allowed(self, tmp_path, capsys):
+        f = tmp_path / "g.group"
+        f.write_text("perm (1 8)\n")
+        assert main(["--cap", "8", "cp", str(f)]) == 0
+
+    @pytest.mark.parametrize("specs, message", [
+        ({"self.group": "product self.group c2\n"},
+         "line 1: product cycle through self.group"),
+        ({"self.group": "product self.group c2\n", "a.group": "product c3 self.group\n"},
+         "line 1: product cycle through self.group"),
+        ({"a.group": "product b.group c2\n", "b.group": "# b\nproduct c3 sub/../a.group\n"},
+         "line 1: product cycle through a.group"),
+    ], ids=["direct", "reached-from-outside", "two-files"])
+    def test_product_cycle_exits_2(self, specs, message, tmp_path, capsys):
+        # cycles are found by resolved path, before the recursion runs away
+        (tmp_path / "sub").mkdir()
+        for name, text in specs.items():
+            (tmp_path / name).write_text(text)
+        f = tmp_path / ("a.group" if "a.group" in specs else "self.group")
+        assert main(["cp", str(f)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_product_diamond_allowed(self, tmp_path, capsys):
+        # d = l x r with both l and r built from base: base is read twice, no cycle
+        for name, text in {"base.group": "perm (1 2 3)\nperm (1 2)\n",
+                           "l.group": "product base.group c2\n",
+                           "r.group": "product base.group c3\n",
+                           "d.group": "product l.group r.group\n"}.items():
+            (tmp_path / name).write_text(text)
+        assert main(["center", str(tmp_path / "d.group")]) == 0
+        assert parse_group_file(tmp_path / "d.group").order == 216
 
     @pytest.mark.parametrize("verb", ["cp", "classify", "verify-t2"])
     def test_non_associative_table_exits_2(self, verb, tmp_path, capsys):

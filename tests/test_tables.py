@@ -5,6 +5,7 @@ products looked up by index, one entry at a time.  The oracles below are
 that construction, kept independent of the library's builders.
 """
 
+import functools
 import itertools
 import random
 import sys
@@ -16,11 +17,13 @@ from haarcp.cli import main
 from haarcp.corpus import builtin_corpus
 from haarcp.errors import ParseError
 from haarcp.groups import (
+    FiniteGroup,
     Subgroup,
     center,
     close_generators,
     conjugacy_classes,
     derived_subgroup,
+    derived_series,
     derived_subgroup_of,
     direct_product,
     generated_subgroup,
@@ -54,16 +57,43 @@ def compose(p, q):
     return tuple(q[i] for i in p)
 
 
-def oracle_closure(perms):
-    elements = [tuple(range(len(perms[0])))]
-    seen = {elements[0]}
+def oracle_bfs(start, gens, mul):
+    """Everything reached from start by right multiplication with gens, in BFS order."""
+    elements = [start]
+    seen = {start}
     for x in elements:
-        for g in perms:
-            y = compose(x, g)
+        for g in gens:
+            y = mul(x, g)
             if y not in seen:
                 seen.add(y)
                 elements.append(y)
     return elements
+
+
+def oracle_closure(perms):
+    return oracle_bfs(tuple(range(len(perms[0]))), perms, compose)
+
+
+def oracle_greedy(identity, elements, mul):
+    """greedy_generators with each span closed again from the identity."""
+    gens = []
+    reached = {identity}
+    for x in elements:
+        if x not in reached:
+            gens.append(x)
+            reached = set(oracle_bfs(identity, gens, mul))
+    return gens
+
+
+def counting_mul(G):
+    """(mul, calls): products by table lookup, each call appended to calls."""
+    t, calls = G.mul_table, []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return t[a][b]
+
+    return mul, calls
 
 
 def assert_matches(G, table):
@@ -97,10 +127,15 @@ def oracle_product_table(A, B):
 
 
 def oracle_derived(G, members):
-    """Closure of all commutators of pairs of members."""
+    """Closure of all commutators of pairs of members, by table lookups."""
+    t = G.mul_table
     comms = {G.commutator(x, y) for x in members for y in members}
-    return generated_subgroup(G, comms).members
+    return tuple(sorted(oracle_bfs(G.identity, comms, lambda a, b: t[a][b])))
 
+
+# A Latin square with identity 0 that is not associative, as verify_axioms
+# meets it in a `table` spec.
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
 
 S6_GENS = [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)]
 A6_GENS = [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)]
@@ -324,6 +359,46 @@ class TestDerivedSubgroup:
         for G in groups:
             S = oracle_centralizer(G, G.order - 1)
             assert derived_subgroup_of(S).members == oracle_derived(G, S.members), G.name
+
+
+def power_of_c2(k):
+    return functools.reduce(direct_product, [builders.cyclic(2)] * k)
+
+
+class TestGrowSpansInPlace:
+    """Spans grow from the members already reached: no closure restarts
+    from the identity, so n elements and k generators cost n*k products."""
+
+    @pytest.mark.parametrize("build, k", [
+        (lambda: builders.symmetric(6), 5),
+        (lambda: direct_product(builders.symmetric(6), builders.cyclic(2)), 6),
+        (lambda: direct_product(builders.alternating(5), builders.cyclic(6)), 4),
+        (lambda: power_of_c2(6), 6),
+    ], ids=["S6", "S6xC2", "A5xC6", "C2^6"])
+    def test_greedy_generators_takes_n_times_k_products(self, build, k):
+        G = build()
+        mul, calls = counting_mul(G)
+        assert len(greedy_generators(G.identity, range(G.order), mul)) == k
+        assert len(calls) == G.order * k
+
+    def test_derived_series_of_s6_products(self, monkeypatch):
+        G = builders.symmetric(6)
+        mul, calls = counting_mul(G)
+        monkeypatch.setattr(FiniteGroup, "mul", lambda self, a, b: mul(a, b))
+        assert [S.order for S in derived_series(G)] == [720, 360]
+        # S6' = A6: greedy generators of S6 (720*5) and A6 grown from their
+        # commutators and conjugates (1800); A6' = A6: greedy generators of
+        # A6 (360*4) and A6 grown again (1800)
+        assert len(calls) == 8640
+
+    def test_same_generators_as_reclosing(self, groups):
+        tables = [G.mul_table for G in groups] + [LOOP5]
+        for t in tables:
+            G = make_group(t)
+            shuffled = random.Random(len(t)).sample(range(G.order), G.order)
+            for elements in (range(G.order), shuffled):
+                assert (greedy_generators(G.identity, elements, G.mul)
+                        == oracle_greedy(G.identity, elements, G.mul))
 
 
 class TestSingleIndexGathers:
