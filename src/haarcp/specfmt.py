@@ -98,7 +98,7 @@ def _group_from_lines(
     """The group a spec's lines describe.  chain lists the product specs
     whose operands led here, outermost first; a product spec whose resolved
     path is already on it is a cycle.  Paths are resolved only to check a
-    nested product spec, so a spec named on the command line pays nothing."""
+    nested product spec, not for the outermost one."""
     kind: str | None = None  # the first directive; a spec uses only that kind
     perm_cycles: list[list[list[int]]] = []
     table: list[list[int]] | None = None
@@ -185,8 +185,6 @@ def _resolve_group(
             path = candidate
     if not path.exists():
         raise ParseError(f"not a builtin group and not a file: {name_or_path!r}")
-    if not chain:  # the same read; traced runs time spec files named by the user here
-        return parse_group_file(path, cap=cap)
     return _group_from_lines(path, _read_lines(path), cap, chain)
 
 
