@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 from .builders import trivial
 from .errors import NotAHomomorphism, NotUnimodular, RankMismatch, ZeroSamples
-from .groups import FiniteGroup, Subgroup, direct_product, subgroup_as_group
+from .groups import FiniteGroup, Subgroup, _grow, direct_product, subgroup_as_group
 from .cp import _symmetric_entries, cp_pair_count
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -134,25 +134,21 @@ def build_model(
     if not gens:
         # no matrices given: trivial action on every element
         return CompactModel(d, Q, (ident,) * Q.order, L, name=name)
-    # Not the closure in groups: GL(d, Z) is infinite, so a closure over
-    # (q, M) pairs need not end; this walks Q and checks each matrix it meets.
-    # Every edge q -> q*g sets or checks M(q*g) = M(q) M(g), and a complete
-    # walk crosses every edge.  That proves the homomorphism law: by
-    # induction on the length of a word w in the generators, M(q w g) =
-    # M(q w) M(g) = M(q) M(w) M(g) = M(q) M(w g), and every element of the
-    # finite group Q is such a word.
+    # The closure walk of Q from the identity crosses every edge q -> q*g,
+    # and each crossing sets or checks M(q*g) = M(q) M(g).  That proves the
+    # homomorphism law: by induction on the length of a word w in the
+    # generators, M(q w g) = M(q w) M(g) = M(q) M(w) M(g) = M(q) M(w g),
+    # and every element of the finite group Q is such a word.
     action: dict[int, Matrix] = {Q.identity: ident}
-    queue = [Q.identity]
-    for q in queue:  # the list grows while it is walked: a FIFO queue
-        for g in gens:
-            r = Q.mul(q, g)
-            m = mat_mul(action[q], given[g])
-            known = action.get(r)
-            if known is None:
-                action[r] = m
-                queue.append(r)
-            elif known != m:
-                raise NotAHomomorphism(f"conflicting matrices reached for element {r}")
+
+    def step(q: int, g: int) -> int:
+        r = Q.mul(q, g)
+        m = mat_mul(action[q], given[g])
+        if action.setdefault(r, m) != m:
+            raise NotAHomomorphism(f"conflicting matrices reached for element {r}")
+        return r
+
+    _grow([Q.identity], {Q.identity: 0}, gens, step, 0)
     if len(action) < Q.order:
         raise NotAHomomorphism("matrix-bearing elements do not generate the acting group")
     full = tuple(action[q] for q in range(Q.order))

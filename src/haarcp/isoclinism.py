@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .corpus import CorpusEntry
 from .errors import SearchCapExceeded
-from .groups import FiniteGroup, Subgroup, _picker, center, derived_subgroup, quotient
+from .groups import FiniteGroup, _picker, center, derived_subgroup, quotient
 from .isomorphism import SEARCH_CAP, _close_partial, _identity_start, iter_isomorphisms
 
 
@@ -43,42 +43,38 @@ class IsoclinismWitness:
 
 
 class _Central:
-    """A group's isoclinism data: G/Z(G), its coset representatives (the
-    smallest member of each coset) and G'."""
+    """A group's isoclinism data.  Z(G), G' and the index |G:Z(G)| are
+    worked out at once: the search cap, the order screen and the stem test
+    read only these.  G/Z(G) is built on first read."""
 
-    def __init__(
-        self, group: FiniteGroup, quotient: FiniteGroup, pre: tuple[int, ...], derived: Subgroup
-    ):
+    def __init__(self, group: FiniteGroup):
         self.group = group
-        self.quotient = quotient
-        self.pre = pre
-        self.derived = derived
+        self.center = center(group)
+        self.derived = derived_subgroup(group)
+        self.index = group.order // self.center.order
+
+    @cached_property
+    def quotient(self) -> tuple[FiniteGroup, tuple[int, ...]]:
+        """(G/Z(G), the smallest member of each coset), built on first read."""
+        G = self.group
+        Q, proj = quotient(G, self.center)
+        pre = [0] * Q.order
+        for g in reversed(range(G.order)):
+            pre[proj[g]] = g
+        return Q, tuple(pre)
 
     @cached_property
     def commutators(self) -> tuple[tuple[int, ...], ...]:
         """commutators[c1][c2] = [pre[c1], pre[c2]], built when a search
         first needs it: alpha only permutes these, so every candidate
         alpha reads the same table."""
-        t, inv, pre = self.group.mul_table, self.group.inverse_table, self.pre
+        t, inv, pre = self.group.mul_table, self.group.inverse_table, self.quotient[1]
         # [x, y] = x^-1 (y^-1 x y), and y^-1 x y is entry x*y of the row of y^-1
         at_pre = _picker(pre)
         inv_rows = [t[inv[y]] for y in pre]
         return tuple(
             _picker(tuple(map(getitem, inv_rows, at_pre(t[x]))))(t[inv[x]]) for x in pre
         )
-
-
-def _central_data(
-    G: FiniteGroup, Z: Subgroup | None = None, D: Subgroup | None = None
-) -> _Central:
-    """Isoclinism data of G, reusing Z(G) and G' when the caller has them."""
-    Z = center(G) if Z is None else Z
-    Q, proj = quotient(G, Z)
-    pre = [0] * Q.order
-    for g in reversed(range(G.order)):
-        pre[proj[g]] = g
-    D = derived_subgroup(G) if D is None else D
-    return _Central(G, Q, tuple(pre), D)
 
 
 def _beta_from_alpha(
@@ -113,20 +109,15 @@ def _beta_from_alpha(
     return {x: beta[x] for x in dom}
 
 
-def _search(
-    g: _Central, H: FiniteGroup, Z: Subgroup | None = None, D: Subgroup | None = None
-) -> IsoclinismWitness | None:
-    """First witness G ~ H, or None.  The search cap is judged from the
-    orders of both central quotients; H's quotient is built only when
-    |H/Z(H)| and |H'| match G's."""
-    Z = center(H) if Z is None else Z
-    D = derived_subgroup(H) if D is None else D
-    if max(g.quotient.order, H.order // Z.order) > SEARCH_CAP:
+def _search(g: _Central, h: _Central) -> IsoclinismWitness | None:
+    """First witness G ~ H, or None.  The search cap is judged from both
+    indices |G:Z(G)| and |H:Z(H)|, the pair is then screened on the index
+    and |G'|, and only a pair that passes reads either central quotient."""
+    if max(g.index, h.index) > SEARCH_CAP:
         raise SearchCapExceeded(f"central quotient order exceeds search cap {SEARCH_CAP}")
-    if (g.quotient.order, g.derived.order) != (H.order // Z.order, D.order):
+    if (g.index, g.derived.order) != (h.index, h.derived.order):
         return None
-    h = _central_data(H, Z, D)
-    for alpha in iter_isomorphisms(g.quotient, h.quotient):
+    for alpha in iter_isomorphisms(g.quotient[0], h.quotient[0]):
         beta = _beta_from_alpha(g, h, alpha)
         if beta is not None:
             return IsoclinismWitness(tuple(alpha), beta)
@@ -135,7 +126,7 @@ def _search(
 
 def find_isoclinism(G: FiniteGroup, H: FiniteGroup) -> IsoclinismWitness | None:
     """Search for an isoclinism witness; None if the groups are not isoclinic."""
-    return _search(_central_data(G), H)
+    return _search(_Central(G), _Central(H))
 
 
 def verify_isoclinism(G: FiniteGroup, H: FiniteGroup, w: IsoclinismWitness) -> bool:
@@ -204,24 +195,20 @@ def find_stem_group(
 
     A stem group H isoclinic to F has H/Z(H) ~ F/Z(F), H' ~ F' and
     Z(H) <= H' (Hall), so |H| = q*m with q = |F:Z(F)| and m = |Z(H)|
-    dividing d = |F'|.  Candidates of any other order are skipped, however
-    large, unless q itself is above the search cap: the search then raises
-    SearchCapExceeded on the first stem candidate, and must still do so.
-    F's central quotient is built once, when the first stem candidate is
-    reached; each candidate's center and derived subgroup serve both the
-    stem test and the search.
+    dividing d = |F'|.  Candidates of any other order are skipped.  The
+    search cap is judged on q before any candidate is built.  F's central
+    quotient is built once, when a first candidate passes the screen.
     """
-    Z, D = center(F), derived_subgroup(F)
-    q, d = F.order // Z.order, D.order
-    f: _Central | None = None
+    f = _Central(F)
+    q, d = f.index, f.derived.order
+    if q > SEARCH_CAP:
+        raise SearchCapExceeded(f"central quotient order exceeds search cap {SEARCH_CAP}")
     for c in sorted(corpus, key=lambda c: (c.order, c.name)):
-        if q <= SEARCH_CAP and (c.order % q or d % (c.order // q)):
+        if c.order % q or d % (c.order // q):
             continue
-        H = c if isinstance(c, FiniteGroup) else c.group()
-        ZH, DH = center(H), derived_subgroup(H)
-        if ZH.member_set <= DH.member_set:
-            f = f or _central_data(F, Z, D)
-            w = _search(f, H, ZH, DH)
+        h = _Central(c if isinstance(c, FiniteGroup) else c.group())
+        if h.center.member_set <= h.derived.member_set:
+            w = _search(f, h)
             if w is not None:
-                return H, w
+                return h.group, w
     return None

@@ -217,9 +217,11 @@ class TestCommands:
         assert "order 1" in capsys.readouterr().out
 
     def test_stem_above_search_cap(self, tmp_path, capsys, builtin_builds):
-        # |A6/Z(A6)| = 360 is above the search cap, so A6 still exits 2
+        # |A6/Z(A6)| = 360 is above the search cap, so A6 still exits 2,
+        # before any candidate is built
         assert main(["stem", "a6"]) == 2
         assert capsys.readouterr() == ("", "error: central quotient order exceeds search cap 256\n")
+        assert builtin_builds == [("alternating", 6)]
         # |S3 x S3 : Z| = 36 is not: candidates whose order is not 36*m with
         # m | |F'| = 9 are skipped however large, so D129 (order 258, above
         # the cap) is never built, and only orders 36, 108 and 324 are tried
@@ -334,6 +336,57 @@ class TestCommands:
         f.write_text(spec)
         assert main([verb, str(f)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("verb, spec, message", [
+        ("cp", "perm (1 ٢ 3)\n", "line 1: non-integer point in cycle: '1 ٢ 3'"),
+        ("cp", "perm (1 2_0)\n", "line 1: non-integer point in cycle: '1 2_0'"),
+        ("cp", "perm (1 +2)\n", "line 1: non-integer point in cycle: '1 +2'"),
+        ("cp", "table 2\n0 1\n1 ٠\n", "line 3: bad table row: '1 ٠'"),
+        ("cp", "table 2\n0 1\n1 0_0\n", "line 3: bad table row: '1 0_0'"),
+        ("cp", "table 2\n0 1\n1\u00a00\n", "line 3: bad table row: '1\\xa00'"),
+        ("fc", "torus_rank 1\nacting_group c2\nmatrix 1 -١\n",
+         "line 3: bad matrix line: 'matrix 1 -١'"),
+        ("fc", "torus_rank 1\nacting_group c2\nmatrix ١ -1\n",
+         "line 3: bad matrix line: 'matrix ١ -1'"),
+    ], ids=["perm-arabic-indic", "perm-underscore", "perm-plus", "table-arabic-indic",
+            "table-underscore", "table-no-break-space", "matrix-entry", "matrix-element"])
+    def test_number_that_is_not_an_ascii_integer(self, verb, spec, message, tmp_path, capsys):
+        # int() reads '٢' as 2, '2_0' as 20 and '+2' as 2, and str.split()
+        # splits at a no-break space
+        f = tmp_path / "bad.spec"
+        f.write_text(spec, encoding="utf-8")
+        assert main([verb, str(f)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("verb, spec, read", [
+        ("cp", "product g.group c2\n", lambda f: parse_group_file(f).order // 2),
+        ("fc", "torus_rank 0\nacting_group g.group\n",
+         lambda f: parse_model_file(f).acting_group.order),
+        ("fc", "torus_rank 0\nacting_group c2\nextra_factor g.group\n",
+         lambda f: parse_model_file(f).extra_factor.order),
+    ], ids=["product", "acting-group", "extra-factor"])
+    def test_operand_read_next_to_its_spec(self, verb, spec, read, tmp_path, monkeypatch,
+                                           capsys):
+        # one spec names one group wherever haarcp runs: a relative operand
+        # is read in the spec's directory, never in the working directory
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (tmp_path / "g.group").write_text("perm (1 2 3)\nperm (1 2)\n")
+        (sub / "x.spec").write_text(spec)
+        places = [(tmp_path, "sub/x.spec"), (sub, "x.spec")]
+        for cwd, arg in places:
+            monkeypatch.chdir(cwd)
+            assert main([verb, arg]) == 2
+            assert capsys.readouterr() == (
+                "", "error: not a builtin group and not a file: 'g.group'\n")
+        (sub / "g.group").write_text("perm (1 2)\n")
+        outs = []
+        for cwd, arg in places:
+            monkeypatch.chdir(cwd)
+            assert main([verb, arg]) == 0
+            outs.append(capsys.readouterr())
+            assert read(arg) == 2  # sub/g.group, C2, not the S3 above it
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("name", ["c ²", "c ٣", "c٣", "dihedral ٤"])
     def test_builtin_order_in_non_ascii_digits(self, name, capsys):
@@ -588,6 +641,8 @@ GOLDEN_SPECS = {
     "perm2.group": "perm (1 2 3 4)(5 6 7)\nperm (1 3)\n",
     "d4xc3.group": "product d4 c3\n",
     "a5xc2.group": "product a5 c2\n",
+    "o2xs3.model": "torus_rank 1\nacting_group cyclic 2\nmatrix 1 -1\nextra_factor s3\n",
+    "trivial-s3xa5.model": "torus_rank 2\nacting_group s3\nextra_factor a5\n",
 }
 # Verbs whose output carries element indices, so closure order, coset
 # numbering and witness maps are pinned byte for byte.  "@name" stands for
@@ -600,6 +655,8 @@ GOLDEN_CASES = {
     "stem_d4xc3": ["stem", "@d4xc3.group"],
     "classify_a5xc2": ["classify", "@a5xc2.group"],
     "scan_machine": ["scan", "--machine"],
+    "verify_t1_o2xs3": ["verify-t1", "@o2xs3.model"],
+    "verify_t1_trivial_s3xa5": ["verify-t1", "@trivial-s3xa5.model"],
 }
 
 

@@ -78,6 +78,20 @@ class TestValidation:
             build_model(len(matrix), builders.cyclic(2), {1: matrix})
         assert str(err.value) == f"matrix for element 1 has determinant {det}"
 
+    @pytest.mark.parametrize("d, qname, given, element", [
+        (1, "C4", {1: ((-1,),), 2: ((-1,),)}, 2),
+        (1, "C3", {1: ((-1,),)}, 0),
+        (1, "S3", {2: ((-1,),), 3: ((-1,),)}, 4),
+        (2, "S3", {2: ((0, 1), (1, 0)), 3: ((0, -1), (1, 0))}, 4),
+        (2, "D4", {1: ROT90, 4: ((-1, 0), (0, 1)), 5: ((1, 0), (0, -1))}, 5),
+    ], ids=["c4", "c3", "s3-rank-1", "s3-rank-2", "d4"])
+    def test_first_conflict_message(self, d, qname, given, element):
+        # the walk visits Q breadth first from the identity, generators in
+        # the order given, and names the first element reached two ways
+        with pytest.raises(NotAHomomorphism) as err:
+            build_model(d, ORACLE_GROUPS[qname], given)
+        assert str(err.value) == f"conflicting matrices reached for element {element}"
+
     def test_nongenerating_matrices_rejected(self):
         c4 = builders.cyclic(4)
         with pytest.raises(NotAHomomorphism):

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from haarcp import builders
+from haarcp import builders, isoclinism
+from haarcp.cli import main
 from haarcp.corpus import builtin_corpus, builtin_entries
 from haarcp.cp import cp_coset_formula, cp_pair_count
 from haarcp.errors import SearchCapExceeded
@@ -17,8 +18,8 @@ from haarcp.groups import (
 )
 from haarcp.isoclinism import (
     IsoclinismWitness,
+    _Central,
     _beta_from_alpha,
-    _central_data,
     find_isoclinism,
     find_stem_group,
     is_stem_group,
@@ -182,8 +183,8 @@ class TestBetaFromAlpha:
 
     @staticmethod
     def _extending(G):
-        g = _central_data(G)
-        alphas = list(iter_isomorphisms(g.quotient, g.quotient))
+        g = _Central(G)
+        alphas = list(iter_isomorphisms(g.quotient[0], g.quotient[0]))
         assert len(alphas) == 20160
         found = [(a, b) for a in alphas if (b := _beta_from_alpha(g, g, a)) is not None]
         for a, b in found:
@@ -334,3 +335,63 @@ class TestStemGroups:
                     hits += 1
                     assert _passes_screen(F, H.order), (F.name, H.name)
         assert hits > len(stems)  # each stem with itself, and more
+
+
+@pytest.fixture
+def quotients(monkeypatch):
+    """Every group whose central quotient the search builds, in call order."""
+    real, built = isoclinism.quotient, []
+
+    def spy(G, N):
+        built.append(G)
+        return real(G, N)
+
+    monkeypatch.setattr(isoclinism, "quotient", spy)
+    return built
+
+
+class TestQuotientsAfterCapAndScreen:
+    """A central quotient is built only for a pair that passes the search
+    cap and the (|G:Z(G)|, |G'|) screen."""
+
+    def test_screened_pair_builds_none(self, quotients, d4, s3):
+        # |D4:Z| = 4, |S3:Z| = 6
+        assert find_isoclinism(d4, s3) is None
+        assert quotients == []
+
+    def test_pair_that_passes_builds_both(self, quotients, d4, q8):
+        assert find_isoclinism(d4, q8) is not None
+        assert len(quotients) == 2 and quotients[0] is d4 and quotients[1] is q8
+
+    def test_stem_search_builds_f_once(self, quotients):
+        # F = D24 of order 48 has |F:Z(F)| = 24 and |F'| = 12: the stem S4
+        # passes the screen and is searched and rejected, then D24 itself
+        F = builders.dihedral(24)
+        found = find_stem_group(F, builtin_entries(64))
+        assert found is not None and found[0].name == "D24"
+        assert [G.name for G in quotients] == ["D24", "S4", "D24"]
+        assert sum(G is F for G in quotients) == 1
+
+    def test_stem_cap_before_any_candidate(self, quotients, capsys):
+        # |A6:Z| = 360: the cap fires before the trivial group, the first
+        # candidate, is reached (tests/test_cli.py checks that no corpus
+        # group is built)
+        assert main(["stem", "a6"]) == 2
+        assert capsys.readouterr() == ("", "error: central quotient order exceeds search cap 256\n")
+        assert quotients == []
+
+    def test_cap_before_screen(self, quotients, capsys):
+        # |A6:Z| = 360 and |S5:Z| = 120 fail the screen, but the cap is
+        # judged first
+        assert main(["isoclinic", "a6", "s5"]) == 2
+        assert capsys.readouterr() == ("", "error: central quotient order exceeds search cap 256\n")
+        assert quotients == []
+
+    def test_verify_t1_shadow_above_cap(self, quotients, tmp_path, capsys):
+        # the shadow S3 x A5 has |F:Z(F)| = 360
+        f = tmp_path / "m.model"
+        f.write_text("torus_rank 2\nacting_group s3\nextra_factor a5\n")
+        assert main(["verify-t1", str(f)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "note: stem search skipped: central quotient order exceeds search cap 256")
+        assert quotients == []
