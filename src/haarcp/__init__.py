@@ -39,7 +39,6 @@ from .cp import (
 from .groups import (
     FiniteGroup,
     Subgroup,
-    Transversal,
     center,
     close_generators,
     conjugacy_classes,

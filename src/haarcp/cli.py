@@ -24,6 +24,7 @@ from .classify import (
 )
 from .compact import cp_monte_carlo, cp_semianalytic, fc_center
 from .cp import (
+    _ints,
     cp_class_count,
     cp_coset_formula,
     cp_pair_count,
@@ -39,7 +40,7 @@ from .specfmt import parse_model_file, resolve_group, resolve_group_or_model
 def _cap(args) -> int:
     """The closure cap: --cap, else HAARCP_CAP, else the default; each must be > 0."""
     if args.cap is not None:
-        source, text = "--cap", str(args.cap)
+        source, text = "--cap", args.cap
     elif "HAARCP_CAP" in os.environ:
         source, text = "HAARCP_CAP", os.environ["HAARCP_CAP"]
     else:
@@ -47,6 +48,15 @@ def _cap(args) -> int:
     if not (text.isascii() and text.isdigit() and int(text) > 0):
         raise ValueError(f"{source} must be a positive integer, got {text!r}")
     return int(text)
+
+
+def _integer(text: str) -> int:
+    """An option's integer, read as every number in a spec is (see _ints)."""
+    try:
+        (value,) = _ints(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return value
 
 
 def _group(args, tokens) -> FiniteGroup:
@@ -195,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="haarcp",
         description="Exact commuting probability for finite groups and finite-by-torus compact groups.",
     )
-    parser.add_argument("--cap", type=int, default=None,
+    parser.add_argument("--cap", default=None,
                         help="closure cap (overrides HAARCP_CAP)")
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -216,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("group_b")
 
     p = sub.add_parser("stem", help="find a stem group isoclinic to the input")
-    p.add_argument("--max-order", type=int, default=64)
+    p.add_argument("--max-order", type=_integer, default=64)
     p.add_argument("group", nargs="+")
 
     p = sub.add_parser("verify-t1", help="check both cp routes agree on a model")
@@ -233,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="*")
 
     p = sub.add_parser("mc", help="Monte Carlo cp estimate for a model")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_integer, required=True)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("model")
 
     return parser

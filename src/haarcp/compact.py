@@ -167,8 +167,8 @@ def fc_center(model: CompactModel) -> FcDescription:
     ident = identity_matrix(model.torus_rank)
     kernel = tuple(q for q in range(Q.order) if model.action[q] == ident)
     # the kernel of a homomorphism is a subgroup; build_model checked the law
-    kgrp, _ = subgroup_as_group(Subgroup(Q, kernel), name=f"ker({model.name})")
-    shadow = direct_product(kgrp, model.extra_factor, name=f"fc({model.name})")
+    kgrp, _ = subgroup_as_group(Subgroup(Q, kernel))
+    shadow = direct_product(kgrp, model.extra_factor)
     return FcDescription(kernel, shadow, Q.order // len(kernel))
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import builders
 from .errors import ClosureExceedsCap
@@ -113,16 +113,15 @@ class CorpusEntry(NamedTuple):
         return _named(self.kind, self.n)
 
 
-def builtin_entries(max_order: int = 64) -> list[CorpusEntry]:
-    """Every builtin group of order <= max_order, in corpus order, none built."""
-    entries: list[CorpusEntry] = []
+def builtin_entries(max_order: int = 64) -> Iterator[CorpusEntry]:
+    """Every builtin group of order <= max_order, in corpus order, none built.
+    Entries are yielded one at a time: a reader that keeps few holds few."""
     for kind, (_make, order_of, (first, last)) in _KINDS.items():
         for n in range(first, (max_order if last is None else last) + 1):
             order = order_of(n, max_order)
             if order > max_order:
                 break
-            entries.append(CorpusEntry(f"{kind} {n}" if n else kind, order, kind, n))
-    return entries
+            yield CorpusEntry(f"{kind} {n}" if n else kind, order, kind, n)
 
 
 def builtin_corpus(max_order: int = 64) -> list[tuple[str, FiniteGroup]]:

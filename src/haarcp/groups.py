@@ -74,18 +74,6 @@ class Subgroup:
         return frozenset(self.members)
 
 
-@dataclass(frozen=True)
-class Transversal:
-    """Coset representatives, one per left coset of `subgroup` in its parent."""
-
-    subgroup: Subgroup
-    reps: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.reps)
-
-
 def make_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
     """Build a FiniteGroup from a Cayley table, locating identity and inverses.
 
@@ -302,9 +290,9 @@ def _cosets(G: FiniteGroup, H: Subgroup) -> tuple[list[int], list[int]]:
     return proj, reps
 
 
-def left_transversal(G: FiniteGroup, H: Subgroup) -> Transversal:
+def left_transversal(G: FiniteGroup, H: Subgroup) -> tuple[int, ...]:
     """One representative per left coset rep*H, smallest unassigned index first."""
-    return Transversal(H, tuple(_cosets(G, H)[1]))
+    return tuple(_cosets(G, H)[1])
 
 
 def is_normal(G: FiniteGroup, N: Subgroup) -> bool:
@@ -341,9 +329,7 @@ def _picker(idx: Sequence[int]) -> Callable:
     return itemgetter(*idx)
 
 
-def direct_product(
-    G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CLOSURE_CAP, name: str | None = None
-) -> FiniteGroup:
+def direct_product(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """Componentwise product on index pairs, flattened row-major: (g, h) -> g*|H| + h.
 
     The table is walked from the left maps of (g, 1) and (1, h) for
@@ -362,7 +348,7 @@ def direct_product(
         pick = _picker(t[h])
         left.append([x for block in blocks for x in pick(block)])
     rows = table_from_left(left, G.identity * m + H.identity, ids)
-    return make_group(rows, name=name or f"{G.name} x {H.name}")
+    return make_group(rows, name=f"{G.name} x {H.name}")
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
@@ -376,7 +362,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
     return Q, proj
 
 
-def subgroup_as_group(S: Subgroup, name: str | None = None) -> tuple[FiniteGroup, list[int]]:
+def subgroup_as_group(S: Subgroup) -> tuple[FiniteGroup, list[int]]:
     """Re-index a subgroup as a standalone group; returns (group, embedding).
 
     embedding[i] is the parent element index of the new group's element i.
@@ -388,4 +374,4 @@ def subgroup_as_group(S: Subgroup, name: str | None = None) -> tuple[FiniteGroup
         pos[g] = i
     pick = _picker(emb)
     table = tuple(_picker(pick(G.mul_table[a]))(pos) for a in emb)
-    return make_group(table, name=name or f"{G.name}|{S.order}"), emb
+    return make_group(table, name=f"{G.name}|{S.order}"), emb

@@ -195,7 +195,8 @@ def find_stem_group(
 
     A stem group H isoclinic to F has H/Z(H) ~ F/Z(F), H' ~ F' and
     Z(H) <= H' (Hall), so |H| = q*m with q = |F:Z(F)| and m = |Z(H)|
-    dividing d = |F'|.  Candidates of any other order are skipped.  The
+    dividing d = |F'|.  Candidates of any other order are dropped as the
+    corpus is read, and only the ones that pass are sorted.  The
     search cap is judged on q before any candidate is built.  F's central
     quotient is built once, when a first candidate passes the screen.
     """
@@ -203,9 +204,8 @@ def find_stem_group(
     q, d = f.index, f.derived.order
     if q > SEARCH_CAP:
         raise SearchCapExceeded(f"central quotient order exceeds search cap {SEARCH_CAP}")
-    for c in sorted(corpus, key=lambda c: (c.order, c.name)):
-        if c.order % q or d % (c.order // q):
-            continue
+    passed = [c for c in corpus if not (c.order % q or d % (c.order // q))]
+    for c in sorted(passed, key=lambda c: (c.order, c.name)):
         h = _Central(c if isinstance(c, FiniteGroup) else c.group())
         if h.center.member_set <= h.derived.member_set:
             w = _search(f, h)

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from . import corpus
 from .compact import CompactModel, build_model
+from .cp import _ints
 from .errors import ClosureExceedsCap, ParseError
 from .groups import (
     DEFAULT_CLOSURE_CAP,
@@ -38,17 +39,6 @@ from .groups import (
 
 _GROUP_DIRECTIVES = ("perm", "table", "product")
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    """The integers of an ASCII text, each a -?[0-9]+ token; ValueError
-    otherwise.  int() alone also reads '٣', '2_0' and '+2'; on ASCII text
-    without '_' and '+' it reads exactly -?[0-9]+.  The checks are C-level
-    scans: a regex match per token made a 360-row table about 20 ms slower
-    to read."""
-    if not text.isascii() or "_" in text or "+" in text:
-        raise ValueError(text)
-    return tuple(map(int, text.split()))
 
 
 def parse_cycles(text: str, line: int | None = None) -> list[tuple[int, ...]]:
@@ -141,6 +131,8 @@ def _group_from_lines(
             if not (rest.isascii() and rest.isdigit()):
                 raise ParseError(f"table needs a size: {line!r}", lineno)
             expect_rows = int(rest)
+            if expect_rows > cap:  # each row is a tuple of n entries
+                raise ClosureExceedsCap(f"table size {expect_rows} exceeds cap {cap}")
             table = []
         else:
             factors = rest.split()

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import haarcp
-from haarcp import corpus, specfmt
+from haarcp import builders, corpus, specfmt
 from haarcp.cli import main
 from haarcp.errors import ClosureExceedsCap, ParseError
 from haarcp.groups import quotient
@@ -31,6 +31,10 @@ def o2_file(tmp_path):
 # 1*(1*2) = 4.  It has an identity and inverses, so it reaches the
 # associativity check.
 LOOP5_SPEC = "table 5\n0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n"
+
+# Q8's Cayley table as a table spec
+Q8_SPEC = "table 8\n" + "".join(" ".join(map(str, row)) + "\n"
+                                for row in builders.quaternion8().mul_table)
 
 
 @pytest.fixture
@@ -485,6 +489,45 @@ class TestCommands:
         f.write_text(f"perm (1 2 3)\nperm (1 {point})\n")
         assert main(argv + [str(f)]) == 2
         assert capsys.readouterr() == ("", f"error: perm point {point} exceeds cap {cap}\n")
+
+    @pytest.mark.parametrize("argv, spec, size, cap", [
+        (["cp"], "table 10000000\n", 10000000, 20000),
+        (["--cap", "7", "cp"], Q8_SPEC, 8, 7),
+    ], ids=["huge-size-no-rows", "size-8-cap-7"])
+    def test_table_size_honours_cap(self, argv, spec, size, cap, tmp_path, capsys):
+        # the size line is judged before any row is read
+        f = tmp_path / "g.group"
+        f.write_text(spec)
+        assert main(argv + [str(f)]) == 2
+        assert capsys.readouterr() == ("", f"error: table size {size} exceeds cap {cap}\n")
+
+    def test_table_size_at_cap_allowed(self, tmp_path, capsys):
+        f = tmp_path / "q8.group"
+        f.write_text(Q8_SPEC)
+        assert main(["--cap", "8", "cp", str(f)]) == 0
+        assert "coset-formula: 5/8" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["--cap", "٣٠", "cp", "c2"], "٣٠"),
+        (["--cap", "1_0", "cp", "c2"], "1_0"),
+        (["--cap", "+5", "cp", "c2"], "+5"),
+        (["stem", "--max-order", "٦٤", "c2"], "٦٤"),
+        (["mc", "--samples", "١٠", "--seed", "٣", "MODEL"], "١٠"),
+        (["scan", "--threshold", "٣/٤٠", "q8"], "٣/٤٠"),
+        (["scan", "--threshold", "1_0/3", "q8"], "1_0/3"),
+    ], ids=["cap-arabic-indic", "cap-underscore", "cap-plus", "max-order", "samples",
+            "threshold-arabic-indic", "threshold-underscore"])
+    def test_option_that_is_not_an_ascii_integer(self, argv, bad, o2_file, capsys):
+        # int() reads '٣٠' as 30, '1_0' as 10 and '+5' as 5; an option's
+        # number follows the rule of a spec's numbers
+        argv = [o2_file if a == "MODEL" else a for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the option's type
+            code = exc.code
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"{bad!r}" in err
 
     def test_perm_point_at_cap_allowed(self, tmp_path, capsys):
         f = tmp_path / "g.group"

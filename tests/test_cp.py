@@ -18,7 +18,7 @@ from haarcp.cp import (
 )
 from haarcp.errors import CenterMismatch
 from haarcp.groups import (
-    Transversal,
+    FiniteGroup,
     center,
     direct_product,
     generated_subgroup,
@@ -177,9 +177,9 @@ class TestCosetFormula:
         base = left_transversal(q8, Z)
         for _ in range(10):
             reps = tuple(
-                q8.mul(r, rng.choice(Z.members)) for r in base.reps
+                q8.mul(r, rng.choice(Z.members)) for r in base
             )
-            value = cp_coset_formula(q8, Transversal(Z, reps))
+            value = cp_coset_formula(q8, reps)
             assert value == Fraction(5, 8)
 
     def test_transversal_of_non_center_rejected(self, s3):
@@ -190,7 +190,22 @@ class TestCosetFormula:
     def test_transversal_missing_cosets_rejected(self, q8):
         # one representative repeated: three of the four cosets are missed
         with pytest.raises(CenterMismatch):
-            cp_coset_formula(q8, Transversal(center(q8), (0, 0, 0, 0)))
+            cp_coset_formula(q8, (0, 0, 0, 0))
+
+    def test_default_reps_made_in_one_coset_pass(self, monkeypatch):
+        # left_transversal's representatives are not checked again: one
+        # product per element, where checking them took a second n
+        G = direct_product(builders.symmetric(4), builders.cyclic(2))
+        expected = cp_pair_count(G)
+        mul, calls = FiniteGroup.mul, []
+
+        def counting(self, a, b):
+            calls.append(a)
+            return mul(self, a, b)
+
+        monkeypatch.setattr(FiniteGroup, "mul", counting)
+        assert cp_coset_formula(G) == expected
+        assert center(G).order == 2 and len(calls) == G.order
 
     def test_reads_the_table_in_place(self):
         # with a trivial center every element is a representative; a copied

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from haarcp import builders, isoclinism
 from haarcp.cli import main
-from haarcp.corpus import builtin_corpus, builtin_entries
+from haarcp.corpus import builtin_corpus, builtin_entries, builtin_group
 from haarcp.cp import cp_coset_formula, cp_pair_count
 from haarcp.errors import SearchCapExceeded
 from haarcp.groups import (
@@ -324,6 +325,22 @@ class TestStemGroups:
             assert found is not None and expected is not None, F.name
             assert found[0].name == expected[0].name, F.name
             assert found[1].serialize() == expected[1].serialize(), F.name
+
+    def test_corpus_is_streamed(self):
+        # only the orders q*m that pass the screen are kept; here q = 1 and
+        # m = 1, so of some 75000 corpus entries only the trivial group is
+        F = builders.cyclic(2)
+        tracemalloc.start()
+        try:
+            found = find_stem_group(F, builtin_entries(50000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert found is not None
+        H, w = found
+        assert H is builtin_group("trivial")
+        assert w == IsoclinismWitness((0,), {0: 0})
+        assert peak < 1_000_000
 
     def test_isoclinic_stem_groups_pass_the_screen(self):
         groups = [G for _n, G in builtin_corpus(64)]
