@@ -197,6 +197,7 @@ def cp_theorem1(model: CompactModel, fc: FcDescription | None = None) -> Fractio
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_M1 = 0xBF58476D1CE4E5B9
 _SM_M2 = 0x94D049BB133111EB
+_SM_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 def splitmix64_stream(seed: int, count: int, first: int = 1, step: int = 1,
@@ -213,13 +214,12 @@ def splitmix64_stream(seed: int, count: int, first: int = 1, step: int = 1,
     """
     import numpy as np
 
-    mask = 0xFFFFFFFFFFFFFFFF
     k = np.arange(count, dtype=np.uint64) if at is None else at
     z = np.empty(count, dtype=np.uint64) if out is None else out
     t = np.empty(count, dtype=np.uint64) if scratch is None else scratch
     with np.errstate(over="ignore"):
-        np.multiply(k, np.uint64(step * _SM_GAMMA & mask), out=z)
-        z += np.uint64((seed + first * _SM_GAMMA) & mask)
+        np.multiply(k, np.uint64(step * _SM_GAMMA & _SM_MASK), out=z)
+        z += np.uint64((seed + first * _SM_GAMMA) & _SM_MASK)
         for shift, mul in ((30, _SM_M1), (27, _SM_M2), (31, None)):
             np.right_shift(z, np.uint64(shift), out=t)
             z ^= t
@@ -257,6 +257,8 @@ def cp_monte_carlo(model: CompactModel, samples: int, seed: int) -> MonteCarloEs
     """
     if samples < 1:
         raise ZeroSamples("need at least one sample")
+    if not 0 <= seed <= _SM_MASK:  # the stream reads the seed mod 2^64
+        raise ValueError(f"seed must be in 0..{_SM_MASK}, got {seed}")
     import numpy as np
 
     Q = model.acting_group

@@ -2,28 +2,33 @@
 
 All values are `fractions.Fraction` in lowest terms; floating point never
 enters these code paths.  The direct pair count is the ground truth, the
-class-counting identity and the central-coset formula cross-check it.  The
-pair count has its own kernel, which reads the table once per pair of
-inverse classes {x, x^-1}.  The coset formula, and the semi-analytic model
-route in `compact`, use the plain triangle loop `_symmetric_entries`.  The
-two kernels share no code, so a bug in either shows up as a disagreement
-between routes.
+class-counting identity and the central-coset formula cross-check it.
+Commuting pairs are counted by three kernels that share no code:
+  * the pair count reads the table once per pair of inverse classes
+    {x, x^-1} of G;
+  * the coset formula reads it once per pair of cyclic classes of G/Z
+    (`_cyclic_classes`, then `_class_entries`);
+  * the semi-analytic model route in `compact` reads the plain triangle
+    over the action kernel (`_symmetric_entries`).
+So a bug in any one of them shows up as a disagreement between routes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .errors import CenterMismatch
-from .groups import FiniteGroup, center, conjugacy_classes, left_transversal
+from .groups import FiniteGroup, _cosets, center, conjugacy_classes
 
 
 def _symmetric_entries(t, idx) -> int:
     """Number of (a, b) in idx x idx with t[a][b] == t[b][a], read off t in
-    place over the triangle above the diagonal.  A plain loop: the
-    interpreter's inline int compare beats a C-level map(operator.eq, row,
-    column), which calls eq once per entry."""
+    place over the triangle above the diagonal: the kernel of the
+    semi-analytic model route, apart from the other two routes' kernels.
+    A plain loop: the interpreter's inline int compare beats a C-level
+    map(operator.eq, row, column), which calls eq once per entry."""
     idx = list(idx)  # list slices iterate faster than range slices
     count = len(idx)  # the diagonal
     for i, a in enumerate(idx):
@@ -63,23 +68,78 @@ def cp_class_count(G: FiniteGroup) -> Fraction:
     return Fraction(len(conjugacy_classes(G)), G.order)
 
 
-def cp_coset_formula(G: FiniteGroup, reps: Sequence[int] | None = None) -> Fraction:
-    """(sum of commutation indicators) / |G:Z|^2 over representatives of Z(G).
+def _cyclic_classes(t, proj: Sequence[int], reps: Sequence[int], zc: int) -> dict[int, list[int]]:
+    """The cyclic classes of G/Z, as {weight: their representatives}.
 
-    The value is independent of the representatives chosen: central shifts
-    of representatives never change whether two of them commute.  Supplied
-    representatives must meet every coset of Z(G) exactly once; the default
-    ones, from left_transversal, do by construction.
+    proj maps each element to its coset number, reps[c] lies in coset c and
+    zc is the number of Z itself.  For m = ord(rZ), the class of rZ is
+    {r^k Z : gcd(k, m) = 1}, of weight phi(m), and every element of it has
+    the centralizer of r: some k' = k mod m is prime to ord(r), and r^k'
+    lies in r^k Z and generates <r>.  A walk over the powers of each
+    unclassed representative, read off t, ends where a power lands in Z.
+    """
+    classed = [False] * len(reps)
+    runs: dict[int, list[int]] = {}
+    for c, r in enumerate(reps):
+        if classed[c]:
+            continue
+        powers = []  # the cosets of r, r^2, ..., r^(m-1)
+        x = r
+        while proj[x] != zc:
+            powers.append(proj[x])
+            x = t[x][r]
+        m = len(powers) + 1
+        members = [p for k, p in enumerate(powers, 1) if gcd(k, m) == 1] or [c]
+        for p in members:
+            classed[p] = True
+        runs.setdefault(len(members), []).append(r)
+    return runs
+
+
+def _class_entries(t, runs: dict[int, list[int]]) -> int:
+    """The number of commuting coset pairs, from the cyclic classes of G/Z.
+
+    Commuting is constant on each block A x B of two classes, so the count
+    is sum w_A^2 + 2 sum_{A<B} w_A w_B [r_A r_B = r_B r_A], with one entry
+    pair read per pair of classes, a row's later representatives taken run
+    by run of equal weight.
+    """
+    runs = list(runs.items())
+    count = 0
+    for j, (w, reps) in enumerate(runs):
+        count += w * w * len(reps)
+        for i, a in enumerate(reps):
+            row = t[a]
+            count += 2 * w * w * sum(1 for b in reps[i + 1:] if row[b] == t[b][a])
+            for v, later in runs[j + 1:]:
+                count += 2 * w * v * sum(1 for b in later if row[b] == t[b][a])
+    return count
+
+
+def cp_coset_formula(G: FiniteGroup, reps: Sequence[int] | None = None) -> Fraction:
+    """(number of commuting coset pairs) / |G:Z|^2 over the cosets of Z(G).
+
+    Whether x and y commute depends only on xZ and yZ, so any member of a
+    coset may stand for it.  Supplied representatives must meet every
+    coset of Z(G) exactly once; the default ones, from the coset pass,
+    do by construction.
     """
     Z = center(G)
     index = G.order // Z.order
     if reps is None:
-        reps = left_transversal(G, Z)
+        proj, reps = _cosets(G, Z)
     else:
-        covered = sorted(G.mul(r, z) for r in reps if 0 <= r < G.order for z in Z.members)
-        if len(reps) != index or covered != list(range(G.order)):
+        proj = [-1] * G.order
+        for c, r in enumerate(reps):
+            if 0 <= r < G.order:
+                for z in Z.members:
+                    proj[G.mul(r, z)] = c
+        # index reps times |Z| products hit all n elements only if each once
+        if len(reps) != index or -1 in proj:
             raise CenterMismatch("representatives do not meet each coset of the center once")
-    return Fraction(_symmetric_entries(G.mul_table, reps), index * index)
+    t = G.mul_table
+    runs = _cyclic_classes(t, proj, reps, proj[G.identity])
+    return Fraction(_class_entries(t, runs), index * index)
 
 
 def format_rational(x: Fraction) -> str:

@@ -191,8 +191,8 @@ def table_from_left(left: Sequence[Sequence[int]], identity: int, ids: tuple[int
 
 
 def _compose(p: Perm, q: Perm) -> Perm:
-    """(p then q): point i maps to q[p[i]]."""
-    return tuple(q[i] for i in p)
+    """(p then q): point i maps to q[p[i]], gathered in one C-level call."""
+    return _picker(p)(q)
 
 
 def close_generators(
@@ -323,9 +323,8 @@ def derived_series(G: FiniteGroup) -> list[Subgroup]:
 
 def _picker(idx: Sequence[int]) -> Callable:
     """seq -> tuple(seq[i] for i in idx), as one C-level itemgetter call."""
-    if len(idx) == 1:
-        i = idx[0]
-        return lambda seq: (seq[i],)
+    if len(idx) < 2:  # itemgetter needs an index, and returns one item bare
+        return lambda seq: tuple(seq[i] for i in idx)
     return itemgetter(*idx)
 
 

@@ -106,14 +106,21 @@ def _group_from_lines(
     nested product spec, not for the outermost one."""
     kind: str | None = None  # the first directive; a spec uses only that kind
     perm_cycles: list[list[tuple[int, ...]]] = []
-    table: list[list[int]] | None = None
+    table: list[tuple[int, ...]] | None = None
+    loose: set[int] = set()  # rows read by _ints, whose entries are not yet range-checked
     expect_rows = 0
     for lineno, line in _directives(lines):
         if expect_rows:
-            try:
-                row = _ints(line)
-            except ValueError:
-                raise ParseError(f"bad table row: {line!r}", lineno)
+            try:  # a row of bare indices 0..n-1, by one dict lookup per token
+                if not line.isascii():
+                    raise KeyError(line)
+                row = tuple(map(entry, line.split()))
+            except KeyError:
+                try:
+                    row = _ints(line)
+                except ValueError:
+                    raise ParseError(f"bad table row: {line!r}", lineno)
+                loose.add(len(table))
             table.append(row)
             expect_rows -= 1
             continue
@@ -134,6 +141,9 @@ def _group_from_lines(
             if expect_rows > cap:  # each row is a tuple of n entries
                 raise ClosureExceedsCap(f"table size {expect_rows} exceeds cap {cap}")
             table = []
+            # as in built tables, every row refers to the same n index objects
+            ids = tuple(range(expect_rows))
+            entry = dict(zip(map(str, ids), ids)).__getitem__
         else:
             factors = rest.split()
             if len(factors) != 2:
@@ -151,9 +161,11 @@ def _group_from_lines(
         for i, row in enumerate(table):  # the one shape check: make_group trusts it
             if len(row) != n:
                 raise ParseError(f"bad Cayley table: row {i} has length {len(row)}, expected {n}")
-            if min(row) < 0 or max(row) >= n:
-                v = next(v for v in row if not 0 <= v < n)
-                raise ParseError(f"bad Cayley table: table entry {v} out of range 0..{n - 1}")
+            if i in loose:
+                if min(row) < 0 or max(row) >= n:
+                    v = next(v for v in row if not 0 <= v < n)
+                    raise ParseError(f"bad Cayley table: table entry {v} out of range 0..{n - 1}")
+                table[i] = tuple(map(ids.__getitem__, row))
         try:
             G = make_group(table, name=path.stem)
         except ValueError as exc:

@@ -274,6 +274,20 @@ class TestCommands:
         assert "+-" in out
         assert "exact 1/4" in out
 
+    @pytest.mark.parametrize("seed", ["-3", str(2**64)])
+    def test_mc_seed_out_of_range(self, seed, o2_file, capsys):
+        # the stream reads its seed mod 2^64: -3 drew the stream of 2^64 - 3
+        assert main(["mc", "--samples", "1000", "--seed", seed, o2_file]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: seed must be in 0..{2**64 - 1}, got {seed}\n")
+
+    @pytest.mark.parametrize("seed, estimate", [
+        ("3", "0.227000 +- 0.013247"), (str(2**64 - 1), "0.247000 +- 0.013638")])
+    def test_mc_seed_in_range(self, seed, estimate, o2_file, capsys):
+        assert main(["mc", "--samples", "1000", "--seed", seed, o2_file]) == 0
+        assert capsys.readouterr() == (
+            f"estimate {estimate} (1000 samples)\nexact 1/4\n", "")
+
     def test_scan_builtin_names(self, capsys):
         assert main(["scan", "--threshold", "3/40", "a5", "s5", "sl25"]) == 0
         out = capsys.readouterr().out

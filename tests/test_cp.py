@@ -7,8 +7,10 @@ import pytest
 
 from haarcp import builders, cp
 from haarcp.cli import main
+from haarcp.compact import build_model, cp_semianalytic
 from haarcp.corpus import builtin_corpus
 from haarcp.cp import (
+    _cyclic_classes,
     _symmetric_entries,
     cp_class_count,
     cp_coset_formula,
@@ -19,6 +21,7 @@ from haarcp.cp import (
 from haarcp.errors import CenterMismatch
 from haarcp.groups import (
     FiniteGroup,
+    _cosets,
     center,
     direct_product,
     generated_subgroup,
@@ -39,13 +42,32 @@ def corpus_120():
     return builtin_corpus(120)
 
 
-def plant(monkeypatch, fake):
-    """Put `fake` in place of cp._symmetric_entries in every haarcp module
+def plant(monkeypatch, name, fake):
+    """Put `fake` in place of the kernel cp.<name> in every haarcp module
     that holds it, as a bug in its body would reach every caller."""
-    real = cp._symmetric_entries
-    for name, module in list(sys.modules.items()):
-        if name.startswith("haarcp") and getattr(module, "_symmetric_entries", None) is real:
-            monkeypatch.setattr(module, "_symmetric_entries", fake)
+    real = getattr(cp, name)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("haarcp") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, fake)
+
+
+def coset_order(t, proj, r, zc) -> int:
+    """The order of rZ, by walking the powers of r."""
+    m, x = 1, r
+    while proj[x] != zc:
+        x, m = t[x][r], m + 1
+    return m
+
+
+def wrong_weights(real):
+    """real, with weight m - 1 in place of phi(m) for the class of an rZ of order m."""
+    def classes(t, proj, reps, zc):
+        runs = {}
+        for rs in real(t, proj, reps, zc).values():
+            for r in rs:
+                runs.setdefault(coset_order(t, proj, r, zc) - 1, []).append(r)
+        return runs
+    return classes
 
 
 class TestPairCount:
@@ -110,18 +132,32 @@ class TestPairCountOracle:
 
 
 class TestKernelIndependence:
-    """The pair count and the triangle loop share no code, so a bug in the
-    triangle loop shows up as a disagreement between routes."""
+    """The three kernels share no code: a bug in any one of them shows up
+    as a disagreement between routes."""
+
+    @pytest.mark.parametrize("name, fake, line", [
+        ("_class_entries", lambda real: lambda t, runs: real(t, runs) + 2,
+         "coset-formula: 421/7200"),  # (840 + 2) / 120^2
+        ("_cyclic_classes", wrong_weights, "coset-formula: 137/1800"),
+    ], ids=["off-by-two-count", "weight-m-minus-1"])
+    def test_planted_coset_kernel_bug_is_caught(self, monkeypatch, tmp_path, capsys, name,
+                                                fake, line):
+        plant(monkeypatch, name, fake(getattr(cp, name)))
+        assert main(["cp", "s5"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "pair-count:    7/120",
+            "class-count:   7/120",
+            line,
+            "FAIL disagreement between algorithms",
+        ]
+        # the model routes do not read the coset kernel
+        f = tmp_path / "trivial-s3-q8.model"
+        f.write_text("torus_rank 2\nacting_group s3\nextra_factor q8\n")
+        assert main(["verify-t1", str(f)]) == 0
 
     def test_off_by_two_triangle_loop_is_caught(self, monkeypatch, tmp_path, capsys):
         real = cp._symmetric_entries
-        plant(monkeypatch, lambda t, idx: real(t, idx) + 2)
-        assert main(["cp", "s5"]) == 1
-        assert capsys.readouterr().out.splitlines()[:3] == [
-            "pair-count:    7/120",
-            "class-count:   7/120",
-            "coset-formula: 421/7200",  # (840 + 2) / 120^2
-        ]
+        plant(monkeypatch, "_symmetric_entries", lambda t, idx: real(t, idx) + 2)
         # trivial action of S3: the kernel is all of S3, and the
         # semi-analytic route counts its pairs with the triangle loop
         f = tmp_path / "trivial-s3-q8.model"
@@ -129,14 +165,22 @@ class TestKernelIndependence:
         assert main(["verify-t1", str(f)]) == 1
         assert capsys.readouterr().out.startswith(
             "FAIL cp equality: direct 25/72 vs reduced 5/16\n")
+        # the finite routes do not read the triangle loop
+        assert main(["cp", "s5"]) == 0
 
     def test_pair_count_does_not_call_the_triangle_loop(self, monkeypatch, corpus_120):
-        def broken(t, idx):
-            raise AssertionError("triangle loop called")
+        def broken(name):
+            def kernel(*args):
+                raise AssertionError(f"{name} called")
+            return kernel
 
-        plant(monkeypatch, broken)
-        with pytest.raises(AssertionError, match="triangle loop called"):
+        kernels = ("_symmetric_entries", "_cyclic_classes", "_class_entries")
+        for name in kernels:
+            plant(monkeypatch, name, broken(name))
+        with pytest.raises(AssertionError, match="_cyclic_classes called"):
             cp_coset_formula(builders.symmetric(3))
+        with pytest.raises(AssertionError, match="_symmetric_entries called"):
+            cp_semianalytic(build_model(1, builders.symmetric(3), {}))
         for name, G in corpus_120:
             assert cp_pair_count(G) == cp_class_count(G), name
 
@@ -218,6 +262,58 @@ class TestCosetFormula:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+def brute_commuting_cosets(G) -> int:
+    """The number of ordered pairs of cosets of Z(G) whose representatives
+    commute, checked one by one."""
+    t, reps = G.mul_table, left_transversal(G, center(G))
+    return sum(1 for a in reps for b in reps if t[a][b] == t[b][a])
+
+
+PRODUCT_FACTORS = {
+    "q8-c6": (builders.quaternion8, lambda: builders.cyclic(6)),
+    "d4-c3": (lambda: builders.dihedral(4), lambda: builders.cyclic(3)),
+    "s4-c2": (lambda: builders.symmetric(4), lambda: builders.cyclic(2)),
+    "a5-c6": (lambda: builders.alternating(5), lambda: builders.cyclic(6)),
+    "es27exp9-c2": (builders.extraspecial27_exponent9, lambda: builders.cyclic(2)),
+}
+
+
+class TestCosetFormulaOracle:
+    """|G:Z|^2 * cp_coset_formula(G) against the coset pairs counted one by
+    one, on groups that stress the cyclic-class reduction of G/Z."""
+
+    @staticmethod
+    def check(G):
+        Z = center(G)
+        index = G.order // Z.order
+        assert cp_coset_formula(G) * index**2 == brute_commuting_cosets(G), G.name
+        proj, reps = _cosets(G, Z)
+        runs = _cyclic_classes(G.mul_table, proj, reps, proj[G.identity])
+        assert sum(w * len(rs) for w, rs in runs.items()) == index, G.name
+
+    def test_builtins_up_to_120(self, corpus_120):
+        for _name, G in corpus_120:
+            self.check(G)
+
+    @pytest.mark.parametrize("factors", PRODUCT_FACTORS.values(), ids=PRODUCT_FACTORS.keys())
+    def test_products_in_both_factor_orders(self, factors):
+        G, H = (make() for make in factors)
+        self.check(direct_product(G, H))
+        self.check(direct_product(H, G))
+
+    @pytest.mark.parametrize("factors", PRODUCT_FACTORS.values(), ids=PRODUCT_FACTORS.keys())
+    def test_shifted_and_shuffled_reps(self, factors):
+        # any member of a coset may stand for it, in any coset order
+        G = direct_product(*(make() for make in factors))
+        Z = center(G)
+        expected = Fraction(brute_commuting_cosets(G), (G.order // Z.order) ** 2)
+        rng = random.Random(G.order)
+        for _ in range(3):
+            reps = [G.mul(r, rng.choice(Z.members)) for r in left_transversal(G, Z)]
+            rng.shuffle(reps)
+            assert cp_coset_formula(G, reps) == expected, G.name
 
 
 class TestThreeWayAgreement:

@@ -402,13 +402,18 @@ class TestGrowSpansInPlace:
 
 
 class TestSingleIndexGathers:
-    """Order-1 rows and one-coset quotients take `groups._picker`'s single-index path."""
+    """Order-1 rows, one-coset quotients and degree-0 permutations take
+    `groups._picker`'s path for fewer than two indices."""
 
     def test_trivial_group(self):
         G = builders.trivial()
         assert_matches(G, ((0,),))
         assert conjugacy_classes(G) == [(0,)]
         assert verify_axioms(G)
+
+    def test_degree_zero_permutation(self):
+        # the empty permutation composes by the empty gather
+        assert_matches(close_generators([()]), ((0,),))
 
     def test_trivial_times_trivial(self):
         T = builders.trivial()
@@ -511,3 +516,46 @@ class TestRangeCheckThroughTableSpec:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: bad Cayley table: {detail}\n"
+
+
+class TestTableRowsByLookup:
+    """A row of bare indices 0..n-1 is read by one dict lookup per token;
+    any other row is read by `_ints` and range-checked, with the messages
+    the range check has always given."""
+
+    def test_padded_tokens_read_as_numbers(self, tmp_path):
+        G = builders.symmetric(3)
+        rows = [" ".join(f"{v:03d}" for v in row) for row in G.mul_table]
+        rows[1] = rows[1].replace("000", "-0")
+        f = tmp_path / "padded.group"
+        f.write_text("table 6\n" + "\n".join(rows) + "\n")
+        assert parse_group_file(f).mul_table == G.mul_table
+
+    @pytest.mark.parametrize("row", ["1\u00a00", "+1 0", "1_0 0", "1 \u0663"],
+                             ids=["no-break-space", "plus", "underscore", "arabic-indic"])
+    def test_bad_token_message(self, row, tmp_path):
+        f = tmp_path / "bad.group"
+        f.write_text(f"table 2\n0 1\n{row}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            parse_group_file(f)
+        assert str(err.value) == f"line 3: bad table row: {row!r}"
+
+    def test_short_table_with_padded_bad_entry(self, tmp_path):
+        with pytest.raises(ParseError) as err:
+            parse_group_file(table_spec(tmp_path, [["00", "01", "02"], [1, 9, 0]], size=3))
+        assert str(err.value) == "table ended early, 1 rows missing"
+
+    def test_first_out_of_range_entry_after_a_padded_row(self, tmp_path):
+        rows = [[0, 1, 2], ["01", "02", "00"], [2, 7, -1]]
+        with pytest.raises(ParseError) as err:
+            parse_group_file(table_spec(tmp_path, rows))
+        assert str(err.value) == "bad Cayley table: table entry 7 out of range 0..2"
+
+    def test_entries_are_n_shared_objects(self, tmp_path):
+        # above 256 an int() per entry would make a new object each time
+        G = builders.alternating(6)
+        rows = [list(row) for row in G.mul_table]
+        rows[5] = [f"0{v}" for v in rows[5]]  # one row read by _ints
+        H = parse_group_file(table_spec(tmp_path, rows))
+        assert H.mul_table == G.mul_table
+        assert len({id(v) for row in H.mul_table for v in row}) == H.order
