@@ -14,8 +14,8 @@ from typing import Iterable
 from .compact import CompactModel, cp_semianalytic, cp_theorem1, fc_center
 from .corpus import CorpusEntry
 from .cp import cp_pair_count, format_rational
-from .errors import HaarcpError
-from .groups import FiniteGroup, Subgroup, center, derived_series
+from .errors import SearchCapExceeded
+from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, Subgroup, center, derived_series
 from .isoclinism import find_stem_group
 
 FINITENESS_THRESHOLD = Fraction(1, 4)
@@ -32,12 +32,20 @@ class Verdict(str, enum.Enum):
     def __str__(self) -> str:
         return self.value
 
+    @property
+    def solvable(self) -> bool:
+        """Whether the groups with this verdict are solvable."""
+        return self in (Verdict.ABELIAN, Verdict.SOLVABLE_NONABELIAN)
+
 
 @dataclass(frozen=True)
 class ClassificationResult:
     verdict: Verdict
     cp_value: Fraction
-    solvable: bool
+
+    @property
+    def solvable(self) -> bool:
+        return self.verdict.solvable
 
 
 def detect_a5_x_abelian(G: FiniteGroup, series: list[Subgroup] | None = None) -> bool:
@@ -65,15 +73,15 @@ def classify_high_cp(G: FiniteGroup) -> ClassificationResult:
     """
     cp = cp_pair_count(G)
     if cp == 1:
-        return ClassificationResult(Verdict.ABELIAN, cp, True)
+        return ClassificationResult(Verdict.ABELIAN, cp)
     series = derived_series(G)
     if series[-1].order == 1:
-        return ClassificationResult(Verdict.SOLVABLE_NONABELIAN, cp, True)
+        return ClassificationResult(Verdict.SOLVABLE_NONABELIAN, cp)
     if detect_a5_x_abelian(G, series):
-        return ClassificationResult(Verdict.A5_TIMES_ABELIAN, cp, False)
+        return ClassificationResult(Verdict.A5_TIMES_ABELIAN, cp)
     if cp <= SOLVABILITY_THRESHOLD:
-        return ClassificationResult(Verdict.NONSOLVABLE_BELOW_THRESHOLD, cp, False)
-    return ClassificationResult(Verdict.THEOREM_VIOLATION, cp, False)
+        return ClassificationResult(Verdict.NONSOLVABLE_BELOW_THRESHOLD, cp)
+    return ClassificationResult(Verdict.THEOREM_VIOLATION, cp)
 
 
 @dataclass(frozen=True)
@@ -83,7 +91,9 @@ class Theorem2Part1Report:
     notes: tuple[str, ...]
 
 
-def check_theorem2_part1(x: FiniteGroup | CompactModel) -> Theorem2Part1Report:
+def check_theorem2_part1(
+    x: FiniteGroup | CompactModel, cap: int = DEFAULT_CLOSURE_CAP
+) -> Theorem2Part1Report:
     """cp > 1/4 forces a finite central quotient and derived subgroup.
 
     Vacuous for finite inputs.  For models the check is: cp > 1/4 implies
@@ -95,7 +105,7 @@ def check_theorem2_part1(x: FiniteGroup | CompactModel) -> Theorem2Part1Report:
         cp = cp_pair_count(x)
         return Theorem2Part1Report(cp, True, ("finite group: conclusion vacuous",))
     cp = cp_semianalytic(x)
-    fc = fc_center(x)
+    fc = fc_center(x, cap)
     if cp > FINITENESS_THRESHOLD:
         ok = fc.index == 1
         notes = (f"cp = {format_rational(cp)} > 1/4: FC index must be 1",)
@@ -110,10 +120,13 @@ def check_theorem2_part1(x: FiniteGroup | CompactModel) -> Theorem2Part1Report:
 class Theorem1Report:
     cp_direct: Fraction
     cp_reduced: Fraction
-    equal: bool
     stem_name: str | None
     stem_cp_equal: bool | None
     notes: tuple[str, ...]
+
+    @property
+    def equal(self) -> bool:
+        return self.cp_direct == self.cp_reduced
 
     @property
     def passed(self) -> bool:
@@ -123,15 +136,17 @@ class Theorem1Report:
 def check_theorem1(
     model: CompactModel,
     stem_corpus: Iterable[FiniteGroup | CorpusEntry] | None = None,
+    cap: int = DEFAULT_CLOSURE_CAP,
 ) -> Theorem1Report:
     """Assert the two cp routes agree; optionally realize the stem clause.
 
     The stem clause looks for a corpus group H with Z(H) <= H' isoclinic to
     the finite shadow and compares cp values.  A missing stem is reported
-    softly (the corpus is finite, existence is not in question).
+    softly (the corpus is finite, existence is not in question), and so is
+    a shadow above the search cap.
     """
     direct = cp_semianalytic(model)
-    fc = fc_center(model)
+    fc = fc_center(model, cap)
     reduced = cp_theorem1(model, fc)
     notes: list[str] = []
     stem_name: str | None = None
@@ -139,7 +154,7 @@ def check_theorem1(
     if stem_corpus is not None:
         try:
             found = find_stem_group(fc.finite_shadow, stem_corpus)
-        except HaarcpError as exc:
+        except SearchCapExceeded as exc:
             found = None
             notes.append(f"stem search skipped: {exc}")
         if found is not None:
@@ -149,9 +164,7 @@ def check_theorem1(
             stem_cp_equal = reduced * fc.index**2 == cp_pair_count(H)
         elif not notes:
             notes.append("stem not in corpus (soft report)")
-    return Theorem1Report(
-        direct, reduced, direct == reduced, stem_name, stem_cp_equal, tuple(notes)
-    )
+    return Theorem1Report(direct, reduced, stem_name, stem_cp_equal, tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -159,8 +172,11 @@ class CensusRow:
     name: str
     order: int
     cp_value: Fraction
-    solvable: bool
     verdict: Verdict
+
+    @property
+    def solvable(self) -> bool:
+        return self.verdict.solvable
 
     def machine_line(self) -> str:
         return "|".join(
@@ -179,21 +195,15 @@ def scan_corpus(
     threshold: Fraction = SOLVABILITY_THRESHOLD,
 ) -> list[CensusRow]:
     """Per-group census, rows sorted by (order, name).  A group above the
-    threshold outside the theorem's three families is a THEOREM_VIOLATION."""
+    threshold outside the theorem's three families is a THEOREM_VIOLATION
+    (the only other verdict outside them is NONSOLVABLE_BELOW_THRESHOLD)."""
     rows: list[CensusRow] = []
     for name, G in corpus:
         result = classify_high_cp(G)
         verdict = result.verdict
-        if (
-            result.cp_value > threshold
-            and verdict not in (
-                Verdict.ABELIAN,
-                Verdict.SOLVABLE_NONABELIAN,
-                Verdict.A5_TIMES_ABELIAN,
-            )
-        ):
+        if result.cp_value > threshold and verdict is Verdict.NONSOLVABLE_BELOW_THRESHOLD:
             verdict = Verdict.THEOREM_VIOLATION
-        rows.append(CensusRow(name, G.order, result.cp_value, result.solvable, verdict))
+        rows.append(CensusRow(name, G.order, result.cp_value, verdict))
     rows.sort(key=lambda r: (r.order, r.name))
     return rows
 

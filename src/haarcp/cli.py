@@ -87,8 +87,9 @@ def cmd_center(args) -> int:
 
 
 def cmd_fc(args) -> int:
-    model = parse_model_file(args.model, cap=_cap(args))
-    fc = fc_center(model)
+    cap = _cap(args)
+    model = parse_model_file(args.model, cap=cap)
+    fc = fc_center(model, cap)
     print(f"action kernel size {len(fc.kernel)} of |Q| = {model.acting_group.order}")
     print(f"FC index {fc.index}")
     print(f"finite shadow order {fc.finite_shadow.order}")
@@ -135,7 +136,7 @@ def cmd_stem(args) -> int:
 def cmd_verify_t1(args) -> int:
     cap = _cap(args)
     model = parse_model_file(args.model, cap=cap)
-    report = check_theorem1(model, stem_corpus=corpus.builtin_entries(min(32, cap)))
+    report = check_theorem1(model, corpus.builtin_entries(min(32, cap)), cap)
     eq = "PASS" if report.equal else "FAIL"
     print(
         f"{eq} cp equality: direct {format_rational(report.cp_direct)}"
@@ -150,8 +151,8 @@ def cmd_verify_t1(args) -> int:
 
 
 def cmd_verify_t2(args) -> int:
-    x = resolve_group_or_model(args.input, cap=_cap(args))
-    report = check_theorem2_part1(x)
+    cap = _cap(args)
+    report = check_theorem2_part1(resolve_group_or_model(args.input, cap=cap), cap)
     mark = "PASS" if report.passed else "FAIL"
     print(f"{mark} cp = {format_rational(report.cp_value)}")
     for note in report.notes:

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 from .builders import trivial
 from .errors import NotAHomomorphism, NotUnimodular, RankMismatch, ZeroSamples
-from .groups import FiniteGroup, Subgroup, _grow, direct_product, subgroup_as_group
+from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, Subgroup, _grow, direct_product, subgroup_as_group
 from .cp import _symmetric_entries, cp_pair_count
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -155,7 +155,7 @@ def build_model(
     return CompactModel(d, Q, full, L, name=name)
 
 
-def fc_center(model: CompactModel) -> FcDescription:
+def fc_center(model: CompactModel, cap: int = DEFAULT_CLOSURE_CAP) -> FcDescription:
     """Elements with finite conjugacy class: kernel of the action, times L.
 
     The class of (a, q, l) sweeps (a + (I - M_q) b, q', l') over torus
@@ -168,7 +168,7 @@ def fc_center(model: CompactModel) -> FcDescription:
     kernel = tuple(q for q in range(Q.order) if model.action[q] == ident)
     # the kernel of a homomorphism is a subgroup; build_model checked the law
     kgrp, _ = subgroup_as_group(Subgroup(Q, kernel))
-    shadow = direct_product(kgrp, model.extra_factor)
+    shadow = direct_product(kgrp, model.extra_factor, cap)
     return FcDescription(kernel, shadow, Q.order // len(kernel))
 
 

@@ -350,15 +350,15 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CLOSURE_CA
     return make_group(rows, name=f"{G.name} x {H.name}")
 
 
-def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
-    """Quotient group G/N plus the projection element-index -> coset-index."""
+def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int], list[int]]:
+    """G/N, the projection element-index -> coset-index, and each coset's smallest member."""
     proj, reps = _cosets(G, N)
     if not is_normal(G, N):
         raise NotNormal(f"subgroup of order {N.order} is not normal")
     pick = _picker(reps)
     table = tuple(_picker(pick(G.mul_table[r]))(proj) for r in reps)
     Q = make_group(table, name=f"{G.name}/N{N.order}")
-    return Q, proj
+    return Q, proj, reps
 
 
 def subgroup_as_group(S: Subgroup) -> tuple[FiniteGroup, list[int]]:

@@ -43,32 +43,28 @@ class IsoclinismWitness:
 
 
 class _Central:
-    """A group's isoclinism data.  Z(G), G' and the index |G:Z(G)| are
-    worked out at once: the search cap, the order screen and the stem test
-    read only these.  G/Z(G) is built on first read."""
+    """A group's isoclinism data, each item worked out once.  Z(G), G', |G:Z(G)|
+    and the stem test Z(G) <= G' come first: the search cap, the order screen
+    and the stem search read only these.  G/Z(G) is built on first read."""
 
     def __init__(self, group: FiniteGroup):
         self.group = group
         self.center = center(group)
         self.derived = derived_subgroup(group)
         self.index = group.order // self.center.order
+        self.is_stem = self.derived.member_set.issuperset(self.center.members)
 
     @cached_property
-    def quotient(self) -> tuple[FiniteGroup, tuple[int, ...]]:
-        """(G/Z(G), the smallest member of each coset), built on first read."""
-        G = self.group
-        Q, proj = quotient(G, self.center)
-        pre = [0] * Q.order
-        for g in reversed(range(G.order)):
-            pre[proj[g]] = g
-        return Q, tuple(pre)
+    def quotient(self) -> tuple[FiniteGroup, list[int], list[int]]:
+        """(G/Z(G), projection, smallest member of each coset), built on first read."""
+        return quotient(self.group, self.center)
 
     @cached_property
     def commutators(self) -> tuple[tuple[int, ...], ...]:
         """commutators[c1][c2] = [pre[c1], pre[c2]], built when a search
         first needs it: alpha only permutes these, so every candidate
         alpha reads the same table."""
-        t, inv, pre = self.group.mul_table, self.group.inverse_table, self.quotient[1]
+        t, inv, pre = self.group.mul_table, self.group.inverse_table, self.quotient[2]
         # [x, y] = x^-1 (y^-1 x y), and y^-1 x y is entry x*y of the row of y^-1
         at_pre = _picker(pre)
         inv_rows = [t[inv[y]] for y in pre]
@@ -86,9 +82,9 @@ def _beta_from_alpha(
     representatives.  beta starts from identity -> identity and grows by the
     generator-edge walk of `_close_partial`: a forced commutator the walk
     has not reached yet becomes a generator.  Each row of forced values is
-    then compared with the walked ones, in one gather per side.  The
-    commutators generate G', so beta maps G' injectively and
-    homomorphically, and it must map onto H'.
+    then compared with the walked ones, in one gather per side.  The rows
+    hold every commutator, so beta maps all of G' injectively and
+    homomorphically into H', and onto it, as the screen gave |G'| = |H'|.
     """
     G, H = g.group, h.group
     beta, used, dom = _identity_start(G, H)
@@ -104,17 +100,19 @@ def _beta_from_alpha(
                         return None
         if _picker(g_row)(beta) != h_row:
             return None
-    if set(dom) != g.derived.member_set or {beta[x] for x in dom} != h.derived.member_set:
-        return None
     return {x: beta[x] for x in dom}
 
 
-def _search(g: _Central, h: _Central) -> IsoclinismWitness | None:
-    """First witness G ~ H, or None.  The search cap is judged from both
-    indices |G:Z(G)| and |H:Z(H)|, the pair is then screened on the index
-    and |G'|, and only a pair that passes reads either central quotient."""
-    if max(g.index, h.index) > SEARCH_CAP:
+def _judge_cap(*indices: int) -> None:
+    """Raise SearchCapExceeded if any index |G:Z(G)| is above the search cap."""
+    if max(indices) > SEARCH_CAP:
         raise SearchCapExceeded(f"central quotient order exceeds search cap {SEARCH_CAP}")
+
+
+def _search(g: _Central, h: _Central) -> IsoclinismWitness | None:
+    """First witness G ~ H, or None.  The pair is screened on |G:Z(G)| and
+    |G'|, and only a pair that passes, and so is within the cap the caller
+    judged, reads either central quotient."""
     if (g.index, g.derived.order) != (h.index, h.derived.order):
         return None
     for alpha in iter_isomorphisms(g.quotient[0], h.quotient[0]):
@@ -126,7 +124,9 @@ def _search(g: _Central, h: _Central) -> IsoclinismWitness | None:
 
 def find_isoclinism(G: FiniteGroup, H: FiniteGroup) -> IsoclinismWitness | None:
     """Search for an isoclinism witness; None if the groups are not isoclinic."""
-    return _search(_Central(G), _Central(H))
+    g, h = _Central(G), _Central(H)
+    _judge_cap(g.index, h.index)
+    return _search(g, h)
 
 
 def verify_isoclinism(G: FiniteGroup, H: FiniteGroup, w: IsoclinismWitness) -> bool:
@@ -136,9 +136,10 @@ def verify_isoclinism(G: FiniteGroup, H: FiniteGroup, w: IsoclinismWitness) -> b
     the tables, apart from the search.  alpha must be a bijective
     homomorphism of the central quotients, beta one of the derived
     subgroups, and the commutator square must commute on coset
-    representatives.  That is exact: [xz, yz'] = [x, y] for central z, z',
-    so a commutator depends only on the cosets of its arguments.  A map
-    with the wrong domain is no witness either.
+    representatives, checked with alpha's law in one pass over coset pairs.
+    That is exact: [xz, yz'] = [x, y] for central z, z', so a commutator
+    depends only on the cosets of its arguments.  A map with the wrong
+    domain is no witness either.
     """
     g_proj, g_reps = _center_cosets(G)
     h_proj, h_reps = _center_cosets(H)
@@ -149,17 +150,15 @@ def verify_isoclinism(G: FiniteGroup, H: FiniteGroup, w: IsoclinismWitness) -> b
     if set(beta) != Dg or set(beta.values()) != Dh or len(Dg) != len(Dh):
         return False
     s, t = G.mul_table, H.mul_table
-    for a, x in enumerate(g_reps):
-        for b, y in enumerate(g_reps):
-            if alpha[g_proj[s[x][y]]] != h_proj[t[h_reps[alpha[a]]][h_reps[alpha[b]]]]:
-                return False
     for x in beta:
         for y in beta:
             if beta[s[x][y]] != t[beta[x]][beta[y]]:
                 return False
     for a, x in enumerate(g_reps):
         for b, y in enumerate(g_reps):
-            if beta[G.commutator(x, y)] != H.commutator(h_reps[alpha[a]], h_reps[alpha[b]]):
+            u, v = h_reps[alpha[a]], h_reps[alpha[b]]
+            if alpha[g_proj[s[x][y]]] != h_proj[t[u][v]] or (
+                    beta[G.commutator(x, y)] != H.commutator(u, v)):
                 return False
     return True
 
@@ -180,7 +179,7 @@ def _center_cosets(G: FiniteGroup) -> tuple[list[int], list[int]]:
 
 def is_stem_group(G: FiniteGroup) -> bool:
     """True iff Z(G) <= G' (the stem condition)."""
-    return center(G).member_set <= derived_subgroup(G).member_set
+    return _Central(G).is_stem
 
 
 def find_stem_group(
@@ -202,12 +201,11 @@ def find_stem_group(
     """
     f = _Central(F)
     q, d = f.index, f.derived.order
-    if q > SEARCH_CAP:
-        raise SearchCapExceeded(f"central quotient order exceeds search cap {SEARCH_CAP}")
+    _judge_cap(q)
     passed = [c for c in corpus if not (c.order % q or d % (c.order // q))]
     for c in sorted(passed, key=lambda c: (c.order, c.name)):
         h = _Central(c if isinstance(c, FiniteGroup) else c.group())
-        if h.center.member_set <= h.derived.member_set:
+        if h.is_stem:
             w = _search(f, h)
             if w is not None:
                 return h.group, w

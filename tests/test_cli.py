@@ -484,6 +484,36 @@ class TestCommands:
         assert main(argv + [str(f)]) == 2
         assert capsys.readouterr() == ("", f"error: torus rank {rank} squared exceeds cap {cap}\n")
 
+    @pytest.mark.parametrize("verb", ["fc", "verify-t1", "verify-t2"])
+    def test_shadow_honours_cap(self, verb, tmp_path, capsys):
+        # the shadow C6 x C2 is built under the command's cap, as a spec's
+        # product line is; C6 and C2 each pass the operand check at cap 11
+        f = tmp_path / "m.model"
+        f.write_text("torus_rank 0\nacting_group c6\nextra_factor c2\n")
+        assert main(["--cap", "11", verb, str(f)]) == 2
+        assert capsys.readouterr() == ("", "error: product order 12 exceeds cap 11\n")
+        assert main(["--cap", "12", verb, str(f)]) == 0
+
+    @pytest.mark.parametrize("verb", ["fc", "verify-t1", "verify-t2"])
+    def test_shadow_takes_a_raised_cap(self, verb, tmp_path, capsys, monkeypatch):
+        # the shadow C200 x C101 of order 20200 is above the default cap but
+        # within --cap 100000; its 20200^2-entry table is not built here:
+        # the spy records the cap and builds C200 x 1 in its place
+        from haarcp import compact
+        from haarcp.groups import DEFAULT_CLOSURE_CAP, direct_product
+
+        seen = []
+
+        def spy(G, H, cap=DEFAULT_CLOSURE_CAP):
+            seen.append((G.order, H.order, cap))
+            return direct_product(G, builders.trivial(), cap)
+
+        monkeypatch.setattr(compact, "direct_product", spy)
+        f = tmp_path / "m.model"
+        f.write_text("torus_rank 0\nacting_group c200\nextra_factor c101\n")
+        assert main(["--cap", "100000", verb, str(f)]) == 0
+        assert seen == [(200, 101, 100000)]
+
     def test_torus_rank_at_cap_allowed(self, tmp_path, capsys):
         f = tmp_path / "m.model"
         f.write_text("torus_rank 3\nacting_group c2\n")
@@ -608,6 +638,21 @@ class TestCommands:
             "PASS stem clause: D3",
         ]
         assert built and max(built) <= 6
+
+    def test_engine_error_in_stem_search_exits_2(self, monkeypatch, tmp_path, capsys):
+        # only the search cap turns into a soft note; any other engine error
+        # in the stem search reaches main
+        from haarcp import isoclinism
+        from haarcp.errors import NotNormal
+
+        def planted(G, N):
+            raise NotNormal("planted")
+
+        monkeypatch.setattr(isoclinism, "quotient", planted)
+        f = tmp_path / "o2xs3.model"
+        f.write_text(GOLDEN_SPECS["o2xs3.model"])
+        assert main(["verify-t1", str(f)]) == 2
+        assert capsys.readouterr() == ("", "error: planted\n")
 
     def test_stem_builds_only_screened_candidates(self, builtin_builds, tmp_path, capsys):
         # F = C12: |F:Z(F)| = |F'| = 1, so only order 1 is tried; the first

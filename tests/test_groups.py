@@ -122,17 +122,17 @@ class TestTransversalAndQuotient:
             assert len(t) * sub.order == d4.order
 
     def test_quotient_by_trivial(self, s3):
-        Q, proj = quotient(s3, Subgroup(s3, (s3.identity,)))
+        Q, proj, reps = quotient(s3, Subgroup(s3, (s3.identity,)))
         assert Q.order == s3.order
-        assert proj == list(range(s3.order))
+        assert proj == reps == list(range(s3.order))
 
     def test_q8_mod_center_is_klein(self, q8):
-        Q, _ = quotient(q8, center(q8))
+        Q, _, _ = quotient(q8, center(q8))
         assert Q.order == 4
         assert all(Q.element_order(g) <= 2 for g in range(4))
 
     def test_s3_mod_a3(self, s3):
-        Q, _ = quotient(s3, derived_subgroup(s3))
+        Q, _, _ = quotient(s3, derived_subgroup(s3))
         assert Q.order == 2
 
     def test_non_normal_rejected(self, s3):
@@ -149,7 +149,7 @@ class TestTransversalAndQuotient:
 
     def test_quotient_by_center_never_nontrivial_cyclic(self):
         for name, G in builtin_corpus(24):
-            Q, _ = quotient(G, center(G))
+            Q, _, _ = quotient(G, center(G))
             if Q.order > 1:
                 # cyclic iff some element generates everything
                 assert not any(

@@ -1,10 +1,11 @@
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 
-from haarcp import builders, isoclinism
+from haarcp import builders, groups, isoclinism
 from haarcp.cli import main
 from haarcp.corpus import builtin_corpus, builtin_entries, builtin_group
 from haarcp.cp import cp_coset_formula, cp_pair_count
@@ -35,7 +36,7 @@ def _central_product(d4):
     G = direct_product(d4, d4)
     z = next(g for g in center(d4).members if g != d4.identity)
     zz = z * d4.order + z  # (z, z), in the product's row-major indexing
-    H, pi = quotient(G, Subgroup(G, tuple(sorted((G.identity, zz)))))
+    H, pi, _ = quotient(G, Subgroup(G, tuple(sorted((G.identity, zz)))))
     return G, H, pi
 
 
@@ -104,8 +105,8 @@ class TestVerify:
         # (D4 o D4)/Z = C2^4, and G' = C2 onto H' = C2 compatibly: a
         # witness in every check but that |G/Z(G)| = 4 and |H/Z(H)| = 16
         _G, H, pi = _central_product(d4)
-        _Qh, h_proj = quotient(H, center(H))
-        _Qg, g_proj = quotient(d4, center(d4))
+        _Qh, h_proj, _ = quotient(H, center(H))
+        _Qg, g_proj, _ = quotient(d4, center(d4))
         into = [h_proj[pi[g_proj.index(c) * d4.order + d4.identity]] for c in range(4)]
         alpha = tuple(into + sorted(set(range(16)) - set(into)))
         beta = {u: pi[u * d4.order + d4.identity] for u in derived_subgroup(d4).members}
@@ -117,8 +118,8 @@ class TestVerify:
         # have the same central quotient and compatible commutator maps, but
         # |G'| = 4 and |H'| = 2: the quotient map sends G' onto H', 2 to 1
         G, H, pi = _central_product(d4)
-        Qg, g_proj = quotient(G, center(G))
-        Qh, h_proj = quotient(H, center(H))
+        Qg, g_proj, _ = quotient(G, center(G))
+        Qh, h_proj, _ = quotient(H, center(H))
         g_reps = [g_proj.index(c) for c in range(Qg.order)]
         Dg, Dh = derived_subgroup(G), derived_subgroup(H)
         assert (Qg.order, Qh.order, Dg.order, Dh.order) == (16, 16, 4, 2)
@@ -156,6 +157,31 @@ class TestVerify:
         ks = sorted(beta)
         beta[ks[0]], beta[ks[1]] = beta[ks[1]], beta[ks[0]]
         assert not verify_isoclinism(d4, q8, replace(w, beta=beta))
+
+    def test_verifier_keeps_its_own_coset_numbering(self, d4, q8, monkeypatch):
+        # witness checking stays apart from witness search: with the coset
+        # pass and the quotient of groups broken in every module, the
+        # verifier still accepts real witnesses and rejects a swapped beta
+        e3, e9 = builders.extraspecial27_exponent3(), builders.extraspecial27_exponent9()
+        cases = [(d4, q8, find_isoclinism(d4, q8)), (e3, e9, find_isoclinism(e3, e9))]
+        originals = [groups._cosets, groups.quotient]
+
+        def broken(*args):
+            raise AssertionError("coset code of groups called")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "haarcp":
+                for attr, value in list(vars(module).items()):
+                    if any(value is fn for fn in originals):
+                        monkeypatch.setattr(module, attr, broken)
+        with pytest.raises(AssertionError):
+            find_isoclinism(d4, q8)  # the search does read them
+        for G, H, w in cases:
+            assert verify_isoclinism(G, H, w), G.name
+            beta = dict(w.beta)
+            ks = sorted(beta)
+            beta[ks[0]], beta[ks[1]] = beta[ks[1]], beta[ks[0]]
+            assert not verify_isoclinism(G, H, replace(w, beta=beta)), G.name
 
     def test_non_bijective_alpha_rejected(self, d4, q8):
         w = find_isoclinism(d4, q8)
@@ -402,6 +428,18 @@ class TestQuotientsAfterCapAndScreen:
         # judged first
         assert main(["isoclinic", "a6", "s5"]) == 2
         assert capsys.readouterr() == ("", "error: central quotient order exceeds search cap 256\n")
+        assert quotients == []
+
+    @pytest.mark.parametrize("spec, max_order", [("product d3 d8", 600), ("product a4 s3", 900)])
+    def test_candidate_above_cap_is_screened(self, spec, max_order, quotients, tmp_path, capsys):
+        # D3 x D8: |F:Z| = 48 and |F'| = 12, so the stem group D288 of order
+        # 576 = 48 * 12 passes the order screen; its index 288 is above the
+        # search cap but is not 48, so the screen drops it.  A4 x S3: |F:Z| =
+        # 72, |F'| = 12, and D432 of order 864 has index 432
+        f = tmp_path / "f.group"
+        f.write_text(spec + "\n")
+        assert main(["stem", "--max-order", str(max_order), str(f)]) == 0
+        assert capsys.readouterr() == ("none (corpus exhausted)\n", "")
         assert quotients == []
 
     def test_verify_t1_shadow_above_cap(self, quotients, tmp_path, capsys):

@@ -322,14 +322,14 @@ class TestAgainstOracle:
     def test_quotient(self, groups):
         for G in groups:
             for N in (center(G), derived_subgroup(G), whole_subgroup(G)):
-                Q, proj = quotient(G, N)
+                Q, proj, got_reps = quotient(G, N)
                 reps, oracle_proj = [], [-1] * G.order
                 for g in range(G.order):
                     if oracle_proj[g] < 0:
                         for h in N.members:
                             oracle_proj[G.mul(g, h)] = len(reps)
                         reps.append(g)
-                assert list(proj) == oracle_proj
+                assert list(proj) == oracle_proj and list(got_reps) == reps
                 table = tuple(tuple(oracle_proj[G.mul(a, b)] for b in reps) for a in reps)
                 assert_matches(Q, table)
 
@@ -430,8 +430,8 @@ class TestSingleIndexGathers:
     def test_quotient_by_whole_group(self, name):
         G = {"trivial": builders.trivial(), "c2": builders.cyclic(2),
              "s3": builders.symmetric(3), "a5": builders.alternating(5)}[name]
-        Q, proj = quotient(G, whole_subgroup(G))
-        assert list(proj) == [0] * G.order
+        Q, proj, reps = quotient(G, whole_subgroup(G))
+        assert list(proj) == [0] * G.order and list(reps) == [0]
         assert_matches(Q, ((0,),))
 
 
