@@ -135,10 +135,10 @@ class Theorem1Report:
 
 def check_theorem1(
     model: CompactModel,
-    stem_corpus: Iterable[FiniteGroup | CorpusEntry] | None = None,
+    stem_corpus: Iterable[FiniteGroup | CorpusEntry],
     cap: int = DEFAULT_CLOSURE_CAP,
 ) -> Theorem1Report:
-    """Assert the two cp routes agree; optionally realize the stem clause.
+    """Assert the two cp routes agree, and realize the stem clause.
 
     The stem clause looks for a corpus group H with Z(H) <= H' isoclinic to
     the finite shadow and compares cp values.  A missing stem is reported
@@ -147,24 +147,17 @@ def check_theorem1(
     """
     direct = cp_semianalytic(model)
     fc = fc_center(model, cap)
-    reduced = cp_theorem1(model, fc)
-    notes: list[str] = []
-    stem_name: str | None = None
-    stem_cp_equal: bool | None = None
-    if stem_corpus is not None:
-        try:
-            found = find_stem_group(fc.finite_shadow, stem_corpus)
-        except SearchCapExceeded as exc:
-            found = None
-            notes.append(f"stem search skipped: {exc}")
-        if found is not None:
-            H, _w = found
-            stem_name = H.name
-            # cp(shadow) = reduced * index^2: the shadow's pairs are counted once
-            stem_cp_equal = reduced * fc.index**2 == cp_pair_count(H)
-        elif not notes:
-            notes.append("stem not in corpus (soft report)")
-    return Theorem1Report(direct, reduced, stem_name, stem_cp_equal, tuple(notes))
+    reduced = cp_theorem1(fc)
+    try:
+        found = find_stem_group(fc.finite_shadow, stem_corpus)
+    except SearchCapExceeded as exc:
+        return Theorem1Report(direct, reduced, None, None, (f"stem search skipped: {exc}",))
+    if found is None:
+        return Theorem1Report(direct, reduced, None, None, ("stem not in corpus (soft report)",))
+    H, _w = found
+    # cp(shadow) = reduced * index^2: the shadow's pairs are counted once
+    stem_cp_equal = reduced * fc.index**2 == cp_pair_count(H)
+    return Theorem1Report(direct, reduced, H.name, stem_cp_equal, ())
 
 
 @dataclass(frozen=True)

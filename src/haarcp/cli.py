@@ -38,16 +38,21 @@ from .specfmt import parse_model_file, resolve_group, resolve_group_or_model
 
 
 def _cap(args) -> int:
-    """The closure cap: --cap, else HAARCP_CAP, else the default; each must be > 0."""
+    """The closure cap: --cap, else HAARCP_CAP, else the default.  Each is
+    read as every integer option is (see _ints) and must be > 0."""
     if args.cap is not None:
         source, text = "--cap", args.cap
     elif "HAARCP_CAP" in os.environ:
         source, text = "HAARCP_CAP", os.environ["HAARCP_CAP"]
     else:
         return DEFAULT_CLOSURE_CAP
-    if not (text.isascii() and text.isdigit() and int(text) > 0):
+    try:
+        (value,) = _ints(text)
+    except ValueError:
+        value = 0  # not one integer: rejected with the rest below
+    if value <= 0:
         raise ValueError(f"{source} must be a positive integer, got {text!r}")
-    return int(text)
+    return value
 
 
 def _integer(text: str) -> int:
@@ -122,7 +127,7 @@ def cmd_stem(args) -> int:
         raise ValueError(f"--max-order must be a positive integer, got '{args.max_order}'")
     if args.max_order > cap:
         raise ClosureExceedsCap(f"--max-order {args.max_order} exceeds cap {cap}")
-    F = _group(args, args.group)
+    F = resolve_group(" ".join(args.group), cap=cap)
     found = find_stem_group(F, corpus.builtin_entries(args.max_order))
     if found is None:
         print("none (corpus exhausted)")

@@ -181,14 +181,12 @@ def cp_semianalytic(model: CompactModel) -> Fraction:
     return cp_pair_count(model.extra_factor) * Fraction(surviving, Q.order**2)
 
 
-def cp_theorem1(model: CompactModel, fc: FcDescription | None = None) -> Fraction:
-    """cp(finite shadow of the FC-center) / index^2.
+def cp_theorem1(fc: FcDescription) -> Fraction:
+    """cp(finite shadow of the FC-center) / index^2, from fc_center(model, cap).
 
     An infinite FC-index (where the convention 1/inf = 0 would apply) cannot
-    occur in this family: the index always divides |Q|.  A caller that has
-    fc_center(model) already passes it as `fc`.
+    occur in this family: the index always divides |Q|.
     """
-    fc = fc_center(model) if fc is None else fc
     return cp_pair_count(fc.finite_shadow) / (fc.index**2)
 
 
@@ -318,7 +316,7 @@ def cp_monte_carlo(model: CompactModel, samples: int, seed: int) -> MonteCarloEs
 ROT90 = ((0, -1), (1, 0))
 
 
-def standard_model_battery(include_a5: bool = True) -> list[CompactModel]:
+def standard_model_battery() -> list[CompactModel]:
     """Curated models covering every action/factor combination the theorems need.
 
     Cartesian product of a fixed action list (trivial, sign, swap, rotation
@@ -348,9 +346,8 @@ def standard_model_battery(include_a5: bool = True) -> list[CompactModel]:
         ("c2", c2),
         ("s3", builders.symmetric(3)),
         ("q8", builders.quaternion8()),
+        ("a5", builders.alternating(5)),
     ]
-    if include_a5:
-        factors.append(("a5", builders.alternating(5)))
     models = []
     for alabel, d, Q, mats in actions:
         for flabel, L in factors:

@@ -19,7 +19,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .errors import CenterMismatch
 from .groups import FiniteGroup, _cosets, center, conjugacy_classes
 
 
@@ -116,27 +115,16 @@ def _class_entries(t, runs: dict[int, list[int]]) -> int:
     return count
 
 
-def cp_coset_formula(G: FiniteGroup, reps: Sequence[int] | None = None) -> Fraction:
+def cp_coset_formula(G: FiniteGroup) -> Fraction:
     """(number of commuting coset pairs) / |G:Z|^2 over the cosets of Z(G).
 
     Whether x and y commute depends only on xZ and yZ, so any member of a
-    coset may stand for it.  Supplied representatives must meet every
-    coset of Z(G) exactly once; the default ones, from the coset pass,
-    do by construction.
+    coset may stand for it: the representatives are those of the one
+    coset pass.
     """
     Z = center(G)
     index = G.order // Z.order
-    if reps is None:
-        proj, reps = _cosets(G, Z)
-    else:
-        proj = [-1] * G.order
-        for c, r in enumerate(reps):
-            if 0 <= r < G.order:
-                for z in Z.members:
-                    proj[G.mul(r, z)] = c
-        # index reps times |Z| products hit all n elements only if each once
-        if len(reps) != index or -1 in proj:
-            raise CenterMismatch("representatives do not meet each coset of the center once")
+    proj, reps = _cosets(G, Z)
     t = G.mul_table
     runs = _cyclic_classes(t, proj, reps, proj[G.identity])
     return Fraction(_class_entries(t, runs), index * index)

@@ -25,10 +25,6 @@ class SearchCapExceeded(HaarcpError):
     """An isomorphism or isoclinism search target exceeds the search cap."""
 
 
-class CenterMismatch(HaarcpError):
-    """A subgroup or transversal given as the center's is not the center's."""
-
-
 class NotAHomomorphism(HaarcpError):
     """Generator matrices do not extend to a homomorphism on the acting group."""
 
@@ -49,7 +45,4 @@ class ParseError(HaarcpError):
     """A group or model spec file is malformed."""
 
     def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")

@@ -1,7 +1,7 @@
 import pytest
 
 from haarcp import builders
-from haarcp.groups import direct_product
+from haarcp.groups import direct_product, make_group
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +39,16 @@ def classification_landmarks(a5):
         ("alternating 5 x cyclic 2", direct_product(a5, builders.cyclic(2))),
         ("alternating 5 x cyclic 6", direct_product(a5, builders.cyclic(6))),
     ]
+
+
+@pytest.fixture(scope="session")
+def relabel():
+    """relabel(G, rng): G with its element indices permuted at random, so
+    that other members come first in their cosets and the identity moves."""
+    def relabelled(G, rng):
+        new = list(range(G.order))  # old index -> new index
+        rng.shuffle(new)
+        old = sorted(range(G.order), key=new.__getitem__)  # new index -> old
+        rows = map(G.mul_table.__getitem__, old)
+        return make_group([[new[row[b]] for b in old] for row in rows], G.name)
+    return relabelled

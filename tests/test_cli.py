@@ -440,6 +440,51 @@ class TestCommands:
         assert capsys.readouterr() == (
             "", f"error: --max-order must be a positive integer, got '{value}'\n")
 
+    @pytest.mark.parametrize("value", ["٣٠", "1_0", "+5", "0", "-3", "abc", "6 4", ""])
+    @pytest.mark.parametrize("source", ["--cap", "HAARCP_CAP"])
+    def test_cap_rejected(self, source, value, monkeypatch, capsys):
+        argv = ["cp", "q8"]
+        if source == "--cap":
+            argv = ["--cap", value, *argv]
+        else:
+            monkeypatch.setenv(source, value)
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {source} must be a positive integer, got {value!r}\n")
+
+    @pytest.mark.parametrize("source", ["--cap", "HAARCP_CAP"])
+    def test_cap_read_as_every_integer_option(self, source, monkeypatch, capsys):
+        # ' 64' is one integer with a blank beside it, as in --max-order ' 8'
+        assert main(["cp", "q8"]) == 0
+        expected = capsys.readouterr()
+        argv = ["cp", "q8"]
+        if source == "--cap":
+            argv = ["--cap", " 64", *argv]
+        else:
+            monkeypatch.setenv(source, " 64")
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
+        assert main([*argv[:-2], "stem", "--max-order", " 8", "q8"]) == 0
+        assert capsys.readouterr().out.startswith("stem: D4 (order 8)\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["cp", "q8"], ["center", "q8"], ["classify", "q8"], ["isoclinic", "d4", "q8"],
+        ["stem", "q8"], ["fc", "MODEL"], ["verify-t1", "MODEL"], ["verify-t2", "MODEL"],
+        ["scan", "q8"], ["mc", "--samples", "10", "MODEL"],
+    ], ids=lambda argv: argv[0])
+    def test_cap_read_once_per_command(self, argv, o2_file, monkeypatch, capsys):
+        from haarcp import cli
+
+        real, calls = cli._cap, []
+
+        def spy(args):
+            calls.append(args.verb)
+            return real(args)
+
+        monkeypatch.setattr(cli, "_cap", spy)
+        assert main([o2_file if a == "MODEL" else a for a in argv]) == 0
+        assert calls == [argv[0]]
+
     def test_cap_env_not_a_number(self, monkeypatch, capsys):
         monkeypatch.setenv("HAARCP_CAP", "abc")
         assert main(["cp", "q8"]) == 2

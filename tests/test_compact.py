@@ -27,6 +27,7 @@ from haarcp.errors import (
     ZeroSamples,
 )
 from haarcp.groups import direct_product, generated_subgroup, is_normal
+from haarcp.specfmt import parse_model_file
 
 ROT90 = ((0, -1), (1, 0))
 
@@ -276,24 +277,24 @@ class TestFcCenter:
         assert fc.index == 4
 
     def test_kernel_is_normal(self):
-        for m in standard_model_battery(include_a5=False):
-            Q = m.acting_group
-            K = generated_subgroup(Q, fc_center(m).kernel)
-            assert K.members == tuple(sorted(fc_center(m).kernel))  # closed
+        for m in standard_model_battery():
+            Q, fc = m.acting_group, fc_center(m)
+            K = generated_subgroup(Q, fc.kernel)
+            assert K.members == tuple(sorted(fc.kernel))  # closed
             assert is_normal(Q, K)
-            assert len(K.members) * fc_center(m).index == Q.order
+            assert len(K.members) * fc.index == Q.order
 
 
 class TestExactCp:
     def test_finite_q8(self, q8):
         m = build_model(0, builders.trivial(), {}, q8)
         assert cp_semianalytic(m) == Fraction(5, 8)
-        assert cp_theorem1(m) == Fraction(5, 8)
+        assert cp_theorem1(fc_center(m)) == Fraction(5, 8)
 
     def test_o2_quarter(self):
         m = o2_model()
         assert cp_semianalytic(m) == Fraction(1, 4)
-        assert cp_theorem1(m) == Fraction(1, 4)
+        assert cp_theorem1(fc_center(m)) == Fraction(1, 4)
 
     def test_rotation_sixteenth(self):
         m = rotation_model()
@@ -302,21 +303,40 @@ class TestExactCp:
     def test_o2_times_s3(self, s3):
         m = build_model(1, builders.cyclic(2), {1: ((-1,),)}, s3)
         assert cp_semianalytic(m) == Fraction(1, 8)
-        assert cp_theorem1(m) == Fraction(1, 8)
+        assert cp_theorem1(fc_center(m)) == Fraction(1, 8)
 
     def test_rotation_times_q8(self, q8):
         m = rotation_model(q8)
         assert cp_semianalytic(m) == Fraction(5, 128)
-        assert cp_theorem1(m) == Fraction(5, 128)
+        assert cp_theorem1(fc_center(m)) == Fraction(5, 128)
+
+    def test_theorem1_reads_the_shadow_built_under_the_cap(self, tmp_path, monkeypatch):
+        # the shadow C200 x C101 of order 20200 is above the default cap but
+        # within cap 100000; cp_theorem1 builds no shadow of its own.  The spy
+        # records the cap and builds C200 x 1 in place of the 20200^2 table
+        from haarcp import compact
+
+        seen = []
+
+        def spy(G, H, cap):
+            seen.append((G.order, H.order, cap))
+            return direct_product(G, builders.trivial(), cap)
+
+        monkeypatch.setattr(compact, "direct_product", spy)
+        f = tmp_path / "m.model"
+        f.write_text("torus_rank 0\nacting_group c200\nextra_factor c101\n")
+        m = parse_model_file(str(f), cap=100000)
+        assert cp_theorem1(fc_center(m, 100000)) == 1
+        assert seen == [(200, 101, 100000)]
 
     def test_theorem1_equality_on_battery(self):
         models = standard_model_battery()
         assert len(models) >= 20
         for m in models:
-            assert cp_semianalytic(m) == cp_theorem1(m), m.name
+            assert cp_semianalytic(m) == cp_theorem1(fc_center(m)), m.name
 
     def test_nontrivial_action_bounded_by_kernel_index(self):
-        for m in standard_model_battery(include_a5=False):
+        for m in standard_model_battery():
             fc = fc_center(m)
             if fc.index > 1:
                 assert cp_semianalytic(m) <= Fraction(1, fc.index**2)

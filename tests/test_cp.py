@@ -10,6 +10,7 @@ from haarcp.cli import main
 from haarcp.compact import build_model, cp_semianalytic
 from haarcp.corpus import builtin_corpus
 from haarcp.cp import (
+    _class_entries,
     _cyclic_classes,
     _symmetric_entries,
     cp_class_count,
@@ -18,7 +19,6 @@ from haarcp.cp import (
     format_rational,
     parse_rational,
 )
-from haarcp.errors import CenterMismatch
 from haarcp.groups import (
     FiniteGroup,
     _cosets,
@@ -215,30 +215,16 @@ class TestCosetFormula:
         assert cp_coset_formula(a5) * (a5.order // center(a5).order) ** 2 == 300
         assert cp_coset_formula(a5) == Fraction(300, 3600) == Fraction(1, 12)
 
-    def test_transversal_independence(self, q8):
+    def test_transversal_independence(self, q8, relabel):
+        # each relabelling changes which member of a coset of Z stands for
+        # it and how the cosets are numbered
         rng = random.Random(5)
-        Z = center(q8)
-        base = left_transversal(q8, Z)
         for _ in range(10):
-            reps = tuple(
-                q8.mul(r, rng.choice(Z.members)) for r in base
-            )
-            value = cp_coset_formula(q8, reps)
-            assert value == Fraction(5, 8)
-
-    def test_transversal_of_non_center_rejected(self, s3):
-        # a transversal of the whole group is not one of Z(S3)
-        with pytest.raises(CenterMismatch):
-            cp_coset_formula(s3, left_transversal(s3, whole_subgroup(s3)))
-
-    def test_transversal_missing_cosets_rejected(self, q8):
-        # one representative repeated: three of the four cosets are missed
-        with pytest.raises(CenterMismatch):
-            cp_coset_formula(q8, (0, 0, 0, 0))
+            assert cp_coset_formula(relabel(q8, rng)) == Fraction(5, 8)
 
     def test_default_reps_made_in_one_coset_pass(self, monkeypatch):
-        # left_transversal's representatives are not checked again: one
-        # product per element, where checking them took a second n
+        # the coset pass makes one product per element, and its
+        # representatives are not checked again
         G = direct_product(builders.symmetric(4), builders.cyclic(2))
         expected = cp_pair_count(G)
         mul, calls = FiniteGroup.mul, []
@@ -305,15 +291,22 @@ class TestCosetFormulaOracle:
 
     @pytest.mark.parametrize("factors", PRODUCT_FACTORS.values(), ids=PRODUCT_FACTORS.keys())
     def test_shifted_and_shuffled_reps(self, factors):
-        # any member of a coset may stand for it, in any coset order
+        # any member of a coset may stand for it, in any coset order: the
+        # kernels read the representatives and the projection they are given
         G = direct_product(*(make() for make in factors))
-        Z = center(G)
-        expected = Fraction(brute_commuting_cosets(G), (G.order // Z.order) ** 2)
+        Z, t = center(G), G.mul_table
+        expected = brute_commuting_cosets(G)
         rng = random.Random(G.order)
         for _ in range(3):
             reps = [G.mul(r, rng.choice(Z.members)) for r in left_transversal(G, Z)]
             rng.shuffle(reps)
-            assert cp_coset_formula(G, reps) == expected, G.name
+            proj = [-1] * G.order
+            for c, r in enumerate(reps):
+                for z in Z.members:
+                    proj[G.mul(r, z)] = c
+            assert -1 not in proj
+            runs = _cyclic_classes(t, proj, reps, proj[G.identity])
+            assert _class_entries(t, runs) == expected, G.name
 
 
 class TestThreeWayAgreement:

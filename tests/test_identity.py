@@ -4,12 +4,16 @@ Each workload of perfbench/workloads.py is built at seeds 5 and 23 into a
 temporary directory, and every argv runs in-process through
 haarcp.cli.main.  The (verb, exit code, stdout, stderr) of the jobs, in
 job order, are hashed per workload and seed and compared with
-tests/golden/identity.json.  Spec files are written under tmp_path, and
+tests/golden/identity.json.  Each job's output also goes through the
+job's own check, against perfbench/reference.py, which imports no haarcp
+code.  Spec files are written under a temporary directory, and
 perfbench/ is only read.
 
 After an intended output change, regenerate the digests with
 
     PYTHONPATH=src python tests/test_identity.py --write
+
+which writes nothing while any job fails its check.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ import json
 import random
 import sys
 from pathlib import Path
+
+import pytest
 
 from haarcp import cli
 
@@ -52,11 +58,13 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return rc, out.getvalue(), err.getvalue()
 
 
-def digests(root: Path) -> dict[str, str]:
-    """"workload/seed" -> sha256 of its jobs' (verb, exit code, stdout, stderr)."""
+def run_workloads(root: Path) -> tuple[dict[str, str], list[str]]:
+    """("workload/seed" -> sha256 of its jobs' (verb, exit code, stdout,
+    stderr), the failures of the jobs' own checks against
+    perfbench/reference.py)."""
     workloads = _workloads()
     verbs = {name[4:].replace("_", "-") for name in vars(cli) if name.startswith("cmd_")}
-    found = {}
+    found, failures = {}, []
     for name, build in workloads.WORKLOADS.items():
         for seed in SEEDS:
             work = root / f"{name}-{seed}"
@@ -64,14 +72,30 @@ def digests(root: Path) -> dict[str, str]:
             h = hashlib.sha256()
             for job in build(random.Random(seed), workloads.Specs(work)):
                 verb = next(a for a in job.argv if a in verbs)
-                h.update(json.dumps([verb, *_run(job.argv)]).encode())
+                rc, out, err = _run(job.argv)
+                h.update(json.dumps([verb, rc, out, err]).encode())
+                problem = job.check(rc, out)
+                if problem is not None:
+                    failures.append(f"{name} seed {seed} {job.argv}: {problem}")
             found[f"{name}/{seed}"] = h.hexdigest()
-    return found
+    return found, failures
 
 
-def test_benchmark_outputs_unchanged(tmp_path, monkeypatch):
-    monkeypatch.delenv("HAARCP_CAP", raising=False)
-    assert digests(tmp_path) == json.loads(GOLDEN.read_text(encoding="utf-8"))
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("HAARCP_CAP", raising=False)
+        return run_workloads(tmp_path_factory.mktemp("identity"))
+
+
+def test_benchmark_outputs_unchanged(runs):
+    found, _failures = runs
+    assert found == json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_benchmark_outputs_pass_their_checks(runs):
+    _found, failures = runs
+    assert failures == []
 
 
 if __name__ == "__main__":
@@ -82,4 +106,7 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --write")
     with tempfile.TemporaryDirectory() as tmp:
-        GOLDEN.write_text(json.dumps(digests(Path(tmp)), indent=2) + "\n", encoding="utf-8")
+        found, failures = run_workloads(Path(tmp))
+    if failures:
+        sys.exit("not written: jobs fail their checks\n" + "\n".join(failures))
+    GOLDEN.write_text(json.dumps(found, indent=2) + "\n", encoding="utf-8")
