@@ -18,7 +18,6 @@ from .classify import (
     check_theorem1,
     check_theorem2_part1,
     classify_high_cp,
-    detect_a5_x_abelian,
     scan_corpus,
 )
 from .compact import (
@@ -45,7 +44,6 @@ from .groups import (
     derived_subgroup,
     direct_product,
     is_solvable,
-    left_transversal,
     quotient,
 )
 from .isoclinism import (

@@ -9,17 +9,16 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .compact import CompactModel, cp_semianalytic, cp_theorem1, fc_center
-from .corpus import CorpusEntry
 from .cp import cp_pair_count, format_rational
 from .errors import SearchCapExceeded
-from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, Subgroup, center, derived_series
+from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, center, derived_series
 from .isoclinism import find_stem_group
 
 FINITENESS_THRESHOLD = Fraction(1, 4)
 SOLVABILITY_THRESHOLD = Fraction(3, 40)
+STEM_MAX_ORDER = 32  # check_theorem1 searches builtin stem groups up to this order
 
 
 class Verdict(str, enum.Enum):
@@ -48,28 +47,19 @@ class ClassificationResult:
         return self.verdict.solvable
 
 
-def detect_a5_x_abelian(G: FiniteGroup, series: list[Subgroup] | None = None) -> bool:
-    """Whether G is A5 times an abelian group: |G| = 60|Z(G)| and the last
-    term P of the derived series has order 60.
-
-    P is perfect, and every group of order 60 other than A5 is solvable, so
-    P = A5.  P meets Z(G) inside Z(P) = 1, so |P Z(G)| = 60|Z(G)| = |G| and
-    G = P x Z(G).  Conversely A5 x T has center T and series G > A5 = A5'.
-    A caller that already has G's derived series passes it as series.
-    """
-    if G.order % 60 != 0 or G.order != 60 * center(G).order:
-        return False
-    series = derived_series(G) if series is None else series
-    return series[-1].order == 60
-
-
 def classify_high_cp(G: FiniteGroup) -> ClassificationResult:
     """Exact cp plus the solvable / A5-times-abelian trichotomy verdict.
 
+    G is A5 times an abelian group iff the last term P of its derived series
+    has order 60 and |G| = 60|Z(G)|.  P is perfect, and every group of order
+    60 other than A5 is solvable, so P = A5.  P meets Z(G) inside Z(P) = 1,
+    so |P Z(G)| = 60|Z(G)| = |G| and G = P x Z(G).  Conversely A5 x T has
+    center T and series G > A5 = A5'.  The derived series is worked out
+    once and serves both the solvability test and the A5 test.
+
     A THEOREM_VIOLATION verdict means a non-solvable group above 3/40 that
     is not A5 times abelian; no such group exists, so any occurrence is an
-    engine bug surfaced loudly.  The derived series is worked out once and
-    serves both the solvability test and the A5 test.
+    engine bug surfaced loudly.
     """
     cp = cp_pair_count(G)
     if cp == 1:
@@ -77,7 +67,7 @@ def classify_high_cp(G: FiniteGroup) -> ClassificationResult:
     series = derived_series(G)
     if series[-1].order == 1:
         return ClassificationResult(Verdict.SOLVABLE_NONABELIAN, cp)
-    if detect_a5_x_abelian(G, series):
+    if series[-1].order == 60 and G.order == 60 * center(G).order:
         return ClassificationResult(Verdict.A5_TIMES_ABELIAN, cp)
     if cp <= SOLVABILITY_THRESHOLD:
         return ClassificationResult(Verdict.NONSOLVABLE_BELOW_THRESHOLD, cp)
@@ -133,23 +123,20 @@ class Theorem1Report:
         return self.equal and self.stem_cp_equal is not False
 
 
-def check_theorem1(
-    model: CompactModel,
-    stem_corpus: Iterable[FiniteGroup | CorpusEntry],
-    cap: int = DEFAULT_CLOSURE_CAP,
-) -> Theorem1Report:
+def check_theorem1(model: CompactModel, cap: int = DEFAULT_CLOSURE_CAP) -> Theorem1Report:
     """Assert the two cp routes agree, and realize the stem clause.
 
-    The stem clause looks for a corpus group H with Z(H) <= H' isoclinic to
-    the finite shadow and compares cp values.  A missing stem is reported
-    softly (the corpus is finite, existence is not in question), and so is
-    a shadow above the search cap.
+    The stem clause looks for a builtin group H of order at most
+    min(STEM_MAX_ORDER, cap) with Z(H) <= H' isoclinic to the finite shadow
+    and compares cp values.  A missing stem is reported softly (the corpus
+    is finite, existence is not in question), and so is a shadow above the
+    search cap.
     """
     direct = cp_semianalytic(model)
     fc = fc_center(model, cap)
     reduced = cp_theorem1(fc)
     try:
-        found = find_stem_group(fc.finite_shadow, stem_corpus)
+        found = find_stem_group(fc.finite_shadow, min(STEM_MAX_ORDER, cap))
     except SearchCapExceeded as exc:
         return Theorem1Report(direct, reduced, None, None, (f"stem search skipped: {exc}",))
     if found is None:

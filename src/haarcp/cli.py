@@ -128,7 +128,7 @@ def cmd_stem(args) -> int:
     if args.max_order > cap:
         raise ClosureExceedsCap(f"--max-order {args.max_order} exceeds cap {cap}")
     F = resolve_group(" ".join(args.group), cap=cap)
-    found = find_stem_group(F, corpus.builtin_entries(args.max_order))
+    found = find_stem_group(F, args.max_order)
     if found is None:
         print("none (corpus exhausted)")
         return 0
@@ -141,7 +141,7 @@ def cmd_stem(args) -> int:
 def cmd_verify_t1(args) -> int:
     cap = _cap(args)
     model = parse_model_file(args.model, cap=cap)
-    report = check_theorem1(model, corpus.builtin_entries(min(32, cap)), cap)
+    report = check_theorem1(model, cap)
     eq = "PASS" if report.equal else "FAIL"
     print(
         f"{eq} cp equality: direct {format_rational(report.cp_direct)}"

@@ -124,7 +124,7 @@ def cp_coset_formula(G: FiniteGroup) -> Fraction:
     """
     Z = center(G)
     index = G.order // Z.order
-    proj, reps = _cosets(G, Z)
+    proj, reps = _cosets(Z)
     t = G.mul_table
     runs = _cyclic_classes(t, proj, reps, proj[G.identity])
     return Fraction(_class_entries(t, runs), index * index)

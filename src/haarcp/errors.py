@@ -13,10 +13,6 @@ class EmptyGeneratorList(HaarcpError):
     """A group was requested from an empty generator list."""
 
 
-class NotASubgroup(HaarcpError):
-    """A member set is not closed under multiplication and inverses."""
-
-
 class NotNormal(HaarcpError):
     """A quotient was requested by a non-normal subgroup."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import eq, getitem, itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .errors import ClosureExceedsCap, EmptyGeneratorList, NotASubgroup, NotNormal
+from .errors import ClosureExceedsCap, EmptyGeneratorList, NotNormal
 
 DEFAULT_CLOSURE_CAP = 20000
 
@@ -274,10 +274,10 @@ def conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
     return classes
 
 
-def _cosets(G: FiniteGroup, H: Subgroup) -> tuple[list[int], list[int]]:
-    """(projection, representatives) of the left cosets g*H, smallest unassigned g first."""
-    if H.parent is not G:
-        raise NotASubgroup("subgroup belongs to a different parent group")
+def _cosets(H: Subgroup) -> tuple[list[int], list[int]]:
+    """(projection, representatives) of the left cosets g*H in H.parent,
+    smallest unassigned g first."""
+    G = H.parent
     proj = [-1] * G.order
     reps: list[int] = []
     for g in range(G.order):
@@ -290,13 +290,8 @@ def _cosets(G: FiniteGroup, H: Subgroup) -> tuple[list[int], list[int]]:
     return proj, reps
 
 
-def left_transversal(G: FiniteGroup, H: Subgroup) -> tuple[int, ...]:
-    """One representative per left coset rep*H, smallest unassigned index first."""
-    return tuple(_cosets(G, H)[1])
-
-
-def is_normal(G: FiniteGroup, N: Subgroup) -> bool:
-    mset = N.member_set
+def is_normal(N: Subgroup) -> bool:
+    G, mset = N.parent, N.member_set
     return all(G.conj(g, x) in mset for g in range(G.order) for x in N.members)
 
 
@@ -350,10 +345,12 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CLOSURE_CA
     return make_group(rows, name=f"{G.name} x {H.name}")
 
 
-def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int], list[int]]:
-    """G/N, the projection element-index -> coset-index, and each coset's smallest member."""
-    proj, reps = _cosets(G, N)
-    if not is_normal(G, N):
+def quotient(N: Subgroup) -> tuple[FiniteGroup, list[int], list[int]]:
+    """G/N for G = N.parent, the projection element-index -> coset-index,
+    and each coset's smallest member."""
+    G = N.parent
+    proj, reps = _cosets(N)
+    if not is_normal(N):
         raise NotNormal(f"subgroup of order {N.order} is not normal")
     pick = _picker(reps)
     table = tuple(_picker(pick(G.mul_table[r]))(proj) for r in reps)

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import getitem
-from typing import Iterable
 
-from .corpus import CorpusEntry
+from .corpus import builtin_entries
 from .errors import SearchCapExceeded
 from .groups import FiniteGroup, _picker, center, derived_subgroup, quotient
 from .isomorphism import SEARCH_CAP, _close_partial, _identity_start, iter_isomorphisms
@@ -57,7 +56,7 @@ class _Central:
     @cached_property
     def quotient(self) -> tuple[FiniteGroup, list[int], list[int]]:
         """(G/Z(G), projection, smallest member of each coset), built on first read."""
-        return quotient(self.group, self.center)
+        return quotient(self.center)
 
     @cached_property
     def commutators(self) -> tuple[tuple[int, ...], ...]:
@@ -183,28 +182,30 @@ def is_stem_group(G: FiniteGroup) -> bool:
 
 
 def find_stem_group(
-    F: FiniteGroup,
-    corpus: Iterable[FiniteGroup | CorpusEntry],
+    F: FiniteGroup, max_order: int
 ) -> tuple[FiniteGroup, IsoclinismWitness] | None:
-    """First corpus group, by (order, name), that is a stem group isoclinic to F.
+    """First builtin group of order <= max_order, by (order, name), that is a
+    stem group isoclinic to F.
 
-    Every isoclinism family contains a stem group, but the corpus may not;
-    None means "not found here", never "does not exist".  A corpus entry
-    is built only when it is tried, and is ordered by its corpus name.
+    Every isoclinism family contains a stem group, but the builtin corpus
+    may not; None means "not found here", never "does not exist".  A corpus
+    entry is built only when it is tried, and is ordered by its corpus name.
 
     A stem group H isoclinic to F has H/Z(H) ~ F/Z(F), H' ~ F' and
     Z(H) <= H' (Hall), so |H| = q*m with q = |F:Z(F)| and m = |Z(H)|
-    dividing d = |F'|.  Candidates of any other order are dropped as the
-    corpus is read, and only the ones that pass are sorted.  The
-    search cap is judged on q before any candidate is built.  F's central
-    quotient is built once, when a first candidate passes the screen.
+    dividing d = |F'|.  So the corpus is read only up to min(max_order, q*d),
+    candidates of any other order are dropped as it is read, and only the
+    ones that pass are sorted.  The search cap is judged on q before the
+    corpus is read.  F's central quotient is built once, when a first
+    candidate passes the screen.
     """
     f = _Central(F)
     q, d = f.index, f.derived.order
     _judge_cap(q)
+    corpus = builtin_entries(min(max_order, q * d))
     passed = [c for c in corpus if not (c.order % q or d % (c.order // q))]
     for c in sorted(passed, key=lambda c: (c.order, c.name)):
-        h = _Central(c if isinstance(c, FiniteGroup) else c.group())
+        h = _Central(c.group())
         if h.is_stem:
             w = _search(f, h)
             if w is not None:

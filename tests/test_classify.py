@@ -10,12 +10,11 @@ from haarcp.classify import (
     check_theorem1,
     check_theorem2_part1,
     classify_high_cp,
-    detect_a5_x_abelian,
     scan_corpus,
 )
 from haarcp.compact import build_model, fc_center, standard_model_battery
 from haarcp.cp import cp_pair_count
-from haarcp.corpus import builtin_corpus, builtin_entries
+from haarcp.corpus import builtin_corpus
 from haarcp.groups import center, derived_series, direct_product, make_group
 
 
@@ -41,15 +40,19 @@ class TestClassify:
             assert (result.verdict is Verdict.ABELIAN) == (result.cp_value == 1), name
 
 
+def is_a5_x_abelian(G) -> bool:
+    return classify_high_cp(G).verdict is Verdict.A5_TIMES_ABELIAN
+
+
 class TestDetectA5:
     def test_a5_itself(self, a5):
-        assert detect_a5_x_abelian(a5) is True
+        assert is_a5_x_abelian(a5) is True
 
     def test_a5_x_c4(self, a5):
-        assert detect_a5_x_abelian(direct_product(a5, builders.cyclic(4))) is True
+        assert is_a5_x_abelian(direct_product(a5, builders.cyclic(4))) is True
 
     def test_s5_rejected(self):
-        assert detect_a5_x_abelian(builders.symmetric(5)) is False
+        assert is_a5_x_abelian(builders.symmetric(5)) is False
 
     @pytest.mark.parametrize("build", [
         builders.sl25,  # |G:Z| = 60, but the perfect core SL(2,5) has order 120
@@ -58,7 +61,7 @@ class TestDetectA5:
         lambda: direct_product(builders.alternating(5), builders.symmetric(3)),
     ], ids=["sl25", "sl25 x c2", "s3 x d5", "a5 x s3"])
     def test_negatives(self, build):
-        assert detect_a5_x_abelian(build()) is False
+        assert is_a5_x_abelian(build()) is False
 
     def test_agrees_with_isomorphism_search(self, a5):
         from haarcp.groups import subgroup_as_group
@@ -66,7 +69,7 @@ class TestDetectA5:
 
         for T in (builders.trivial(), builders.cyclic(2), builders.cyclic(3)):
             G = direct_product(a5, T)
-            detected = detect_a5_x_abelian(G)
+            detected = is_a5_x_abelian(G)
             Zg, _ = subgroup_as_group(center(G))
             searched = find_isomorphism(G, direct_product(a5, Zg)) is not None
             assert detected == searched
@@ -83,7 +86,7 @@ class TestDetectA5:
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "haarcp" and getattr(module, "make_group", None) is make_group:
                 monkeypatch.setattr(module, "make_group", spy)
-        assert [detect_a5_x_abelian(G) for G in groups] == [False, False, False, True, False]
+        assert [is_a5_x_abelian(G) for G in groups] == [False, False, False, True, False]
         assert built == []
 
     @pytest.mark.parametrize("build, verdict", [
@@ -133,7 +136,7 @@ class TestTheorem2Part1:
 class TestTheorem1Check:
     def test_o2(self):
         m = build_model(1, builders.cyclic(2), {1: ((-1,),)}, name="o2")
-        report = check_theorem1(m, stem_corpus=[builders.trivial()])
+        report = check_theorem1(m)
         assert report.equal
         assert report.cp_direct == Fraction(1, 4)
         assert report.stem_name is not None
@@ -141,8 +144,7 @@ class TestTheorem1Check:
 
     def test_o2_times_s3(self, s3):
         m = build_model(1, builders.cyclic(2), {1: ((-1,),)}, s3)
-        corpus = [G for _n, G in builtin_corpus(16)]
-        report = check_theorem1(m, stem_corpus=corpus)
+        report = check_theorem1(m)
         assert report.equal
         assert report.cp_direct == Fraction(1, 8)
         assert report.stem_name in ("D3", "S3")  # S3 (= D3) is its own stem
@@ -150,17 +152,17 @@ class TestTheorem1Check:
 
     def test_rotation_times_q8(self, q8):
         m = build_model(2, builders.cyclic(4), {1: ((0, -1), (1, 0))}, q8)
-        corpus = [G for _n, G in builtin_corpus(16)]
-        report = check_theorem1(m, stem_corpus=corpus)
+        report = check_theorem1(m)
         assert report.equal
         assert report.cp_direct == Fraction(5, 128)
         assert fc_center(m).finite_shadow.order == 8
         assert report.stem_name in ("D4", "Q8")
         assert report.stem_cp_equal
 
-    def test_stem_not_in_corpus_is_soft(self, q8):
-        m = build_model(0, builders.trivial(), {}, q8)
-        report = check_theorem1(m, stem_corpus=[builders.cyclic(3)])
+    def test_stem_not_in_corpus_is_soft(self, a5):
+        # the shadow A5 is its own stem, and it is above STEM_MAX_ORDER
+        m = build_model(0, builders.trivial(), {}, a5)
+        report = check_theorem1(m)
         assert report.equal
         assert report.stem_name is None
         assert report.passed
@@ -168,13 +170,13 @@ class TestTheorem1Check:
 
     def test_battery(self):
         for m in standard_model_battery():
-            report = check_theorem1(m, builtin_entries(32))
+            report = check_theorem1(m)
             assert report.passed, m.name
 
-    def test_shadow_built_and_counted_once(self, monkeypatch, a5):
+    def test_shadow_built_and_counted_once(self, monkeypatch, s3):
         from haarcp import classify, compact
 
-        m = build_model(1, builders.cyclic(2), {1: ((-1,),)}, a5, name="o2 x a5")
+        m = build_model(1, builders.cyclic(2), {1: ((-1,),)}, s3, name="o2 x s3")
         calls = {"fc_center": 0, "direct_product": 0, "shadow_pair_count": 0}
         shadows = []
 
@@ -197,11 +199,11 @@ class TestTheorem1Check:
         monkeypatch.setattr(compact, "direct_product", spy("direct_product", direct_product))
         monkeypatch.setattr(classify, "cp_pair_count", spy_pair_count)
         monkeypatch.setattr(compact, "cp_pair_count", spy_pair_count)
-        report = check_theorem1(m, stem_corpus=[a5])
+        report = check_theorem1(m)
         assert calls == {"fc_center": 1, "direct_product": 1, "shadow_pair_count": 1}
-        assert report.cp_direct == report.cp_reduced == Fraction(1, 48)
-        assert fc_center(m).finite_shadow.order == 60
-        assert report.stem_name == a5.name and report.stem_cp_equal
+        assert report.cp_direct == report.cp_reduced == Fraction(1, 8)
+        assert fc_center(m).finite_shadow.order == 6
+        assert report.stem_name == "D3" and report.stem_cp_equal
 
 
 class TestScan:

@@ -690,7 +690,7 @@ class TestCommands:
         from haarcp import isoclinism
         from haarcp.errors import NotNormal
 
-        def planted(G, N):
+        def planted(N):
             raise NotNormal("planted")
 
         monkeypatch.setattr(isoclinism, "quotient", planted)
@@ -720,9 +720,9 @@ class TestCommands:
         # corpus (32): no corpus group and no quotient of the shadow is built
         quotients = []
 
-        def spy(G, N):
-            quotients.append(G.order)
-            return quotient(G, N)
+        def spy(N):
+            quotients.append(N.parent.order)
+            return quotient(N)
 
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "haarcp" and getattr(module, "quotient", None) is quotient:

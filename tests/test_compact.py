@@ -281,7 +281,7 @@ class TestFcCenter:
             Q, fc = m.acting_group, fc_center(m)
             K = generated_subgroup(Q, fc.kernel)
             assert K.members == tuple(sorted(fc.kernel))  # closed
-            assert is_normal(Q, K)
+            assert is_normal(K)
             assert len(K.members) * fc.index == Q.order
 
 

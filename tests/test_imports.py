@@ -1,9 +1,10 @@
-"""Every name a haarcp module imports is referenced in that module.
+"""Every name a haarcp or test module imports is referenced in that module.
 
 No linter is a dependency of the project, so this is a small one: each
-module (the package's __init__, which imports only to re-export, aside) is
-parsed with ast, and an imported name counts as used when some Name node
-in the module reads it, an attribute access on it included.
+haarcp module (the package's __init__, which imports only to re-export,
+aside) and each module under tests/ is parsed with ast, and an imported
+name counts as used when some Name node in the module reads it, an
+attribute access on it included.
 """
 
 import ast
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "haarcp"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "haarcp"
+TESTS = ROOT / "tests"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +39,10 @@ def test_checker_flags_an_unused_import():
 )
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.relative_to(TESTS).as_posix() for p in TESTS.rglob("*.py"))
+)
+def test_no_unused_imports_in_tests(module):
+    assert unused_imports((TESTS / module).read_text(encoding="utf-8")) == []

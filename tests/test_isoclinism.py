@@ -36,7 +36,7 @@ def _central_product(d4):
     G = direct_product(d4, d4)
     z = next(g for g in center(d4).members if g != d4.identity)
     zz = z * d4.order + z  # (z, z), in the product's row-major indexing
-    H, pi, _ = quotient(G, Subgroup(G, tuple(sorted((G.identity, zz)))))
+    H, pi, _ = quotient(Subgroup(G, tuple(sorted((G.identity, zz)))))
     return G, H, pi
 
 
@@ -105,8 +105,8 @@ class TestVerify:
         # (D4 o D4)/Z = C2^4, and G' = C2 onto H' = C2 compatibly: a
         # witness in every check but that |G/Z(G)| = 4 and |H/Z(H)| = 16
         _G, H, pi = _central_product(d4)
-        _Qh, h_proj, _ = quotient(H, center(H))
-        _Qg, g_proj, _ = quotient(d4, center(d4))
+        _Qh, h_proj, _ = quotient(center(H))
+        _Qg, g_proj, _ = quotient(center(d4))
         into = [h_proj[pi[g_proj.index(c) * d4.order + d4.identity]] for c in range(4)]
         alpha = tuple(into + sorted(set(range(16)) - set(into)))
         beta = {u: pi[u * d4.order + d4.identity] for u in derived_subgroup(d4).members}
@@ -118,8 +118,8 @@ class TestVerify:
         # have the same central quotient and compatible commutator maps, but
         # |G'| = 4 and |H'| = 2: the quotient map sends G' onto H', 2 to 1
         G, H, pi = _central_product(d4)
-        Qg, g_proj, _ = quotient(G, center(G))
-        Qh, h_proj, _ = quotient(H, center(H))
+        Qg, g_proj, _ = quotient(center(G))
+        Qh, h_proj, _ = quotient(center(H))
         g_reps = [g_proj.index(c) for c in range(Qg.order)]
         Dg, Dh = derived_subgroup(G), derived_subgroup(H)
         assert (Qg.order, Qh.order, Dg.order, Dh.order) == (16, 16, 4, 2)
@@ -303,16 +303,14 @@ def _passes_screen(F, order):
 
 class TestStemGroups:
     def test_abelian_has_trivial_stem(self):
-        corpus = [G for _n, G in builtin_corpus(16)]
-        found = find_stem_group(builders.cyclic(12), corpus)
+        found = find_stem_group(builders.cyclic(12), 16)
         assert found is not None
         H, w = found
         assert H.order == 1
 
     def test_d4_x_c2(self, d4):
-        corpus = [G for _n, G in builtin_corpus(16)]
         F = direct_product(d4, builders.cyclic(2))
-        found = find_stem_group(F, corpus)
+        found = find_stem_group(F, 16)
         assert found is not None
         H, w = found
         assert H.order == 8  # D4 or Q8, the stems of the family
@@ -320,18 +318,16 @@ class TestStemGroups:
         assert cp_pair_count(F) == cp_pair_count(H)
 
     def test_a5_x_c6(self, a5):
-        corpus = [G for _n, G in builtin_corpus(64)]
         F = direct_product(a5, builders.cyclic(6))
-        found = find_stem_group(F, corpus)
+        found = find_stem_group(F, 64)
         assert found is not None
         H, _w = found
         assert H.order == 60
         assert is_stem_group(H)
 
     def test_returned_stem_satisfies_condition(self):
-        corpus = [G for _n, G in builtin_corpus(16)]
         for F in (builders.dihedral(4), builders.quaternion8(), builders.cyclic(5)):
-            found = find_stem_group(F, corpus)
+            found = find_stem_group(F, 16)
             assert found is not None
             H, w = found
             assert center(H).member_set <= derived_subgroup(H).member_set
@@ -346,7 +342,7 @@ class TestStemGroups:
         cases += [(direct_product(G, builders.cyclic(m)), 64) for G, m in products]
         cases += [(builders.symmetric(5), 120), (builders.sl25(), 120)]
         for F, max_order in cases:
-            found = find_stem_group(F, builtin_entries(max_order))
+            found = find_stem_group(F, max_order)
             expected = _reference_stem(F, [G for _n, G in builtin_corpus(max_order)])
             assert found is not None and expected is not None, F.name
             assert found[0].name == expected[0].name, F.name
@@ -358,7 +354,7 @@ class TestStemGroups:
         F = builders.cyclic(2)
         tracemalloc.start()
         try:
-            found = find_stem_group(F, builtin_entries(50000))
+            found = find_stem_group(F, 50000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -367,6 +363,26 @@ class TestStemGroups:
         assert H is builtin_group("trivial")
         assert w == IsoclinismWitness((0,), {0: 0})
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize("argv, bound, out", [
+        (["--cap", "100000000", "stem", "--max-order", "5000000", "c2"], 1, "stem: 1 (order 1)"),
+        (["stem", "--max-order", "600", "d3xd8.group"], 576, "none (corpus exhausted)"),
+    ], ids=["c2", "d3 x d8"])
+    def test_corpus_read_up_to_q_times_d(self, argv, bound, out, monkeypatch, tmp_path, capsys):
+        # no candidate is larger than q*d = |F:Z(F)| * |F'|: C2 has q = d = 1,
+        # and D3 x D8 has q = 48 and d = 12
+        bounds = []
+
+        def spy(max_order):
+            bounds.append(max_order)
+            return builtin_entries(max_order)
+
+        monkeypatch.setattr(isoclinism, "builtin_entries", spy)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d3xd8.group").write_text("product d3 d8\n")
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[0] == out
+        assert bounds == [bound]
 
     def test_isoclinic_stem_groups_pass_the_screen(self):
         groups = [G for _n, G in builtin_corpus(64)]
@@ -385,9 +401,9 @@ def quotients(monkeypatch):
     """Every group whose central quotient the search builds, in call order."""
     real, built = isoclinism.quotient, []
 
-    def spy(G, N):
-        built.append(G)
-        return real(G, N)
+    def spy(N):
+        built.append(N.parent)
+        return real(N)
 
     monkeypatch.setattr(isoclinism, "quotient", spy)
     return built
@@ -410,7 +426,7 @@ class TestQuotientsAfterCapAndScreen:
         # F = D24 of order 48 has |F:Z(F)| = 24 and |F'| = 12: the stem S4
         # passes the screen and is searched and rejected, then D24 itself
         F = builders.dihedral(24)
-        found = find_stem_group(F, builtin_entries(64))
+        found = find_stem_group(F, 64)
         assert found is not None and found[0].name == "D24"
         assert [G.name for G in quotients] == ["D24", "S4", "D24"]
         assert sum(G is F for G in quotients) == 1
