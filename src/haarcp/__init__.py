@@ -27,6 +27,7 @@ from .compact import (
     cp_semianalytic,
     cp_theorem1,
     fc_center,
+    finite_shadow,
     standard_model_battery,
 )
 from .cp import (

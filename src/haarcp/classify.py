@@ -10,7 +10,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .compact import CompactModel, cp_semianalytic, cp_theorem1, fc_center
+from .compact import CompactModel, cp_semianalytic, cp_theorem1, fc_center, finite_shadow
 from .cp import cp_pair_count, format_rational
 from .errors import SearchCapExceeded
 from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, center, derived_series
@@ -41,10 +41,6 @@ class Verdict(str, enum.Enum):
 class ClassificationResult:
     verdict: Verdict
     cp_value: Fraction
-
-    @property
-    def solvable(self) -> bool:
-        return self.verdict.solvable
 
 
 def classify_high_cp(G: FiniteGroup) -> ClassificationResult:
@@ -81,9 +77,7 @@ class Theorem2Part1Report:
     notes: tuple[str, ...]
 
 
-def check_theorem2_part1(
-    x: FiniteGroup | CompactModel, cap: int = DEFAULT_CLOSURE_CAP
-) -> Theorem2Part1Report:
+def check_theorem2_part1(x: FiniteGroup | CompactModel) -> Theorem2Part1Report:
     """cp > 1/4 forces a finite central quotient and derived subgroup.
 
     Vacuous for finite inputs.  For models the check is: cp > 1/4 implies
@@ -95,7 +89,7 @@ def check_theorem2_part1(
         cp = cp_pair_count(x)
         return Theorem2Part1Report(cp, True, ("finite group: conclusion vacuous",))
     cp = cp_semianalytic(x)
-    fc = fc_center(x, cap)
+    fc = fc_center(x)
     if cp > FINITENESS_THRESHOLD:
         ok = fc.index == 1
         notes = (f"cp = {format_rational(cp)} > 1/4: FC index must be 1",)
@@ -133,10 +127,11 @@ def check_theorem1(model: CompactModel, cap: int = DEFAULT_CLOSURE_CAP) -> Theor
     search cap.
     """
     direct = cp_semianalytic(model)
-    fc = fc_center(model, cap)
-    reduced = cp_theorem1(fc)
+    fc = fc_center(model)
+    shadow = finite_shadow(model, fc, cap)
+    reduced = cp_theorem1(shadow, fc.index)
     try:
-        found = find_stem_group(fc.finite_shadow, min(STEM_MAX_ORDER, cap))
+        found = find_stem_group(shadow, min(STEM_MAX_ORDER, cap))
     except SearchCapExceeded as exc:
         return Theorem1Report(direct, reduced, None, None, (f"stem search skipped: {exc}",))
     if found is None:
@@ -154,17 +149,13 @@ class CensusRow:
     cp_value: Fraction
     verdict: Verdict
 
-    @property
-    def solvable(self) -> bool:
-        return self.verdict.solvable
-
     def machine_line(self) -> str:
         return "|".join(
             [
                 self.name,
                 str(self.order),
                 format_rational(self.cp_value),
-                "1" if self.solvable else "0",
+                "1" if self.verdict.solvable else "0",
                 str(self.verdict),
             ]
         )
@@ -193,7 +184,7 @@ def census_table(rows: list[CensusRow]) -> str:
     header = ("name", "order", "cp", "solvable", "verdict")
     data = [
         (r.name, str(r.order), format_rational(r.cp_value),
-         "yes" if r.solvable else "no", str(r.verdict))
+         "yes" if r.verdict.solvable else "no", str(r.verdict))
         for r in rows
     ]
     widths = [max(len(h), *(len(d[i]) for d in data)) if data else len(h)

@@ -92,12 +92,11 @@ def cmd_center(args) -> int:
 
 
 def cmd_fc(args) -> int:
-    cap = _cap(args)
-    model = parse_model_file(args.model, cap=cap)
-    fc = fc_center(model, cap)
+    model = parse_model_file(args.model, cap=_cap(args))
+    fc = fc_center(model)
     print(f"action kernel size {len(fc.kernel)} of |Q| = {model.acting_group.order}")
     print(f"FC index {fc.index}")
-    print(f"finite shadow order {fc.finite_shadow.order}")
+    print(f"finite shadow order {len(fc.kernel) * model.extra_factor.order}")
     return 0
 
 
@@ -156,8 +155,7 @@ def cmd_verify_t1(args) -> int:
 
 
 def cmd_verify_t2(args) -> int:
-    cap = _cap(args)
-    report = check_theorem2_part1(resolve_group_or_model(args.input, cap=cap), cap)
+    report = check_theorem2_part1(resolve_group_or_model(args.input, cap=_cap(args)))
     mark = "PASS" if report.passed else "FAIL"
     print(f"{mark} cp = {format_rational(report.cp_value)}")
     for note in report.notes:

@@ -12,8 +12,8 @@ independent routes are exposed:
     constraint cuts a proper closed subgroup of measure 0).  Hence
     cp = cp(L) * #{(q, r) in K^2 : qr = rq} / |Q|^2 with K the action kernel.
 
-  * cp_theorem1: reduce to the finite shadow of the FC-center and divide by
-    the square of its index.
+  * cp_theorem1: reduce to the finite shadow K x L of the FC-center and
+    divide by the square of its index |Q : K|.
 
 Their exact agreement on every model is the machine-checkable content of
 the coset-reduction theorem for this family.
@@ -88,10 +88,9 @@ class CompactModel:
 
 @dataclass(frozen=True)
 class FcDescription:
-    """FC-center of a model: the action kernel K times the finite factor."""
+    """FC-center T^d x K x L of a model, given by the action kernel K."""
 
     kernel: tuple[int, ...]  # element indices of Q with M_q = I
-    finite_shadow: FiniteGroup  # a group isomorphic to K x L
     index: int  # |Q : K|
 
 
@@ -155,21 +154,26 @@ def build_model(
     return CompactModel(d, Q, full, L, name=name)
 
 
-def fc_center(model: CompactModel, cap: int = DEFAULT_CLOSURE_CAP) -> FcDescription:
-    """Elements with finite conjugacy class: kernel of the action, times L.
+def fc_center(model: CompactModel) -> FcDescription:
+    """Elements with finite conjugacy class: T^d x K x L, K the action kernel.
 
     The class of (a, q, l) sweeps (a + (I - M_q) b, q', l') over torus
     elements b, which is finite iff (I - M_q) kills the torus, i.e. M_q = I.
-    The torus itself is central in the FC-part and drops out of cp, so the
-    finite shadow K x L carries all the structure downstream code needs.
+    No table is built here; finite_shadow builds K x L.
     """
     Q = model.acting_group
     ident = identity_matrix(model.torus_rank)
     kernel = tuple(q for q in range(Q.order) if model.action[q] == ident)
+    return FcDescription(kernel, Q.order // len(kernel))
+
+
+def finite_shadow(
+    model: CompactModel, fc: FcDescription, cap: int = DEFAULT_CLOSURE_CAP
+) -> FiniteGroup:
+    """K x L under `cap`: the FC-center without its torus, which is central."""
     # the kernel of a homomorphism is a subgroup; build_model checked the law
-    kgrp, _ = subgroup_as_group(Subgroup(Q, kernel))
-    shadow = direct_product(kgrp, model.extra_factor, cap)
-    return FcDescription(kernel, shadow, Q.order // len(kernel))
+    kgrp, _ = subgroup_as_group(Subgroup(model.acting_group, fc.kernel))
+    return direct_product(kgrp, model.extra_factor, cap)
 
 
 def cp_semianalytic(model: CompactModel) -> Fraction:
@@ -181,13 +185,13 @@ def cp_semianalytic(model: CompactModel) -> Fraction:
     return cp_pair_count(model.extra_factor) * Fraction(surviving, Q.order**2)
 
 
-def cp_theorem1(fc: FcDescription) -> Fraction:
-    """cp(finite shadow of the FC-center) / index^2, from fc_center(model, cap).
+def cp_theorem1(shadow: FiniteGroup, index: int) -> Fraction:
+    """cp(shadow) / index^2, for the finite_shadow of a model and its FC index.
 
     An infinite FC-index (where the convention 1/inf = 0 would apply) cannot
     occur in this family: the index always divides |Q|.
     """
-    return cp_pair_count(fc.finite_shadow) / (fc.index**2)
+    return cp_pair_count(shadow) / (index**2)
 
 
 # -- Monte Carlo -----------------------------------------------------------

@@ -49,7 +49,7 @@ def parse_cycles(text: str, line: int | None = None) -> list[tuple[int, ...]]:
     rebuilt = "".join(f"({c})" for c in _CYCLE_RE.findall(text)).replace(" ", "")
     if rebuilt != stripped:
         raise ParseError(f"malformed cycle notation: {text!r}", line)
-    cycles = []
+    cycles, seen = [], set()
     for body in _CYCLE_RE.findall(text):
         if not body.strip():
             continue
@@ -59,6 +59,10 @@ def parse_cycles(text: str, line: int | None = None) -> list[tuple[int, ...]]:
             raise ParseError(f"non-integer point in cycle: {body!r}", line)
         if any(p < 1 for p in pts) or len(set(pts)) != len(pts):
             raise ParseError(f"invalid cycle points: {body!r}", line)
+        shared = seen.intersection(pts)
+        if shared:
+            raise ParseError(f"point {min(shared)} in two cycles: {text!r}", line)
+        seen.update(pts)
         cycles.append(pts)
     return cycles
 
@@ -240,10 +244,10 @@ def _model_from_lines(path: Path, lines: list[str], cap: int) -> CompactModel:
             raise ParseError(f"second {verb} line", lineno)
         seen.add(verb)
         if verb == "torus_rank":
-            digits = rest.removeprefix("-")
-            if not (digits.isascii() and digits.isdigit()):
+            try:
+                (rank,) = _ints(rest)
+            except ValueError:
                 raise ParseError(f"bad torus rank: {rest!r}", lineno)
-            rank = int(rest)
             if rank > 0 and rank * rank > cap:  # an action matrix holds d^2 entries
                 raise ClosureExceedsCap(f"torus rank {rank} squared exceeds cap {cap}")
         elif verb == "acting_group":

@@ -17,6 +17,7 @@ from haarcp.compact import (
     cp_semianalytic,
     cp_theorem1,
     fc_center,
+    finite_shadow,
     standard_model_battery,
 )
 from haarcp.corpus import builtin_corpus
@@ -80,7 +81,8 @@ def test_criterion_3_theorem1_equality_on_battery():
     models = standard_model_battery()
     ok = len(models) >= 20
     for m in models:
-        if cp_semianalytic(m) != cp_theorem1(fc_center(m)):
+        fc = fc_center(m)
+        if cp_semianalytic(m) != cp_theorem1(finite_shadow(m, fc), fc.index):
             ok = False
     o2 = build_model(1, builders.cyclic(2), {1: ((-1,),)}, name="o2")
     rotation_q8 = build_model(

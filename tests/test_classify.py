@@ -12,7 +12,7 @@ from haarcp.classify import (
     classify_high_cp,
     scan_corpus,
 )
-from haarcp.compact import build_model, fc_center, standard_model_battery
+from haarcp.compact import build_model, fc_center, finite_shadow, standard_model_battery
 from haarcp.cp import cp_pair_count
 from haarcp.corpus import builtin_corpus
 from haarcp.groups import center, derived_series, direct_product, make_group
@@ -155,7 +155,7 @@ class TestTheorem1Check:
         report = check_theorem1(m)
         assert report.equal
         assert report.cp_direct == Fraction(5, 128)
-        assert fc_center(m).finite_shadow.order == 8
+        assert finite_shadow(m, fc_center(m)).order == 8
         assert report.stem_name in ("D4", "Q8")
         assert report.stem_cp_equal
 
@@ -177,15 +177,15 @@ class TestTheorem1Check:
         from haarcp import classify, compact
 
         m = build_model(1, builders.cyclic(2), {1: ((-1,),)}, s3, name="o2 x s3")
-        calls = {"fc_center": 0, "direct_product": 0, "shadow_pair_count": 0}
+        calls = {"finite_shadow": 0, "direct_product": 0, "shadow_pair_count": 0}
         shadows = []
 
         def spy(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 result = fn(*args, **kwargs)
-                if name == "fc_center":
-                    shadows.append(result.finite_shadow)
+                if name == "finite_shadow":
+                    shadows.append(result)
                 return result
             return wrapper
 
@@ -193,16 +193,16 @@ class TestTheorem1Check:
             calls["shadow_pair_count"] += any(G is S for S in shadows)
             return cp_pair_count(G)
 
-        fc_spy = spy("fc_center", compact.fc_center)
-        monkeypatch.setattr(classify, "fc_center", fc_spy)
-        monkeypatch.setattr(compact, "fc_center", fc_spy)
+        shadow_spy = spy("finite_shadow", compact.finite_shadow)
+        monkeypatch.setattr(classify, "finite_shadow", shadow_spy)
+        monkeypatch.setattr(compact, "finite_shadow", shadow_spy)
         monkeypatch.setattr(compact, "direct_product", spy("direct_product", direct_product))
         monkeypatch.setattr(classify, "cp_pair_count", spy_pair_count)
         monkeypatch.setattr(compact, "cp_pair_count", spy_pair_count)
         report = check_theorem1(m)
-        assert calls == {"fc_center": 1, "direct_product": 1, "shadow_pair_count": 1}
+        assert calls == {"finite_shadow": 1, "direct_product": 1, "shadow_pair_count": 1}
         assert report.cp_direct == report.cp_reduced == Fraction(1, 8)
-        assert fc_center(m).finite_shadow.order == 6
+        assert finite_shadow(m, fc_center(m)).order == 6
         assert report.stem_name == "D3" and report.stem_cp_equal
 
 
@@ -256,4 +256,4 @@ class TestMonotoneSanity:
     def test_abelian_factor_keeps_solvability_verdict(self, s3):
         base = classify_high_cp(s3)
         enlarged = classify_high_cp(direct_product(s3, builders.cyclic(4)))
-        assert base.solvable == enlarged.solvable
+        assert base.verdict.solvable == enlarged.verdict.solvable

@@ -90,6 +90,18 @@ class TestGroupSpecs:
             parse_group_file(f)
         assert "line 1" in str(err.value)
 
+    @pytest.mark.parametrize("cycles, point", [
+        ("(1 2)(1 2 3)", 1), ("(1 2)(1 2)", 1), ("(1 2)(2 3)", 2),
+    ], ids=["transposition-then-3-cycle", "same-cycle-twice", "chained"])
+    def test_cycles_that_share_a_point(self, cycles, point, tmp_path, capsys):
+        # cycles on one perm line are disjoint: a shared point is an error,
+        # not a product of the cycles, and is reported with its line
+        f = tmp_path / "g.group"
+        f.write_text(f"perm (4 5)\nperm {cycles}\n")
+        assert main(["center", str(f)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: line 2: point {point} in two cycles: '{cycles}'\n")
+
     def test_builtin_names(self):
         assert resolve_group("alternating 5").order == 60
         assert resolve_group("a5").order == 60
@@ -327,6 +339,19 @@ class TestCommands:
         assert main([verb, str(f)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize("rank, err", [
+        *((r, f"error: line 1: bad torus rank: {r!r}\n")
+          for r in ["-", "--1", "+3", "3 4", "٣", "3_0", "1e3"]),
+        ("-3", "error: torus rank must be >= 0\n"),
+        ("-00", ""),
+    ])
+    def test_torus_rank_read_as_every_spec_number(self, rank, err, tmp_path, capsys):
+        # one -?[0-9]+ integer, read by _ints as every number in a spec is
+        f = tmp_path / "m.model"
+        f.write_text(f"torus_rank {rank}\nacting_group c2\n", encoding="utf-8")
+        assert main(["fc", str(f)]) == (2 if err else 0)
+        assert capsys.readouterr().err == err
+
     @pytest.mark.parametrize("verb, spec, message", [
         ("cp", "product s3 c2\nbogus directive here\n", "line 2: unknown directive 'bogus'"),
         ("cp", "product s3 c2\nperm (1 2)\n",
@@ -529,21 +554,31 @@ class TestCommands:
         assert main(argv + [str(f)]) == 2
         assert capsys.readouterr() == ("", f"error: torus rank {rank} squared exceeds cap {cap}\n")
 
-    @pytest.mark.parametrize("verb", ["fc", "verify-t1", "verify-t2"])
-    def test_shadow_honours_cap(self, verb, tmp_path, capsys):
-        # the shadow C6 x C2 is built under the command's cap, as a spec's
-        # product line is; C6 and C2 each pass the operand check at cap 11
+    @pytest.mark.parametrize("verb, out, err", [
+        ("fc", "action kernel size 6 of |Q| = 6\nFC index 1\nfinite shadow order 12\n", ""),
+        ("verify-t1", "", "error: product order 12 exceeds cap 11\n"),
+        ("verify-t2", "PASS cp = 1\nnote: cp = 1 > 1/4: FC index must be 1\n", ""),
+    ], ids=["fc", "verify-t1", "verify-t2"])
+    def test_shadow_honours_cap(self, verb, out, err, tmp_path, capsys):
+        # only verify-t1 builds the shadow C6 x C2, under the command's cap
+        # as a spec's product line is; C6 and C2 each pass the operand check
+        # at cap 11.  fc and verify-t2 build no shadow, so cap 11 is enough
         f = tmp_path / "m.model"
         f.write_text("torus_rank 0\nacting_group c6\nextra_factor c2\n")
-        assert main(["--cap", "11", verb, str(f)]) == 2
-        assert capsys.readouterr() == ("", "error: product order 12 exceeds cap 11\n")
+        assert main(["--cap", "11", verb, str(f)]) == (2 if err else 0)
+        assert capsys.readouterr() == (out, err)
         assert main(["--cap", "12", verb, str(f)]) == 0
 
-    @pytest.mark.parametrize("verb", ["fc", "verify-t1", "verify-t2"])
-    def test_shadow_takes_a_raised_cap(self, verb, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("verb, built", [
+        ("fc", []),
+        ("verify-t1", [(200, 101, 100000)]),
+        ("verify-t2", []),
+    ], ids=["fc", "verify-t1", "verify-t2"])
+    def test_shadow_takes_a_raised_cap(self, verb, built, tmp_path, capsys, monkeypatch):
         # the shadow C200 x C101 of order 20200 is above the default cap but
-        # within --cap 100000; its 20200^2-entry table is not built here:
-        # the spy records the cap and builds C200 x 1 in its place
+        # within --cap 100000, and only verify-t1 builds it.  Its 20200^2-entry
+        # table is not built here: the spy records the cap and builds C200 x 1
+        # in its place
         from haarcp import compact
         from haarcp.groups import DEFAULT_CLOSURE_CAP, direct_product
 
@@ -557,7 +592,35 @@ class TestCommands:
         f = tmp_path / "m.model"
         f.write_text("torus_rank 0\nacting_group c200\nextra_factor c101\n")
         assert main(["--cap", "100000", verb, str(f)]) == 0
-        assert seen == [(200, 101, 100000)]
+        assert seen == built
+
+    @pytest.mark.parametrize("verb, spec, out", [
+        ("fc", "torus_rank 0\nacting_group c200\nextra_factor c101\n",
+         ["action kernel size 200 of |Q| = 200", "FC index 1", "finite shadow order 20200"]),
+        ("verify-t2", "torus_rank 0\nacting_group c200\nextra_factor c101\n",
+         ["PASS cp = 1", "note: cp = 1 > 1/4: FC index must be 1"]),
+        ("fc", "torus_rank 1\nacting_group c2\nmatrix 1 -1\nextra_factor a5\n",
+         ["action kernel size 1 of |Q| = 2", "FC index 2", "finite shadow order 60"]),
+        ("verify-t2", "torus_rank 1\nacting_group c2\nmatrix 1 -1\nextra_factor a5\n",
+         ["PASS cp = 1/48", "note: cp = 1/48 <= 1/4: nothing asserted"]),
+    ], ids=["fc-c200-c101", "verify-t2-c200-c101", "fc-o2-a5", "verify-t2-o2-a5"])
+    def test_model_verbs_build_no_shadow(self, verb, spec, out, tmp_path, capsys, monkeypatch):
+        # fc and verify-t2 read K and |Q:K| only.  Reading these specs builds
+        # no product and no subgroup table, so neither may be built at all;
+        # the C200 x C101 shadow is above the default cap, and is not needed
+        from haarcp.groups import direct_product, subgroup_as_group
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("shadow table built")
+
+        for name, module in list(sys.modules.items()):
+            for fn in (direct_product, subgroup_as_group):
+                if name.split(".")[0] == "haarcp" and getattr(module, fn.__name__, None) is fn:
+                    monkeypatch.setattr(module, fn.__name__, forbidden)
+        f = tmp_path / "m.model"
+        f.write_text(spec)
+        assert main([verb, str(f)]) == 0
+        assert capsys.readouterr().out.splitlines() == out
 
     def test_torus_rank_at_cap_allowed(self, tmp_path, capsys):
         f = tmp_path / "m.model"

@@ -15,6 +15,7 @@ from haarcp.compact import (
     cp_semianalytic,
     cp_theorem1,
     fc_center,
+    finite_shadow,
     mat_det,
     splitmix64_stream,
     standard_model_battery,
@@ -38,6 +39,12 @@ def o2_model():
 
 def rotation_model(extra=None):
     return build_model(2, builders.cyclic(4), {1: ROT90}, extra, name="t2-c4")
+
+
+def reduced_cp(m):
+    """cp_theorem1 on the shadow and the index of m's FC-center."""
+    fc = fc_center(m)
+    return cp_theorem1(finite_shadow(m, fc), fc.index)
 
 
 class TestValidation:
@@ -263,13 +270,14 @@ class TestFcCenter:
         m = build_model(2, s3, {}, builders.cyclic(2))
         fc = fc_center(m)
         assert fc.index == 1
-        assert fc.finite_shadow.order == 12
+        assert finite_shadow(m, fc).order == 12
 
     def test_o2(self):
-        fc = fc_center(o2_model())
+        m = o2_model()
+        fc = fc_center(m)
         assert fc.kernel == (0,)
         assert fc.index == 2
-        assert fc.finite_shadow.order == 1
+        assert finite_shadow(m, fc).order == 1
 
     def test_rotation_model(self):
         fc = fc_center(rotation_model())
@@ -289,12 +297,12 @@ class TestExactCp:
     def test_finite_q8(self, q8):
         m = build_model(0, builders.trivial(), {}, q8)
         assert cp_semianalytic(m) == Fraction(5, 8)
-        assert cp_theorem1(fc_center(m)) == Fraction(5, 8)
+        assert reduced_cp(m) == Fraction(5, 8)
 
     def test_o2_quarter(self):
         m = o2_model()
         assert cp_semianalytic(m) == Fraction(1, 4)
-        assert cp_theorem1(fc_center(m)) == Fraction(1, 4)
+        assert reduced_cp(m) == Fraction(1, 4)
 
     def test_rotation_sixteenth(self):
         m = rotation_model()
@@ -303,17 +311,18 @@ class TestExactCp:
     def test_o2_times_s3(self, s3):
         m = build_model(1, builders.cyclic(2), {1: ((-1,),)}, s3)
         assert cp_semianalytic(m) == Fraction(1, 8)
-        assert cp_theorem1(fc_center(m)) == Fraction(1, 8)
+        assert reduced_cp(m) == Fraction(1, 8)
 
     def test_rotation_times_q8(self, q8):
         m = rotation_model(q8)
         assert cp_semianalytic(m) == Fraction(5, 128)
-        assert cp_theorem1(fc_center(m)) == Fraction(5, 128)
+        assert reduced_cp(m) == Fraction(5, 128)
 
     def test_theorem1_reads_the_shadow_built_under_the_cap(self, tmp_path, monkeypatch):
         # the shadow C200 x C101 of order 20200 is above the default cap but
-        # within cap 100000; cp_theorem1 builds no shadow of its own.  The spy
-        # records the cap and builds C200 x 1 in place of the 20200^2 table
+        # within cap 100000.  fc_center builds no table, and cp_theorem1
+        # counts the one that finite_shadow built.  The spy records the cap
+        # and builds C200 x 1 in place of the 20200^2 table
         from haarcp import compact
 
         seen = []
@@ -326,14 +335,16 @@ class TestExactCp:
         f = tmp_path / "m.model"
         f.write_text("torus_rank 0\nacting_group c200\nextra_factor c101\n")
         m = parse_model_file(str(f), cap=100000)
-        assert cp_theorem1(fc_center(m, 100000)) == 1
+        fc = fc_center(m)
+        assert seen == []
+        assert cp_theorem1(finite_shadow(m, fc, 100000), fc.index) == 1
         assert seen == [(200, 101, 100000)]
 
     def test_theorem1_equality_on_battery(self):
         models = standard_model_battery()
         assert len(models) >= 20
         for m in models:
-            assert cp_semianalytic(m) == cp_theorem1(fc_center(m)), m.name
+            assert cp_semianalytic(m) == reduced_cp(m), m.name
 
     def test_nontrivial_action_bounded_by_kernel_index(self):
         for m in standard_model_battery():
