@@ -7,8 +7,8 @@ are stored as fractions and never approximated.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .compact import CompactModel, cp_semianalytic, cp_theorem1, fc_center, finite_shadow
 from .cp import cp_pair_count, format_rational
@@ -37,8 +37,7 @@ class Verdict(str, enum.Enum):
         return self in (Verdict.ABELIAN, Verdict.SOLVABLE_NONABELIAN)
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     verdict: Verdict
     cp_value: Fraction
 
@@ -70,8 +69,7 @@ def classify_high_cp(G: FiniteGroup) -> ClassificationResult:
     return ClassificationResult(Verdict.THEOREM_VIOLATION, cp)
 
 
-@dataclass(frozen=True)
-class Theorem2Part1Report:
+class Theorem2Part1Report(NamedTuple):
     cp_value: Fraction
     passed: bool
     notes: tuple[str, ...]
@@ -100,8 +98,7 @@ def check_theorem2_part1(x: FiniteGroup | CompactModel) -> Theorem2Part1Report:
     return Theorem2Part1Report(cp, True, notes)
 
 
-@dataclass(frozen=True)
-class Theorem1Report:
+class Theorem1Report(NamedTuple):
     cp_direct: Fraction
     cp_reduced: Fraction
     stem_name: str | None
@@ -142,8 +139,7 @@ def check_theorem1(model: CompactModel, cap: int = DEFAULT_CLOSURE_CAP) -> Theor
     return Theorem1Report(direct, reduced, H.name, stem_cp_equal, ())
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     name: str
     order: int
     cp_value: Fraction

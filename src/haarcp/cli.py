@@ -163,6 +163,15 @@ def cmd_verify_t2(args) -> int:
     return 0 if report.passed else 1
 
 
+def _spec_group(path: str, cap: int) -> FiniteGroup:
+    """A group read from a scan input's spec file.  An error names the file:
+    scan reads many inputs, and a line number alone does not say whose it is."""
+    try:
+        return resolve_group(path, cap=cap)
+    except (HaarcpError, ValueError) as exc:
+        raise HaarcpError(f"{path}: {exc}") from exc
+
+
 def cmd_scan(args) -> int:
     threshold = parse_rational(args.threshold)
     cap = _cap(args)
@@ -176,7 +185,9 @@ def cmd_scan(args) -> int:
         if path.is_dir():
             for child in sorted(path.iterdir()):
                 if child.is_file():
-                    entries.append((child.stem, resolve_group(str(child), cap=cap)))
+                    entries.append((child.stem, _spec_group(str(child), cap)))
+        elif path.is_file():
+            entries.append((item, _spec_group(item, cap)))
         else:
             entries.append((item, resolve_group(item, cap=cap)))
     rows = scan_corpus(entries, threshold=threshold)

@@ -22,9 +22,8 @@ the coset-reduction theorem for this family.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .builders import trivial
 from .errors import NotAHomomorphism, NotUnimodular, RankMismatch, ZeroSamples
@@ -75,8 +74,7 @@ def mat_det(a: Matrix) -> int:
     return sign * m[-1][-1]
 
 
-@dataclass(frozen=True)
-class CompactModel:
+class CompactModel(NamedTuple):
     """(T^torus_rank x| acting_group) x extra_factor, with the full action table."""
 
     torus_rank: int
@@ -86,8 +84,7 @@ class CompactModel:
     name: str = "model"
 
 
-@dataclass(frozen=True)
-class FcDescription:
+class FcDescription(NamedTuple):
     """FC-center T^d x K x L of a model, given by the action kernel K."""
 
     kernel: tuple[int, ...]  # element indices of Q with M_q = I
@@ -230,8 +227,7 @@ def splitmix64_stream(seed: int, count: int, first: int = 1, step: int = 1,
     return z
 
 
-@dataclass(frozen=True)
-class MonteCarloEstimate:
+class MonteCarloEstimate(NamedTuple):
     estimate: float
     stderr: float
     samples: int

@@ -9,7 +9,6 @@ subgroups are treated as immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import eq, getitem, itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -20,15 +19,37 @@ DEFAULT_CLOSURE_CAP = 20000
 Perm = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class _Frozen:
+    """Read-only slots: fields are set once, in __init__, through object.__setattr__.
+
+    The group classes are slots classes, not NamedTuples like the records
+    elsewhere, because kernels read their fields in hot loops (G.mul,
+    G.commutes, G.conj), and a slot read is faster than a NamedTuple's
+    field property.  They compare and hash by identity.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FiniteGroup(_Frozen):
     """A finite group on element indices 0..order-1 with a full Cayley table."""
 
-    order: int
-    mul_table: tuple[tuple[int, ...], ...]
-    identity: int
-    inverse_table: tuple[int, ...]
-    name: str = "G"
+    __slots__ = ("order", "mul_table", "identity", "inverse_table", "name")
+
+    def __init__(self, order: int, mul_table: tuple[tuple[int, ...], ...], identity: int,
+                 inverse_table: tuple[int, ...], name: str = "G"):
+        set_field = object.__setattr__
+        set_field(self, "order", order)
+        set_field(self, "mul_table", mul_table)
+        set_field(self, "identity", identity)
+        set_field(self, "inverse_table", inverse_table)
+        set_field(self, "name", name)
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
@@ -58,12 +79,18 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(_Frozen):
     """A subgroup of a parent group, stored as a sorted index list."""
 
-    parent: FiniteGroup
-    members: tuple[int, ...]
+    __slots__ = ("parent", "members")
+
+    def __init__(self, parent: FiniteGroup, members: tuple[int, ...]):
+        set_field = object.__setattr__
+        set_field(self, "parent", parent)
+        set_field(self, "members", members)
+
+    def __repr__(self) -> str:
+        return f"Subgroup(parent={self.parent!r}, members={self.members!r})"
 
     @property
     def order(self) -> int:

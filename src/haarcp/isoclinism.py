@@ -11,9 +11,9 @@ tables alone, sharing no coset or quotient code with the search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import getitem
+from typing import NamedTuple
 
 from .corpus import builtin_entries
 from .errors import SearchCapExceeded
@@ -21,8 +21,7 @@ from .groups import FiniteGroup, _picker, center, derived_subgroup, quotient
 from .isomorphism import SEARCH_CAP, _close_partial, _identity_start, iter_isomorphisms
 
 
-@dataclass(frozen=True)
-class IsoclinismWitness:
+class IsoclinismWitness(NamedTuple):
     """The pair (alpha, beta) realizing an isoclinism G ~ H, as serialize prints it.
 
     alpha maps G/Z(G) onto H/Z(H), each side's cosets of the center numbered

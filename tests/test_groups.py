@@ -252,3 +252,23 @@ class TestCorpusListing:
         for max_order in range(121):
             built = [(name, G.order) for name, G in builtin_corpus(max_order)]
             assert [(e.name, e.order) for e in builtin_entries(max_order)] == built
+
+
+class TestReadOnly:
+    def test_group_and_subgroup_fields_cannot_change(self):
+        G = builders.cyclic(3)
+        Z = center(G)
+        for obj, field in [(G, "order"), (G, "mul_table"), (G, "name"), (Z, "parent"), (Z, "members")]:
+            with pytest.raises(AttributeError):
+                setattr(obj, field, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, field)
+        with pytest.raises(AttributeError):
+            G.note = "a slots class has no other attributes"
+        assert (G.order, G.name, Z.members) == (3, "C3", (0, 1, 2))
+
+    def test_records_cannot_change(self):
+        result = classify_high_cp(builders.cyclic(3))
+        with pytest.raises(AttributeError):
+            result.verdict = Verdict.THEOREM_VIOLATION
+        assert result.verdict is Verdict.ABELIAN
