@@ -34,7 +34,7 @@ from .cp import (
 from .errors import ClosureExceedsCap, HaarcpError
 from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, center
 from .isoclinism import find_isoclinism, find_stem_group
-from .specfmt import parse_model_file, resolve_group, resolve_group_or_model
+from .specfmt import parse_model_file, read_spec, resolve_group
 
 
 def _cap(args) -> int:
@@ -64,12 +64,8 @@ def _integer(text: str) -> int:
     return value
 
 
-def _group(args, tokens) -> FiniteGroup:
-    return resolve_group(" ".join(tokens), cap=_cap(args))
-
-
-def cmd_cp(args) -> int:
-    G = _group(args, args.group)
+def cmd_cp(args, cap: int) -> int:
+    G = resolve_group(" ".join(args.group), cap)
     pair = cp_pair_count(G)
     cls = cp_class_count(G)
     coset = cp_coset_formula(G)
@@ -83,16 +79,16 @@ def cmd_cp(args) -> int:
     return 1
 
 
-def cmd_center(args) -> int:
-    G = _group(args, args.group)
+def cmd_center(args, cap: int) -> int:
+    G = resolve_group(" ".join(args.group), cap)
     Z = center(G)
     print(f"center order {Z.order} of group order {G.order}")
     print(" ".join(str(m) for m in Z.members))
     return 0
 
 
-def cmd_fc(args) -> int:
-    model = parse_model_file(args.model, cap=_cap(args))
+def cmd_fc(args, cap: int) -> int:
+    model = parse_model_file(args.model, cap)
     fc = fc_center(model)
     print(f"action kernel size {len(fc.kernel)} of |Q| = {model.acting_group.order}")
     print(f"FC index {fc.index}")
@@ -100,18 +96,17 @@ def cmd_fc(args) -> int:
     return 0
 
 
-def cmd_classify(args) -> int:
-    G = _group(args, args.group)
+def cmd_classify(args, cap: int) -> int:
+    G = resolve_group(" ".join(args.group), cap)
     result = classify_high_cp(G)
     print(f"cp = {format_rational(result.cp_value)}")
     print(f"verdict: {result.verdict}")
     return 1 if result.verdict is Verdict.THEOREM_VIOLATION else 0
 
 
-def cmd_isoclinic(args) -> int:
-    cap = _cap(args)
-    G = resolve_group(args.group_a, cap=cap)
-    H = resolve_group(args.group_b, cap=cap)
+def cmd_isoclinic(args, cap: int) -> int:
+    G = resolve_group(args.group_a, cap)
+    H = resolve_group(args.group_b, cap)
     w = find_isoclinism(G, H)
     if w is None:
         print("none")
@@ -120,13 +115,12 @@ def cmd_isoclinic(args) -> int:
     return 0
 
 
-def cmd_stem(args) -> int:
-    cap = _cap(args)
+def cmd_stem(args, cap: int) -> int:
     if args.max_order <= 0:
         raise ValueError(f"--max-order must be a positive integer, got '{args.max_order}'")
     if args.max_order > cap:
         raise ClosureExceedsCap(f"--max-order {args.max_order} exceeds cap {cap}")
-    F = resolve_group(" ".join(args.group), cap=cap)
+    F = resolve_group(" ".join(args.group), cap)
     found = find_stem_group(F, args.max_order)
     if found is None:
         print("none (corpus exhausted)")
@@ -137,9 +131,8 @@ def cmd_stem(args) -> int:
     return 0
 
 
-def cmd_verify_t1(args) -> int:
-    cap = _cap(args)
-    model = parse_model_file(args.model, cap=cap)
+def cmd_verify_t1(args, cap: int) -> int:
+    model = parse_model_file(args.model, cap)
     report = check_theorem1(model, cap)
     eq = "PASS" if report.equal else "FAIL"
     print(
@@ -154,8 +147,8 @@ def cmd_verify_t1(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_verify_t2(args) -> int:
-    report = check_theorem2_part1(resolve_group_or_model(args.input, cap=_cap(args)))
+def cmd_verify_t2(args, cap: int) -> int:
+    report = check_theorem2_part1(read_spec(args.input, cap))
     mark = "PASS" if report.passed else "FAIL"
     print(f"{mark} cp = {format_rational(report.cp_value)}")
     for note in report.notes:
@@ -163,18 +156,8 @@ def cmd_verify_t2(args) -> int:
     return 0 if report.passed else 1
 
 
-def _spec_group(path: str, cap: int) -> FiniteGroup:
-    """A group read from a scan input's spec file.  An error names the file:
-    scan reads many inputs, and a line number alone does not say whose it is."""
-    try:
-        return resolve_group(path, cap=cap)
-    except (HaarcpError, ValueError) as exc:
-        raise HaarcpError(f"{path}: {exc}") from exc
-
-
-def cmd_scan(args) -> int:
+def cmd_scan(args, cap: int) -> int:
     threshold = parse_rational(args.threshold)
-    cap = _cap(args)
     entries: list[tuple[str, FiniteGroup]] = []
     if not args.inputs:
         if cap < 64:
@@ -185,11 +168,9 @@ def cmd_scan(args) -> int:
         if path.is_dir():
             for child in sorted(path.iterdir()):
                 if child.is_file():
-                    entries.append((child.stem, _spec_group(str(child), cap)))
-        elif path.is_file():
-            entries.append((item, _spec_group(item, cap)))
+                    entries.append((child.stem, resolve_group(str(child), cap)))
         else:
-            entries.append((item, resolve_group(item, cap=cap)))
+            entries.append((item, resolve_group(item, cap)))
     rows = scan_corpus(entries, threshold=threshold)
     if args.machine:
         for row in rows:
@@ -200,8 +181,8 @@ def cmd_scan(args) -> int:
     return 1 if bad else 0
 
 
-def cmd_mc(args) -> int:
-    model = parse_model_file(args.model, cap=_cap(args))
+def cmd_mc(args, cap: int) -> int:
+    model = parse_model_file(args.model, cap)
     est = cp_monte_carlo(model, args.samples, args.seed)
     exact = cp_semianalytic(model)
     print(f"estimate {est.estimate:.6f} +- {est.stderr:.6f} ({est.samples} samples)")
@@ -270,11 +251,12 @@ def main(argv: list[str] | None = None) -> int:
 
     The verb's cmd_* function is looked up at each call, so a function
     replaced in this module after the parser was built is the one that runs.
+    It takes the parsed arguments and the closure cap, read once here.
     """
     args = build_parser().parse_args(argv)
     command = globals()["cmd_" + args.verb.replace("-", "_")]
     try:
-        return command(args)
+        return command(args, _cap(args))
     except (HaarcpError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

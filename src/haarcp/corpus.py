@@ -75,27 +75,37 @@ _PARAM = {
 }
 
 
+def builtin_name(name: str) -> tuple[str, int] | None:
+    """The (kind, n) a builtin name like "alternating 5", "a5", "dihedral 4"
+    or "q8" stands for, or None for names the corpus does not know.
+    Nothing is built."""
+    text = " ".join(name.lower().split())
+    parts = text.split()
+    if text in _SHORT:
+        return _SHORT[text]
+    if len(parts) == 2 and parts[0] in _PARAM and parts[1].isascii() and parts[1].isdigit():
+        return _PARAM[parts[0]], int(parts[1])
+    head = text.rstrip("0123456789")
+    tail = text[len(head):]
+    if len(parts) != 1 or head not in _PARAM or not tail.isdigit():
+        return None
+    return _PARAM[head], int(tail)
+
+
 def builtin_group(name: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup | None:
-    """Resolve a builtin name like "alternating 5", "a5", "dihedral 4", "q8".
+    """Resolve a builtin name (see builtin_name).
 
     Dihedral n is the symmetry group of the n-gon, order 2n.  Returns None
     for names the corpus does not know (the CLI then tries the filesystem).
     Raises ClosureExceedsCap, before building anything, when the group's
     order is above cap.
     """
-    text = " ".join(name.lower().split())
-    parts = text.split()
-    if text in _SHORT:
-        kind, n = _SHORT[text]
-    elif len(parts) == 2 and parts[0] in _PARAM and parts[1].isascii() and parts[1].isdigit():
-        kind, n = _PARAM[parts[0]], int(parts[1])
-    else:
-        head = text.rstrip("0123456789")
-        tail = text[len(head):]
-        if len(parts) != 1 or head not in _PARAM or not tail.isdigit():
-            return None
-        kind, n = _PARAM[head], int(tail)
+    found = builtin_name(name)
+    if found is None:
+        return None
+    kind, n = found
     if _KINDS[kind][1](n, cap) > cap:
+        text = " ".join(name.lower().split())
         raise ClosureExceedsCap(f"builtin group {text!r} has order above cap {cap}")
     return _named(kind, n)
 

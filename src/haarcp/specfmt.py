@@ -16,6 +16,9 @@ Model files, each directive at most once (matrix at most once per element):
 A file operand of product, acting_group or extra_factor is read relative
 to the directory of the spec that names it.  Every number is an ASCII
 integer, -?[0-9]+, and a line of numbers is ASCII throughout.
+
+Every operand, on the command line or in a spec, is read by read_spec,
+and an error in a spec file is raised again with the file's path in front.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 from . import corpus
 from .compact import CompactModel, build_model
 from .cp import _ints
-from .errors import ClosureExceedsCap, ParseError
+from .errors import ClosureExceedsCap, HaarcpError, ParseError
 from .groups import (
     DEFAULT_CLOSURE_CAP,
     FiniteGroup,
@@ -38,6 +41,7 @@ from .groups import (
 )
 
 _GROUP_DIRECTIVES = ("perm", "table", "product")
+_MODEL_DIRECTIVES = ("torus_rank", "acting_group", "matrix", "extra_factor")
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
@@ -75,13 +79,6 @@ def _perm_from_cycles(cycles: list[tuple[int, ...]], degree: int) -> Perm:
     return tuple(mapping)
 
 
-def _read_lines(path: Path) -> list[str]:
-    try:
-        return path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
-
-
 def _directives(lines: list[str]):
     """(line number, stripped line) for each line that is not blank or a comment."""
     for lineno, raw in enumerate(lines, start=1):
@@ -96,13 +93,67 @@ def _split_directive(line: str) -> tuple[str, str]:
     return verb, rest[0] if rest else ""
 
 
+def read_spec(
+    operand: str | Path,
+    cap: int = DEFAULT_CLOSURE_CAP,
+    kind: str | None = None,
+    relative_to: Path | None = None,
+    chain: tuple[Path, ...] = (),
+) -> FiniteGroup | CompactModel:
+    """The group or model an operand names: a builtin group first, else a
+    spec file, read once as the kind its first directive names (the kind
+    asked for, else a model, when that directive names neither).  kind
+    "group" or "model" rejects the other kind.  A relative file name is read
+    against relative_to when given, else the working directory; chain lists
+    the product specs whose operands led here.  An error raised while
+    reading the file is raised again, with its type, after the file's path."""
+    if kind == "model":  # a builtin group is rejected unbuilt
+        if corpus.builtin_name(str(operand)) is not None:
+            raise ParseError(f"{operand}: expected a model spec, got a builtin group")
+    else:
+        g = corpus.builtin_group(str(operand), cap)
+        if g is not None:
+            return g
+    path = Path(operand)
+    if relative_to is not None:  # an absolute operand stays as it is
+        path = relative_to / path
+    if not path.exists():
+        raise ParseError(f"not a builtin group and not a file: {str(operand)!r}")
+    try:
+        data = path.read_bytes()
+        lines = data.decode("utf-8").splitlines()
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: line {line}: not UTF-8 text") from None
+    first = next((_split_directive(line)[0] for _, line in _directives(lines)), None)
+    found = ("group" if first in _GROUP_DIRECTIVES
+             else "model" if first in _MODEL_DIRECTIVES else kind or "model")
+    if kind not in (None, found):
+        raise ParseError(f"{path}: expected a {kind} spec, got a {found} spec")
+    try:
+        if found == "group":
+            return _group_from_lines(path, lines, cap, chain)
+        return _model_from_lines(path, lines, cap)
+    except (HaarcpError, ValueError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def parse_group_file(path: str | Path, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
-    path = Path(path)
-    return _group_from_lines(path, _read_lines(path), cap)
+    return read_spec(path, cap, "group")
+
+
+def resolve_group(name_or_path: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+    return read_spec(name_or_path, cap, "group")
+
+
+def parse_model_file(path: str | Path, cap: int = DEFAULT_CLOSURE_CAP) -> CompactModel:
+    return read_spec(path, cap, "model")
 
 
 def _group_from_lines(
-    path: Path, lines: list[str], cap: int, chain: tuple[Path, ...] = ()
+    path: Path, lines: list[str], cap: int, chain: tuple[Path, ...]
 ) -> FiniteGroup:
     """The group a spec's lines describe.  chain lists the product specs
     whose operands led here, outermost first; a product spec whose resolved
@@ -156,7 +207,7 @@ def _group_from_lines(
     if kind == "product":
         if chain and path.resolve() in map(Path.resolve, chain):
             raise ParseError(f"product cycle through {path.name}", product_line)
-        a, b = (_resolve_group(f, cap, path.parent, (*chain, path)) for f in factors)
+        a, b = (read_spec(f, cap, "group", path.parent, (*chain, path)) for f in factors)
         return direct_product(a, b, cap=cap)
     if expect_rows:
         raise ParseError(f"table ended early, {expect_rows} rows missing")
@@ -186,52 +237,6 @@ def _group_from_lines(
     return close_generators(perms, cap=cap, name=path.stem)
 
 
-def resolve_group(
-    name_or_path: str,
-    cap: int = DEFAULT_CLOSURE_CAP,
-    relative_to: Path | None = None,
-) -> FiniteGroup:
-    """Builtin name first, then a file.  A relative file name is read
-    against relative_to when it is given (a spec's operands against the
-    spec's own directory), else against the working directory."""
-    return _resolve_group(name_or_path, cap, relative_to, ())
-
-
-def _resolve_group(
-    name_or_path: str, cap: int, relative_to: Path | None, chain: tuple[Path, ...]
-) -> FiniteGroup:
-    g = corpus.builtin_group(name_or_path, cap)
-    if g is not None:
-        return g
-    path = Path(name_or_path)
-    if relative_to is not None:  # an absolute operand stays as it is
-        path = relative_to / path
-    if not path.exists():
-        raise ParseError(f"not a builtin group and not a file: {name_or_path!r}")
-    return _group_from_lines(path, _read_lines(path), cap, chain)
-
-
-def resolve_group_or_model(
-    name_or_path: str, cap: int = DEFAULT_CLOSURE_CAP
-) -> FiniteGroup | CompactModel:
-    """Builtin group name first, then a spec file, read once: a group spec
-    when its first directive is a group directive, else a model spec."""
-    g = corpus.builtin_group(name_or_path, cap)
-    if g is not None:
-        return g
-    path = Path(name_or_path)
-    lines = _read_lines(path)
-    first = next(_directives(lines), None)
-    if first is not None and _split_directive(first[1])[0] in _GROUP_DIRECTIVES:
-        return _group_from_lines(path, lines, cap)
-    return _model_from_lines(path, lines, cap)
-
-
-def parse_model_file(path: str | Path, cap: int = DEFAULT_CLOSURE_CAP) -> CompactModel:
-    path = Path(path)
-    return _model_from_lines(path, _read_lines(path), cap)
-
-
 def _model_from_lines(path: Path, lines: list[str], cap: int) -> CompactModel:
     rank: int | None = None
     acting: FiniteGroup | None = None
@@ -251,9 +256,9 @@ def _model_from_lines(path: Path, lines: list[str], cap: int) -> CompactModel:
             if rank > 0 and rank * rank > cap:  # an action matrix holds d^2 entries
                 raise ClosureExceedsCap(f"torus rank {rank} squared exceeds cap {cap}")
         elif verb == "acting_group":
-            acting = resolve_group(rest, cap=cap, relative_to=path.parent)
+            acting = read_spec(rest, cap, "group", path.parent)
         elif verb == "extra_factor":
-            extra = resolve_group(rest, cap=cap, relative_to=path.parent)
+            extra = read_spec(rest, cap, "group", path.parent)
         elif verb == "matrix":
             if rank is None:
                 raise ParseError("matrix line before torus_rank", lineno)

@@ -100,7 +100,7 @@ class TestGroupSpecs:
         f.write_text(f"perm (4 5)\nperm {cycles}\n")
         assert main(["center", str(f)]) == 2
         assert capsys.readouterr() == (
-            "", f"error: line 2: point {point} in two cycles: '{cycles}'\n")
+            "", f"error: {f}: line 2: point {point} in two cycles: '{cycles}'\n")
 
     def test_builtin_names(self):
         assert resolve_group("alternating 5").order == 60
@@ -143,7 +143,7 @@ class TestGroupSpecs:
         f.write_text(LOOP5_SPEC)
         with pytest.raises(ParseError) as err:
             parse_group_file(f)
-        assert str(err.value) == "bad Cayley table: multiplication is not associative"
+        assert str(err.value) == f"{f}: bad Cayley table: multiplication is not associative"
 
 
 class TestModelSpecs:
@@ -325,7 +325,7 @@ class TestCommands:
         (tmp_path / "b.model").write_text("torus_rank 1\nacting_group c2\n")
         assert main(["scan", "--machine", str(tmp_path)]) == 2
         assert capsys.readouterr() == (
-            "", f"error: {tmp_path / 'b.model'}: line 1: unknown directive 'torus_rank'\n")
+            "", f"error: {tmp_path / 'b.model'}: expected a group spec, got a model spec\n")
 
     def test_scan_names_the_explicit_input_it_cannot_read(self, tmp_path, capsys):
         good, bad = tmp_path / "a.group", tmp_path / "b.group"
@@ -334,9 +334,9 @@ class TestCommands:
         assert main(["scan", str(good), "q8", str(bad)]) == 2
         assert capsys.readouterr() == (
             "", f"error: {bad}: line 2: malformed cycle notation: '(1 2'\n")
-        # the single-input verbs keep the message without the path
+        # the single-input verbs name the file too
         assert main(["cp", str(bad)]) == 2
-        assert capsys.readouterr().err == "error: line 2: malformed cycle notation: '(1 2'\n"
+        assert capsys.readouterr().err == f"error: {bad}: line 2: malformed cycle notation: '(1 2'\n"
 
     @pytest.mark.parametrize("threshold", ["0.075", "1/0"])
     def test_scan_decimal_threshold_rejected(self, threshold, capsys):
@@ -355,7 +355,7 @@ class TestCommands:
         f = tmp_path / "bad.spec"
         f.write_text(spec, encoding="utf-8")
         assert main([verb, str(f)]) == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert capsys.readouterr() == ("", f"error: {f}: {message}\n")
 
     @pytest.mark.parametrize("rank, err", [
         *((r, f"error: line 1: bad torus rank: {r!r}\n")
@@ -368,7 +368,7 @@ class TestCommands:
         f = tmp_path / "m.model"
         f.write_text(f"torus_rank {rank}\nacting_group c2\n", encoding="utf-8")
         assert main(["fc", str(f)]) == (2 if err else 0)
-        assert capsys.readouterr().err == err
+        assert capsys.readouterr().err == err.replace("error: ", f"error: {f}: ")
 
     @pytest.mark.parametrize("verb, spec, message", [
         ("cp", "product s3 c2\nbogus directive here\n", "line 2: unknown directive 'bogus'"),
@@ -396,7 +396,7 @@ class TestCommands:
         f = tmp_path / "twice.spec"
         f.write_text(spec)
         assert main([verb, str(f)]) == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert capsys.readouterr() == ("", f"error: {f}: {message}\n")
 
     @pytest.mark.parametrize("verb, spec, message", [
         ("cp", "perm (1 ٢ 3)\n", "line 1: non-integer point in cycle: '1 ٢ 3'"),
@@ -417,7 +417,7 @@ class TestCommands:
         f = tmp_path / "bad.spec"
         f.write_text(spec, encoding="utf-8")
         assert main([verb, str(f)]) == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert capsys.readouterr() == ("", f"error: {f}: {message}\n")
 
     @pytest.mark.parametrize("verb, spec, read", [
         ("cp", "product g.group c2\n", lambda f: parse_group_file(f).order // 2),
@@ -439,7 +439,7 @@ class TestCommands:
             monkeypatch.chdir(cwd)
             assert main([verb, arg]) == 2
             assert capsys.readouterr() == (
-                "", "error: not a builtin group and not a file: 'g.group'\n")
+                "", f"error: {arg}: not a builtin group and not a file: 'g.group'\n")
         (sub / "g.group").write_text("perm (1 2)\n")
         outs = []
         for cwd, arg in places:
@@ -570,7 +570,8 @@ class TestCommands:
         f = tmp_path / "m.model"
         f.write_text(f"torus_rank {rank}\nacting_group c2\n")
         assert main(argv + [str(f)]) == 2
-        assert capsys.readouterr() == ("", f"error: torus rank {rank} squared exceeds cap {cap}\n")
+        assert capsys.readouterr() == (
+            "", f"error: {f}: torus rank {rank} squared exceeds cap {cap}\n")
 
     @pytest.mark.parametrize("verb, out, err", [
         ("fc", "action kernel size 6 of |Q| = 6\nFC index 1\nfinite shadow order 12\n", ""),
@@ -658,7 +659,7 @@ class TestCommands:
         f = tmp_path / "g.group"
         f.write_text(f"perm (1 2 3)\nperm (1 {point})\n")
         assert main(argv + [str(f)]) == 2
-        assert capsys.readouterr() == ("", f"error: perm point {point} exceeds cap {cap}\n")
+        assert capsys.readouterr() == ("", f"error: {f}: perm point {point} exceeds cap {cap}\n")
 
     @pytest.mark.parametrize("argv, spec, size, cap", [
         (["cp"], "table 10000000\n", 10000000, 20000),
@@ -669,7 +670,7 @@ class TestCommands:
         f = tmp_path / "g.group"
         f.write_text(spec)
         assert main(argv + [str(f)]) == 2
-        assert capsys.readouterr() == ("", f"error: table size {size} exceeds cap {cap}\n")
+        assert capsys.readouterr() == ("", f"error: {f}: table size {size} exceeds cap {cap}\n")
 
     def test_table_size_at_cap_allowed(self, tmp_path, capsys):
         f = tmp_path / "q8.group"
@@ -704,22 +705,24 @@ class TestCommands:
         f.write_text("perm (1 8)\n")
         assert main(["--cap", "8", "cp", str(f)]) == 0
 
-    @pytest.mark.parametrize("specs, message", [
+    @pytest.mark.parametrize("specs, trail, message", [
         ({"self.group": "product self.group c2\n"},
-         "line 1: product cycle through self.group"),
+         ["self.group", "self.group"], "line 1: product cycle through self.group"),
         ({"self.group": "product self.group c2\n", "a.group": "product c3 self.group\n"},
-         "line 1: product cycle through self.group"),
+         ["a.group", "self.group", "self.group"], "line 1: product cycle through self.group"),
         ({"a.group": "product b.group c2\n", "b.group": "# b\nproduct c3 sub/../a.group\n"},
-         "line 1: product cycle through a.group"),
+         ["a.group", "b.group", "sub/../a.group"], "line 1: product cycle through a.group"),
     ], ids=["direct", "reached-from-outside", "two-files"])
-    def test_product_cycle_exits_2(self, specs, message, tmp_path, capsys):
-        # cycles are found by resolved path, before the recursion runs away
+    def test_product_cycle_exits_2(self, specs, trail, message, tmp_path, capsys):
+        # cycles are found by resolved path, before the recursion runs away;
+        # the error names each spec on the way, outermost first
         (tmp_path / "sub").mkdir()
         for name, text in specs.items():
             (tmp_path / name).write_text(text)
         f = tmp_path / ("a.group" if "a.group" in specs else "self.group")
         assert main(["cp", str(f)]) == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        names = "".join(f"{tmp_path / name}: " for name in trail)
+        assert capsys.readouterr() == ("", f"error: {names}{message}\n")
 
     def test_product_diamond_allowed(self, tmp_path, capsys):
         # d = l x r with both l and r built from base: base is read twice, no cycle
@@ -738,7 +741,7 @@ class TestCommands:
         assert main([verb, str(f)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: bad Cayley table: multiplication is not associative\n"
+        assert captured.err == f"error: {f}: bad Cayley table: multiplication is not associative\n"
 
     def test_scan_corpus_honours_cap(self, no_builtin_builds, capsys):
         assert main(["--cap", "10", "scan", "--machine"]) == 2
@@ -837,6 +840,105 @@ class TestCommands:
             "PASS cp equality: direct 1/8 vs reduced 1/8",
             "PASS stem clause: D3",
         ]
+
+
+MODEL_SPEC = "torus_rank 1\nacting_group c2\nmatrix 1 -1\n"
+
+
+class TestOneReader:
+    """Every operand is read one way: a builtin name, else a UTF-8 spec file
+    whose first directive makes it a group or a model.  An error in a file
+    names that file, after the specs whose operands led to it."""
+
+    def test_error_in_a_product_operand_names_its_file(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "inner.group").write_text("perm (1 2 3)\nbogus 1\n")
+        (tmp_path / "outer.group").write_text("product inner.group c3\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["cp", "outer.group"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: outer.group: inner.group: line 2: unknown directive 'bogus'\n")
+
+    @pytest.mark.parametrize("verb", ["cp", "verify-t2", "scan"])
+    def test_spec_that_is_not_utf8(self, verb, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bin.group").write_bytes(b"\xff\xfe perm\n")
+        assert main([verb, "bin.group"]) == 2
+        assert capsys.readouterr() == ("", "error: bin.group: line 1: not UTF-8 text\n")
+
+    def test_undecodable_byte_reported_on_its_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bin.group").write_bytes(b"# S3\nperm (1 2 3)\nperm (1 2)\xe9\n")
+        assert main(["center", "bin.group"]) == 2
+        assert capsys.readouterr() == ("", "error: bin.group: line 3: not UTF-8 text\n")
+
+    @pytest.mark.parametrize("verb", ["cp", "center", "classify", "stem", "scan"])
+    def test_model_where_a_group_is_expected(self, verb, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "o2.model").write_text(MODEL_SPEC)
+        assert main([verb, "o2.model"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: o2.model: expected a group spec, got a model spec\n")
+
+    @pytest.mark.parametrize("verb, spec", [
+        ("cp", "product o2.model c2\n"),
+        ("fc", "torus_rank 0\nacting_group o2.model\n"),
+        ("fc", "torus_rank 0\nacting_group c2\nextra_factor o2.model\n"),
+    ], ids=["product", "acting-group", "extra-factor"])
+    def test_model_as_a_group_operand(self, verb, spec, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "o2.model").write_text(MODEL_SPEC)
+        (tmp_path / "x.spec").write_text(spec)
+        assert main([verb, "x.spec"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: x.spec: o2.model: expected a group spec, got a model spec\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["fc"], ["verify-t1"], ["mc", "--samples", "10"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("operand, found", [
+        ("c2", "a builtin group"), ("s3.group", "a group spec"),
+    ], ids=["builtin", "group-spec"])
+    def test_group_where_a_model_is_expected(self, argv, operand, found, tmp_path,
+                                             monkeypatch, capsys, no_builtin_builds):
+        # a builtin name is rejected before its table is built
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s3.group").write_text("perm (1 2 3)\nperm (1 2)\n")
+        assert main([*argv, operand]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {operand}: expected a model spec, got {found}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["cp"], ["center"], ["classify"], ["stem"], ["scan"], ["isoclinic", "c2"], ["fc"],
+        ["verify-t1"], ["verify-t2"], ["mc", "--samples", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_missing_input(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "nope.spec"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: not a builtin group and not a file: 'nope.spec'\n")
+
+    @pytest.mark.parametrize("verb", ["cp", "fc", "verify-t2"])
+    def test_input_that_cannot_be_read(self, verb, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        assert main([verb, "d"]) == 2
+        assert capsys.readouterr() == ("", "error: d: cannot read: Is a directory\n")
+
+    def test_verify_t2_reads_either_kind(self, tmp_path, monkeypatch, capsys):
+        # a spec with no directive is read as a model, the kind verify-t2 takes
+        # when the first directive does not decide
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "o2.model").write_text(MODEL_SPEC)
+        (tmp_path / "s3.group").write_text("perm (1 2 3)\nperm (1 2)\n")
+        (tmp_path / "empty.spec").write_text("# nothing\n")
+        assert main(["verify-t2", "o2.model"]) == 0
+        assert main(["verify-t2", "s3.group"]) == 0
+        capsys.readouterr()
+        assert main(["verify-t2", "empty.spec"]) == 2
+        assert main(["cp", "empty.spec"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: empty.spec: model spec is missing torus_rank\n"
+            "error: empty.spec: no generators and no table in group spec\n"))
 
 
 def test_cli_import_leaves_numpy_unloaded(tmp_path):
@@ -995,7 +1097,7 @@ class TestSharedParser:
         capsys.readouterr()
         seen = []
 
-        def fake_center(args):
+        def fake_center(args, cap):
             seen.append(args.group)
             return 0
 

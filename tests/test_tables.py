@@ -187,23 +187,26 @@ class TestMakeGroupRejects:
     ])
     def test_message(self, table, message, tmp_path):
         if message.startswith(("row ", "table entry ")):
+            f = table_spec(tmp_path, table)
             with pytest.raises(ParseError) as err:
-                parse_group_file(table_spec(tmp_path, table))
-            assert str(err.value) == f"bad Cayley table: {message}"
+                parse_group_file(f)
+            assert str(err.value) == f"{f}: bad Cayley table: {message}"
         else:
             with pytest.raises(ValueError) as err:
                 make_group(table)
             assert str(err.value) == message
 
     def test_first_bad_row_reported(self, tmp_path):
+        f = table_spec(tmp_path, [[0, 1, 2], [1, 5, 9], [2]])
         with pytest.raises(ParseError) as err:
-            parse_group_file(table_spec(tmp_path, [[0, 1, 2], [1, 5, 9], [2]]))
-        assert str(err.value) == "bad Cayley table: table entry 5 out of range 0..2"
+            parse_group_file(f)
+        assert str(err.value) == f"{f}: bad Cayley table: table entry 5 out of range 0..2"
 
     def test_short_table_reported_before_bad_entry(self, tmp_path):
+        f = table_spec(tmp_path, [[0, 1, 2], [1, 5, 9]], size=3)
         with pytest.raises(ParseError) as err:
-            parse_group_file(table_spec(tmp_path, [[0, 1, 2], [1, 5, 9]], size=3))
-        assert str(err.value) == "table ended early, 1 rows missing"
+            parse_group_file(f)
+        assert str(err.value) == f"{f}: table ended early, 1 rows missing"
 
     def test_first_two_sided_inverse_taken(self):
         # row 1 holds the identity at 2 and 3, but only 3 is a two-sided inverse
@@ -515,7 +518,7 @@ class TestRangeCheckThroughTableSpec:
         assert main([verb, str(f)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: bad Cayley table: {detail}\n"
+        assert captured.err == f"error: {f}: bad Cayley table: {detail}\n"
 
 
 class TestTableRowsByLookup:
@@ -538,18 +541,20 @@ class TestTableRowsByLookup:
         f.write_text(f"table 2\n0 1\n{row}\n", encoding="utf-8")
         with pytest.raises(ParseError) as err:
             parse_group_file(f)
-        assert str(err.value) == f"line 3: bad table row: {row!r}"
+        assert str(err.value) == f"{f}: line 3: bad table row: {row!r}"
 
     def test_short_table_with_padded_bad_entry(self, tmp_path):
+        f = table_spec(tmp_path, [["00", "01", "02"], [1, 9, 0]], size=3)
         with pytest.raises(ParseError) as err:
-            parse_group_file(table_spec(tmp_path, [["00", "01", "02"], [1, 9, 0]], size=3))
-        assert str(err.value) == "table ended early, 1 rows missing"
+            parse_group_file(f)
+        assert str(err.value) == f"{f}: table ended early, 1 rows missing"
 
     def test_first_out_of_range_entry_after_a_padded_row(self, tmp_path):
         rows = [[0, 1, 2], ["01", "02", "00"], [2, 7, -1]]
+        f = table_spec(tmp_path, rows)
         with pytest.raises(ParseError) as err:
-            parse_group_file(table_spec(tmp_path, rows))
-        assert str(err.value) == "bad Cayley table: table entry 7 out of range 0..2"
+            parse_group_file(f)
+        assert str(err.value) == f"{f}: bad Cayley table: table entry 7 out of range 0..2"
 
     def test_entries_are_n_shared_objects(self, tmp_path):
         # above 256 an int() per entry would make a new object each time
