@@ -12,7 +12,6 @@ from typing import NamedTuple
 
 from .compact import CompactModel, cp_semianalytic, cp_theorem1, fc_center, finite_shadow
 from .cp import cp_pair_count, format_rational
-from .errors import SearchCapExceeded
 from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, center, derived_series
 from .isoclinism import find_stem_group
 
@@ -120,17 +119,14 @@ def check_theorem1(model: CompactModel, cap: int = DEFAULT_CLOSURE_CAP) -> Theor
     The stem clause looks for a builtin group H of order at most
     min(STEM_MAX_ORDER, cap) with Z(H) <= H' isoclinic to the finite shadow
     and compares cp values.  A missing stem is reported softly (the corpus
-    is finite, existence is not in question), and so is a shadow above the
-    search cap.
+    is finite, existence is not in question); an engine error in the search,
+    such as SearchBudgetExceeded, reaches the caller.
     """
     direct = cp_semianalytic(model)
     fc = fc_center(model)
     shadow = finite_shadow(model, fc, cap)
     reduced = cp_theorem1(shadow, fc.index)
-    try:
-        found = find_stem_group(shadow, min(STEM_MAX_ORDER, cap))
-    except SearchCapExceeded as exc:
-        return Theorem1Report(direct, reduced, None, None, (f"stem search skipped: {exc}",))
+    found = find_stem_group(shadow, min(STEM_MAX_ORDER, cap))
     if found is None:
         return Theorem1Report(direct, reduced, None, None, ("stem not in corpus (soft report)",))
     H, _w = found

@@ -17,8 +17,8 @@ class NotNormal(HaarcpError):
     """A quotient was requested by a non-normal subgroup."""
 
 
-class SearchCapExceeded(HaarcpError):
-    """An isomorphism or isoclinism search target exceeds the search cap."""
+class SearchBudgetExceeded(HaarcpError):
+    """An isomorphism or isoclinism search passed its work budget."""
 
 
 class NotAHomomorphism(HaarcpError):

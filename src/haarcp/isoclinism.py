@@ -16,9 +16,8 @@ from operator import getitem
 from typing import NamedTuple
 
 from .corpus import builtin_entries
-from .errors import SearchCapExceeded
 from .groups import FiniteGroup, _picker, center, derived_subgroup, quotient
-from .isomorphism import SEARCH_CAP, _close_partial, _identity_start, iter_isomorphisms
+from .isomorphism import _close_partial, _identity_start, iter_isomorphisms
 
 
 class IsoclinismWitness(NamedTuple):
@@ -42,8 +41,8 @@ class IsoclinismWitness(NamedTuple):
 
 class _Central:
     """A group's isoclinism data, each item worked out once.  Z(G), G', |G:Z(G)|
-    and the stem test Z(G) <= G' come first: the search cap, the order screen
-    and the stem search read only these.  G/Z(G) is built on first read."""
+    and the stem test Z(G) <= G' come first: the order screen and the stem
+    search read only these.  G/Z(G) is built on first read."""
 
     def __init__(self, group: FiniteGroup):
         self.group = group
@@ -101,16 +100,10 @@ def _beta_from_alpha(
     return {x: beta[x] for x in dom}
 
 
-def _judge_cap(*indices: int) -> None:
-    """Raise SearchCapExceeded if any index |G:Z(G)| is above the search cap."""
-    if max(indices) > SEARCH_CAP:
-        raise SearchCapExceeded(f"central quotient order exceeds search cap {SEARCH_CAP}")
-
-
 def _search(g: _Central, h: _Central) -> IsoclinismWitness | None:
     """First witness G ~ H, or None.  The pair is screened on |G:Z(G)| and
-    |G'|, and only a pair that passes, and so is within the cap the caller
-    judged, reads either central quotient."""
+    |G'|, and only a pair that passes reads either central quotient.  The
+    walk over alpha raises SearchBudgetExceeded past its work budget."""
     if (g.index, g.derived.order) != (h.index, h.derived.order):
         return None
     for alpha in iter_isomorphisms(g.quotient[0], h.quotient[0]):
@@ -122,9 +115,7 @@ def _search(g: _Central, h: _Central) -> IsoclinismWitness | None:
 
 def find_isoclinism(G: FiniteGroup, H: FiniteGroup) -> IsoclinismWitness | None:
     """Search for an isoclinism witness; None if the groups are not isoclinic."""
-    g, h = _Central(G), _Central(H)
-    _judge_cap(g.index, h.index)
-    return _search(g, h)
+    return _search(_Central(G), _Central(H))
 
 
 def verify_isoclinism(G: FiniteGroup, H: FiniteGroup, w: IsoclinismWitness) -> bool:
@@ -194,13 +185,12 @@ def find_stem_group(
     Z(H) <= H' (Hall), so |H| = q*m with q = |F:Z(F)| and m = |Z(H)|
     dividing d = |F'|.  So the corpus is read only up to min(max_order, q*d),
     candidates of any other order are dropped as it is read, and only the
-    ones that pass are sorted.  The search cap is judged on q before the
-    corpus is read.  F's central quotient is built once, when a first
-    candidate passes the screen.
+    ones that pass are sorted.  F's central quotient is built once, when a
+    first candidate passes the screen, and each search is bounded by its
+    work budget, not by q.
     """
     f = _Central(F)
     q, d = f.index, f.derived.order
-    _judge_cap(q)
     corpus = builtin_entries(min(max_order, q * d))
     passed = [c for c in corpus if not (c.order % q or d % (c.order // q))]
     for c in sorted(passed, key=lambda c: (c.order, c.name)):

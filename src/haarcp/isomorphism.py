@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import SearchCapExceeded
+from .errors import SearchBudgetExceeded
 from .groups import FiniteGroup, conjugacy_classes, greedy_generators
 
-SEARCH_CAP = 256  # largest group order an isomorphism search takes
+SEARCH_BUDGET = 10**6  # mapped elements, summed over every candidate one search tries
 
 
 def _element_keys(G: FiniteGroup) -> list[tuple[int, int]]:
@@ -87,11 +87,11 @@ def _close_partial(
 
 
 def iter_isomorphisms(G: FiniteGroup, H: FiniteGroup) -> Iterator[list[int]]:
-    """Yield every isomorphism G -> H as a list mapping element indices."""
-    if max(G.order, H.order) > SEARCH_CAP:
-        raise SearchCapExceeded(
-            f"order {max(G.order, H.order)} exceeds isomorphism search cap {SEARCH_CAP}"
-        )
+    """Yield every isomorphism G -> H as a list mapping element indices.
+
+    Raises SearchBudgetExceeded once the candidates tried have covered more
+    than SEARCH_BUDGET elements in all, counted after each extension.
+    """
     if G.order != H.order:
         return
     g_key = _element_keys(G)
@@ -105,10 +105,12 @@ def iter_isomorphisms(G: FiniteGroup, H: FiniteGroup) -> Iterator[list[int]]:
     # each generator lies outside the span of the ones before, so after idx
     # steps phi maps exactly <gens[:idx]>, and all of G once idx = len(gens)
     gens = greedy_generators(G.identity, range(G.order), G.mul)
+    work = 0
 
     def search(
         idx: int, phi: list[int], used: list[bool], dom: list[int]
     ) -> Iterator[list[int]]:
+        nonlocal work
         if idx == len(gens):
             yield phi
             return
@@ -117,7 +119,12 @@ def iter_isomorphisms(G: FiniteGroup, H: FiniteGroup) -> Iterator[list[int]]:
             if used[h]:
                 continue
             phi2, used2, dom2 = phi[:], used[:], dom[:]
-            if _close_partial(G, H, phi2, used2, dom2, mapped, h):
+            closed = _close_partial(G, H, phi2, used2, dom2, mapped, h)
+            work += len(dom2)
+            if work > SEARCH_BUDGET:
+                raise SearchBudgetExceeded(
+                    f"search passed its budget of {SEARCH_BUDGET} mapped elements")
+            if closed:
                 yield from search(idx + 1, phi2, used2, dom2)
 
     yield from search(0, *_identity_start(G, H))

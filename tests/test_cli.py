@@ -224,23 +224,27 @@ class TestCommands:
         assert capsys.readouterr().out.strip() == "none"
 
     def test_isoclinic_above_search_cap(self, capsys):
-        # |A6/Z(A6)| = 360 is above the isomorphism search cap of 256
-        assert main(["isoclinic", "a6", "a6"]) == 2
-        assert capsys.readouterr() == ("", "error: central quotient order exceeds search cap 256\n")
+        # |A6/Z(A6)| = 360: the search is bounded by its work, not by the
+        # order of the central quotient, and the walk to a witness is short
+        assert main(["isoclinic", "a6", "a6"]) == 0
+        a6 = resolve_group("a6")
+        assert verify_isoclinism(a6, a6, parse_witness(capsys.readouterr().out.splitlines()))
 
     def test_stem(self, capsys):
         assert main(["stem", "--max-order", "16", "c12"]) == 0
         assert "order 1" in capsys.readouterr().out
 
     def test_stem_above_search_cap(self, tmp_path, capsys, builtin_builds):
-        # |A6/Z(A6)| = 360 is above the search cap, so A6 still exits 2,
-        # before any candidate is built
-        assert main(["stem", "a6"]) == 2
-        assert capsys.readouterr() == ("", "error: central quotient order exceeds search cap 256\n")
+        # |A6/Z(A6)| = 360 is above the default --max-order of 64, so no
+        # candidate passes the order screen and only A6 itself is built
+        assert main(["stem", "a6"]) == 0
+        assert capsys.readouterr() == ("none (corpus exhausted)\n", "")
         assert builtin_builds == [("alternating", 6)]
-        # |S3 x S3 : Z| = 36 is not: candidates whose order is not 36*m with
-        # m | |F'| = 9 are skipped however large, so D129 (order 258, above
-        # the cap) is never built, and only orders 36, 108 and 324 are tried
+        assert main(["stem", "--max-order", "360", "a6"]) == 0
+        assert capsys.readouterr().out.startswith("stem: A6 (order 360)\n")
+        # |S3 x S3 : Z| = 36: candidates whose order is not 36*m with
+        # m | |F'| = 9 are skipped however large, so D129 (order 258) is
+        # never built, and only orders 36, 108 and 324 are tried
         f = tmp_path / "s3xs3.group"
         f.write_text("product s3 s3\n")
         builtin_builds.clear()
@@ -769,8 +773,8 @@ class TestCommands:
         assert built and max(built) <= 6
 
     def test_engine_error_in_stem_search_exits_2(self, monkeypatch, tmp_path, capsys):
-        # only the search cap turns into a soft note; any other engine error
-        # in the stem search reaches main
+        # no engine error in the stem search turns into a soft note: each
+        # one, the search budget included, reaches main
         from haarcp import isoclinism
         from haarcp.errors import NotNormal
 

@@ -1,14 +1,16 @@
+import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from haarcp import builders, groups, isoclinism
+from haarcp import builders, groups, isoclinism, isomorphism
 from haarcp.cli import main
 from haarcp.corpus import builtin_corpus, builtin_entries, builtin_group
 from haarcp.cp import cp_coset_formula, cp_pair_count
-from haarcp.errors import SearchCapExceeded
+from haarcp.errors import SearchBudgetExceeded
 from haarcp.groups import (
     Subgroup,
     center,
@@ -246,10 +248,11 @@ class TestFind:
         assert (find_isoclinism(d4, q8) is None) == (find_isoclinism(q8, d4) is None)
 
     def test_cap(self):
-        # |A6/Z(A6)| = 360 is above the search cap of 256
+        # |A6/Z(A6)| = 360: no order cap stops the search, and its budget
+        # is not reached on the way to the first witness
         a6 = builders.alternating(6)
-        with pytest.raises(SearchCapExceeded):
-            find_isoclinism(a6, a6)
+        w = find_isoclinism(a6, a6)
+        assert w is not None and verify_isoclinism(a6, a6, w)
 
     def test_isoclinic_implies_equal_cp(self):
         # spot-check across the small corpus: whenever a witness is found,
@@ -409,8 +412,9 @@ def quotients(monkeypatch):
 
 
 class TestQuotientsAfterCapAndScreen:
-    """A central quotient is built only for a pair that passes the search
-    cap and the (|G:Z(G)|, |G'|) screen."""
+    """A central quotient is built only for a pair that passes the
+    (|G:Z(G)|, |G'|) screen, or for a stem candidate that passes the order
+    screen."""
 
     def test_screened_pair_builds_none(self, quotients, d4, s3):
         # |D4:Z| = 4, |S3:Z| = 6
@@ -431,26 +435,29 @@ class TestQuotientsAfterCapAndScreen:
         assert sum(G is F for G in quotients) == 1
 
     def test_stem_cap_before_any_candidate(self, quotients, capsys):
-        # |A6:Z| = 360: the cap fires before the trivial group, the first
-        # candidate, is reached (tests/test_cli.py checks that no corpus
-        # group is built)
-        assert main(["stem", "a6"]) == 2
-        assert capsys.readouterr() == ("", "error: central quotient order exceeds search cap 256\n")
+        # |A6:Z| = 360 = |A6'|: every candidate has order 360*m, above the
+        # default --max-order of 64, so none is searched (tests/test_cli.py
+        # checks that no corpus group is built); with --max-order 360, A6
+        # itself is the stem
+        assert main(["stem", "a6"]) == 0
+        assert capsys.readouterr() == ("none (corpus exhausted)\n", "")
         assert quotients == []
+        assert main(["stem", "--max-order", "360", "a6"]) == 0
+        assert capsys.readouterr().out.startswith("stem: A6 (order 360)\n")
 
     def test_cap_before_screen(self, quotients, capsys):
-        # |A6:Z| = 360 and |S5:Z| = 120 fail the screen, but the cap is
-        # judged first
-        assert main(["isoclinic", "a6", "s5"]) == 2
-        assert capsys.readouterr() == ("", "error: central quotient order exceeds search cap 256\n")
+        # |A6:Z| = 360 and |S5:Z| = 120 fail the screen, so no quotient is
+        # built, whatever the order of either
+        assert main(["isoclinic", "a6", "s5"]) == 0
+        assert capsys.readouterr() == ("none\n", "")
         assert quotients == []
 
     @pytest.mark.parametrize("spec, max_order", [("product d3 d8", 600), ("product a4 s3", 900)])
     def test_candidate_above_cap_is_screened(self, spec, max_order, quotients, tmp_path, capsys):
         # D3 x D8: |F:Z| = 48 and |F'| = 12, so the stem group D288 of order
-        # 576 = 48 * 12 passes the order screen; its index 288 is above the
-        # search cap but is not 48, so the screen drops it.  A4 x S3: |F:Z| =
-        # 72, |F'| = 12, and D432 of order 864 has index 432
+        # 576 = 48 * 12 passes the order screen; its index 288 is not 48, so
+        # the screen drops it.  A4 x S3: |F:Z| = 72, |F'| = 12, and D432 of
+        # order 864 has index 432
         f = tmp_path / "f.group"
         f.write_text(spec + "\n")
         assert main(["stem", "--max-order", str(max_order), str(f)]) == 0
@@ -458,10 +465,77 @@ class TestQuotientsAfterCapAndScreen:
         assert quotients == []
 
     def test_verify_t1_shadow_above_cap(self, quotients, tmp_path, capsys):
-        # the shadow S3 x A5 has |F:Z(F)| = 360
+        # the shadow S3 x A5 has |F:Z(F)| = 360, so every stem candidate is
+        # above STEM_MAX_ORDER and the order screen leaves none to search
         f = tmp_path / "m.model"
         f.write_text("torus_rank 2\nacting_group s3\nextra_factor a5\n")
         assert main(["verify-t1", str(f)]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == (
-            "note: stem search skipped: central quotient order exceeds search cap 256")
+        assert capsys.readouterr().out.splitlines()[-1] == "note: stem not in corpus (soft report)"
         assert quotients == []
+
+
+def _class2(forms, n=6):
+    """The class-2 group on pairs (v, a) of F2^n x F2^k, one bit of a per
+    alternating form: (v, a)(w, b) = (v + w, a + b + beta(v, w)), where bit
+    i of beta(v, w) is the sum of v_r w_s over the terms e_r ^ e_s (r < s)
+    of form i, the upper-triangular part of the form.  (v, a) is element
+    v + 2^n a."""
+    size = 1 << n
+    beta = [[sum((sum(v >> r & w >> s & 1 for r, s in form) & 1) << i
+                 for i, form in enumerate(forms))
+             for w in range(size)] for v in range(size)]
+    order = size << len(forms)
+    return make_group([[(x ^ y) & (size - 1) | ((x ^ y) >> n ^ beta[x % size][y % size]) << n
+                        for y in range(order)] for x in range(order)])
+
+
+@pytest.fixture(scope="module")
+def order_512_pair():
+    """Two class-2 groups of order 512 with |G:Z| = 64 and |G'| = 8, so they
+    pass the screen, that are not isoclinic: cp 5/32 against 125/512."""
+    A = _class2([[(0, 1), (2, 3), (4, 5)], [(0, 2), (1, 4)], [(3, 5), (0, 4)]])
+    B = _class2([[(0, 1), (2, 3), (4, 5)], [(0, 1)], [(2, 3)]])
+    return A, B
+
+
+class TestSearchBudget:
+    """Each search is bounded by its work, counted in mapped elements, and
+    exits 2 with the budget's figure once it passes it."""
+
+    MESSAGE = f"search passed its budget of {isomorphism.SEARCH_BUDGET} mapped elements"
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_order_512_pair_passes_the_budget(self, order_512_pair, swap):
+        G, H = order_512_pair[::-1] if swap else order_512_pair
+        g, h = _Central(G), _Central(H)
+        assert (g.index, g.derived.order) == (h.index, h.derived.order) == (64, 8)
+        assert {cp_pair_count(G), cp_pair_count(H)} == {Fraction(5, 32), Fraction(125, 512)}
+        with pytest.raises(SearchBudgetExceeded, match=f"^{self.MESSAGE}$"):
+            find_isoclinism(G, H)
+
+    def test_gl42_walk_fits(self, monkeypatch, d4):
+        # the walk over all of GL(4, 2), the largest search that the tests
+        # and the benchmark run to its end, covers exactly 343590 mapped
+        # elements
+        Q = _Central(direct_product(d4, d4)).quotient[0]
+        monkeypatch.setattr(isomorphism, "SEARCH_BUDGET", 343590)
+        assert sum(1 for _ in iter_isomorphisms(Q, Q)) == 20160
+        monkeypatch.setattr(isomorphism, "SEARCH_BUDGET", 343589)
+        with pytest.raises(SearchBudgetExceeded, match="budget of 343589 mapped"):
+            for _ in iter_isomorphisms(Q, Q):
+                pass
+
+    def test_cli_exits_2(self, order_512_pair, tmp_path):
+        # a child process, so that a search that never ends fails this test
+        # at the timeout rather than hanging the suite
+        paths = []
+        for name, G in zip("AB", order_512_pair):
+            rows = (" ".join(map(str, row)) for row in G.mul_table)
+            path = tmp_path / f"{name}.group"
+            path.write_text(f"table {G.order}\n" + "\n".join(rows) + "\n")
+            paths.append(str(path))
+        src = os.path.dirname(os.path.dirname(isomorphism.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-m", "haarcp.cli", "isoclinic", *paths],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stdout, run.stderr) == (2, "", f"error: {self.MESSAGE}\n")

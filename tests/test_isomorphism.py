@@ -4,7 +4,7 @@ import pytest
 
 from haarcp import builders, isomorphism
 from haarcp.corpus import builtin_corpus
-from haarcp.errors import SearchCapExceeded
+from haarcp.errors import SearchBudgetExceeded
 from haarcp.groups import FiniteGroup, direct_product, generated_subgroup, greedy_generators
 from haarcp.isomorphism import (
     _close_partial,
@@ -64,9 +64,22 @@ def test_symmetry_of_search():
 
 
 def test_cap_enforced(a5):
+    # order 360: no order cap stops the search, and the first isomorphism
+    # is found well within the work budget
     big = direct_product(a5, builders.cyclic(6))
-    with pytest.raises(SearchCapExceeded):
-        find_isomorphism(big, big)
+    assert _is_isomorphism(big, big, find_isomorphism(big, big))
+
+
+def test_budget_stops_a_long_walk():
+    # Aut(C2^5) = GL(5, 2) has 9999360 members, and each complete map
+    # covers 32 elements: the walk would pass 3 * 10^8 mapped elements
+    E = builders.cyclic(2)
+    for _ in range(4):
+        E = direct_product(E, builders.cyclic(2))
+    with pytest.raises(SearchBudgetExceeded, match=(
+            f"^search passed its budget of {isomorphism.SEARCH_BUDGET} mapped elements$")):
+        for _ in iter_isomorphisms(E, E):
+            pass
 
 
 def test_all_automorphisms_of_klein4():
