@@ -30,24 +30,26 @@ def group_from_elements(
     identity = next(i for i, e in enumerate(elements) if mul(e, e) == e)
     gens = greedy_generators(elements[identity], elements, mul)
     left = [[index[mul(g, x)] for x in elements] for g in gens]
-    return make_group(table_from_left(left, identity, tuple(range(len(elements)))), name=name)
+    rows, inverses = table_from_left(left, identity, tuple(range(len(elements))))
+    return make_group(rows, name, identity=identity, inverses=inverses)
 
 
 def trivial() -> FiniteGroup:
-    return make_group([[0]], name="1")
+    return make_group([[0]], "1", identity=0, inverses=[0])
 
 
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic order must be >= 1")
     ints = tuple(range(n))
-    return make_group([ints[a:] + ints[:a] for a in range(n)], name=f"C{n}")
+    return make_group([ints[a:] + ints[:a] for a in range(n)], f"C{n}",
+                      identity=0, inverses=ints[:1] + ints[:0:-1])  # -a mod n: 0, n-1, ..., 1
 
 
 def klein4() -> FiniteGroup:
-    # C2 x C2 with xor multiplication
+    # C2 x C2 with xor multiplication: every element is its own inverse
     table = [[a ^ b for b in range(4)] for a in range(4)]
-    return make_group(table, name="V4")
+    return make_group(table, "V4", identity=0, inverses=range(4))
 
 
 def dihedral(n: int) -> FiniteGroup:

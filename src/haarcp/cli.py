@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 from pathlib import Path
@@ -252,14 +253,25 @@ def main(argv: list[str] | None = None) -> int:
     The verb's cmd_* function is looked up at each call, so a function
     replaced in this module after the parser was built is the one that runs.
     It takes the parsed arguments and the closure cap, read once here.
+
+    The cyclic garbage collector is paused while the command runs, and left
+    as it was found afterwards.  A Cayley table is tuples of ints and cannot
+    form a cycle, yet the collector would walk every new row.  The engine
+    forms no reference cycles, so reference counting frees at once all that
+    a command drops, paused or not.
     """
     args = build_parser().parse_args(argv)
     command = globals()["cmd_" + args.verb.replace("-", "_")]
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return command(args, _cap(args))
     except (HaarcpError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

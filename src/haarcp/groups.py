@@ -101,20 +101,31 @@ class Subgroup(_Frozen):
         return frozenset(self.members)
 
 
-def make_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
-    """Build a FiniteGroup from a Cayley table, locating identity and inverses.
+def make_group(table: Sequence[Sequence[int]], name: str = "G", identity: int | None = None,
+               inverses: Sequence[int] | None = None) -> FiniteGroup:
+    """Build a FiniteGroup from a Cayley table and its identity and inverses.
 
+    Every construction knows its identity and inverses and passes them.  A
+    table read from a file comes without them, and they are searched for:
+    the identity is the first index whose row and column are the identity
+    map, an element's inverse the first h with g*h = h*g = identity.  The
+    search raises ValueError for a table with no two-sided identity or an
+    element with no two-sided inverse.
     The table must be n rows of n entries in 0..n-1: builders make it so,
-    and the `table` spec parser checks tables read from files.  Raises
-    ValueError for a table with no two-sided identity or an element with no
-    two-sided inverse.  The identity is the first index whose row and column
-    are the identity map; an element's inverse is the first h with
-    g*h = h*g = identity.
+    and the `table` spec parser checks tables read from files.
     Associativity is not checked here: verify_axioms does that, and table
     specs read from files go through it.
     """
-    n = len(table)
     rows = tuple(tuple(row) for row in table)
+    if identity is None or inverses is None:
+        identity, inverses = _search_identity_and_inverses(rows)
+    return FiniteGroup(len(rows), rows, identity, tuple(inverses), name)
+
+
+def _search_identity_and_inverses(rows: tuple[tuple[int, ...], ...]) -> tuple[int, list[int]]:
+    """The first two-sided identity of a table, and each element's first
+    two-sided inverse: about n^2/2 reads."""
+    n = len(rows)
     ident = tuple(range(n))
     identity = next(
         (e for e in range(n)
@@ -134,7 +145,7 @@ def make_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
             if rows[h][g] == identity:
                 break
         inverses.append(h)
-    return FiniteGroup(n, rows, identity, tuple(inverses), name)
+    return identity, inverses
 
 
 def verify_axioms(G: FiniteGroup) -> bool:
@@ -197,24 +208,34 @@ def greedy_generators(identity, elements: Iterable[Hashable], mul: Callable) -> 
 
 
 def table_from_left(left: Sequence[Sequence[int]], identity: int, ids: tuple[int, ...]):
-    """Cayley table rows from the left-multiplication maps of a generating set.
+    """Cayley table rows and inverse table from the left-multiplication maps
+    of a generating set.
 
     left[j][x] is the index of g_j * x.  Since (g_j x) b = g_j (x b), the
     row of g_j * x is row x mapped through left[j].  A walk from the
     identity, whose row is ids = (0, ..., n-1), fills every row with one
-    C-level gather.
+    C-level gather.  Each y = g_j * x the walk reaches has the inverse
+    x^-1 * g_j^-1, and x comes earlier in the walk; left[j] is the row of
+    g_j, so g_j^-1 is where it holds the identity.  That gives the inverse
+    table in one more pass over the walk, O(n).
     """
     rows: list = [None] * len(ids)
     rows[identity] = ids
     queue = [identity]
+    via = []  # (x, g_j^-1) for each y = g_j * x after the first in queue
+    steps = [(m, m.index(identity)) for m in left]
     for x in queue:
         pick = _picker(rows[x])
-        for m in left:
+        for m, m_inv in steps:
             y = m[x]
             if rows[y] is None:
                 rows[y] = pick(m)
                 queue.append(y)
-    return rows
+                via.append((x, m_inv))
+    inverses = [identity] * len(ids)
+    for y, (x, m_inv) in zip(queue[1:], via):
+        inverses[y] = rows[inverses[x]][m_inv]
+    return rows, inverses
 
 
 def _compose(p: Perm, q: Perm) -> Perm:
@@ -236,7 +257,8 @@ def close_generators(
     index = {elements[0]: 0}
     _grow(elements, index, perms, _compose, 0, cap, f"closure exceeds cap {cap} (degree {degree})")
     left = [[index[_compose(g, x)] for x in elements] for g in perms]
-    return make_group(table_from_left(left, 0, tuple(range(len(elements)))), name=name)
+    rows, inverses = table_from_left(left, 0, tuple(range(len(elements))))
+    return make_group(rows, name, identity=0, inverses=inverses)
 
 
 # -- subgroup machinery ----------------------------------------------------
@@ -368,8 +390,9 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CLOSURE_CA
     for h in greedy_generators(H.identity, range(m), H.mul):
         pick = _picker(t[h])
         left.append([x for block in blocks for x in pick(block)])
-    rows = table_from_left(left, G.identity * m + H.identity, ids)
-    return make_group(rows, name=f"{G.name} x {H.name}")
+    identity = G.identity * m + H.identity
+    rows, inverses = table_from_left(left, identity, ids)
+    return make_group(rows, f"{G.name} x {H.name}", identity=identity, inverses=inverses)
 
 
 def quotient(N: Subgroup) -> tuple[FiniteGroup, list[int], list[int]]:
@@ -381,7 +404,8 @@ def quotient(N: Subgroup) -> tuple[FiniteGroup, list[int], list[int]]:
         raise NotNormal(f"subgroup of order {N.order} is not normal")
     pick = _picker(reps)
     table = tuple(_picker(pick(G.mul_table[r]))(proj) for r in reps)
-    Q = make_group(table, name=f"{G.name}/N{N.order}")
+    inverses = _picker(pick(G.inverse_table))(proj)
+    Q = make_group(table, f"{G.name}/N{N.order}", identity=proj[G.identity], inverses=inverses)
     return Q, proj, reps
 
 
@@ -397,4 +421,6 @@ def subgroup_as_group(S: Subgroup) -> tuple[FiniteGroup, list[int]]:
         pos[g] = i
     pick = _picker(emb)
     table = tuple(_picker(pick(G.mul_table[a]))(pos) for a in emb)
-    return make_group(table, name=f"{G.name}|{S.order}"), emb
+    inverses = _picker(pick(G.inverse_table))(pos)
+    return make_group(table, f"{G.name}|{S.order}", identity=pos[G.identity],
+                      inverses=inverses), emb

@@ -62,8 +62,10 @@ def _close_partial(
     exactly the maps that extend to an injective homomorphism, and builds
     the unique extension, at one table read per edge on each side.
 
-    Returns False on a conflict; phi, used and dom are then left partly
-    extended, and the caller discards them.
+    Returns False on a conflict.  phi, used and dom are then left partly
+    extended: the members dom gained, dom[len(dom) before the call:], are
+    exactly the entries of phi and used the call set, so a caller undoes
+    the call by resetting those and truncating dom.
     """
     s, t = G.mul_table, H.mul_table
     old = len(dom)
@@ -105,29 +107,42 @@ def iter_isomorphisms(G: FiniteGroup, H: FiniteGroup) -> Iterator[list[int]]:
     # each generator lies outside the span of the ones before, so after idx
     # steps phi maps exactly <gens[:idx]>, and all of G once idx = len(gens)
     gens = greedy_generators(G.identity, range(G.order), G.mul)
-    work = 0
+    options = [candidates[g_key[g]] for g in gens]
+    yield from _extensions(G, H, gens, options, *_identity_start(G, H), [0])
 
-    def search(
-        idx: int, phi: list[int], used: list[bool], dom: list[int]
-    ) -> Iterator[list[int]]:
-        nonlocal work
-        if idx == len(gens):
-            yield phi
-            return
-        mapped = gens[:idx + 1]
-        for h in candidates[g_key[gens[idx]]]:
-            if used[h]:
-                continue
-            phi2, used2, dom2 = phi[:], used[:], dom[:]
-            closed = _close_partial(G, H, phi2, used2, dom2, mapped, h)
-            work += len(dom2)
-            if work > SEARCH_BUDGET:
-                raise SearchBudgetExceeded(
-                    f"search passed its budget of {SEARCH_BUDGET} mapped elements")
-            if closed:
-                yield from search(idx + 1, phi2, used2, dom2)
 
-    yield from search(0, *_identity_start(G, H))
+def _extensions(G: FiniteGroup, H: FiniteGroup, gens: list[int], options: list[list[int]],
+                phi: list[int], used: list[bool], dom: list[int], work: list[int],
+                idx: int = 0) -> Iterator[list[int]]:
+    """Every extension of phi, which maps <gens[:idx]>, to an isomorphism,
+    each gens[j] from idx on mapping to one of options[j].
+
+    phi, used and dom are extended in place, and each candidate's extension
+    is undone after it, so a candidate costs only what its walk maps; each
+    complete map is yielded as a copy.  work[0] counts the mapped elements
+    of every candidate so far.  The recursion goes through this module-level
+    function, not a closure that refers to itself, so a search leaves no
+    reference cycle behind.
+    """
+    if idx == len(gens):
+        yield phi[:]
+        return
+    mapped = gens[:idx + 1]
+    for h in options[idx]:
+        if used[h]:
+            continue
+        old = len(dom)
+        closed = _close_partial(G, H, phi, used, dom, mapped, h)
+        work[0] += len(dom)
+        if work[0] > SEARCH_BUDGET:
+            raise SearchBudgetExceeded(
+                f"search passed its budget of {SEARCH_BUDGET} mapped elements")
+        if closed:
+            yield from _extensions(G, H, gens, options, phi, used, dom, work, idx + 1)
+        for x in dom[old:]:  # take the candidate back
+            used[phi[x]] = False
+            phi[x] = -1
+        del dom[old:]
 
 
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> list[int] | None:

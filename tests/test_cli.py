@@ -1,3 +1,4 @@
+import gc
 import os
 import re
 import subprocess
@@ -1109,6 +1110,59 @@ class TestSharedParser:
         assert main(["center", "c2"]) == 0
         assert seen == [["c2"]]
         assert capsys.readouterr().out == ""
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic collector switched on or off for the test, and restored after."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPause:
+    """main() pauses the cyclic collector while its command runs and leaves
+    it as it found it, however the call ends."""
+
+    def test_exit_0(self, collector, monkeypatch, capsys):
+        from haarcp import cli
+
+        real, during = cli.cmd_center, []
+
+        def spy(args, cap):
+            during.append(gc.isenabled())
+            return real(args, cap)
+
+        monkeypatch.setattr(cli, "cmd_center", spy)
+        assert main(["center", "q8"]) == 0
+        assert during == [False]
+        assert gc.isenabled() is collector
+
+    def test_exit_2(self, collector, tmp_path, capsys):
+        f = tmp_path / "short.group"
+        f.write_text("table 2\n0 1\n1\n")
+        assert main(["cp", str(f)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {f}: bad Cayley table: row 1 has length 1, expected 2\n")
+        assert gc.isenabled() is collector
+
+    def test_uncaught_exception(self, collector, monkeypatch):
+        from haarcp import cli
+
+        def broken(args, cap):
+            raise RuntimeError("not an input error")
+
+        monkeypatch.setattr(cli, "cmd_center", broken)
+        with pytest.raises(RuntimeError, match="not an input error"):
+            main(["center", "q8"])
+        assert gc.isenabled() is collector
+
+    def test_argparse_exit(self, collector, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-verb"])
+        assert exc.value.code == 2
+        assert gc.isenabled() is collector
 
 
 def test_cli_import_builds_no_parser():

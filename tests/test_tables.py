@@ -208,10 +208,55 @@ class TestMakeGroupRejects:
             parse_group_file(f)
         assert str(err.value) == f"{f}: table ended early, 1 rows missing"
 
+
+def searched(G):
+    """(identity, inverse table) that make_group's search finds on G's rows."""
+    H = make_group(G.mul_table)
+    return H.identity, H.inverse_table
+
+
+# Inputs of TestIdentityAndInverses, each as a builder makes it.
+INPUTS = {
+    "S4": lambda: builders.symmetric(4),
+    "S5": lambda: builders.symmetric(5),
+    "D12": lambda: builders.dihedral(12),
+    "A5xC6": lambda: direct_product(builders.alternating(5), builders.cyclic(6)),
+}
+
+
+class TestIdentityAndInverses:
+    """make_group searches a table for its identity and inverses only when
+    the caller does not pass them.  Every construction passes its own, and
+    they must be what the search finds on the same rows."""
+
     def test_first_two_sided_inverse_taken(self):
         # row 1 holds the identity at 2 and 3, but only 3 is a two-sided inverse
         t = [[0, 1, 2, 3], [1, 1, 0, 0], [2, 2, 0, 1], [3, 0, 1, 0]]
         assert make_group(t).inverse_table == (0, 3, 2, 1)
+
+    @pytest.mark.parametrize("make", INPUTS.values(), ids=INPUTS.keys())
+    def test_constructions_agree_with_search(self, make, relabel):
+        G = make()  # group_from_elements, or direct_product for A5xC6
+        # relabelled, the identity moves off index 0 in what is built from it
+        for K in (G, relabel(G, random.Random(G.order))):
+            Z, N = center(K), derived_subgroup(K)
+            built = [
+                K,
+                close_generators(right_regular(K, greedy_generators(K.identity, range(K.order),
+                                                                    K.mul))),
+                direct_product(K, builders.cyclic(2)),
+                direct_product(builders.klein4(), K),
+                quotient(Z)[0],
+                quotient(N)[0],
+                subgroup_as_group(N)[0],
+                subgroup_as_group(Z)[0],
+            ]
+            for B in built:
+                assert (B.identity, B.inverse_table) == searched(B), B
+
+    def test_closed_forms_agree_with_search(self):
+        for B in [builders.trivial(), builders.klein4()] + [builders.cyclic(n) for n in range(1, 13)]:
+            assert (B.identity, B.inverse_table) == searched(B), B
 
 
 # Each builds one table from an input group G, its derived subgroup N and a
