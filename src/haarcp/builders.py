@@ -153,6 +153,6 @@ def sl25() -> FiniteGroup:
         )
 
     gens = [perm_of((1, 1, 0, 1)), perm_of((0, -1 % 5, 1, 0))]
-    G = close_generators(gens, cap=200, name="SL(2,5)")
+    G = close_generators(gens, name="SL(2,5)")
     assert G.order == 120
     return G

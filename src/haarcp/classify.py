@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .compact import CompactModel, cp_semianalytic, cp_theorem1, fc_center, finite_shadow
 from .cp import cp_pair_count, format_rational
-from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, center, derived_series
+from .groups import FiniteGroup, center, derived_series
 from .isoclinism import find_stem_group
 
 FINITENESS_THRESHOLD = Fraction(1, 4)
@@ -113,20 +113,20 @@ class Theorem1Report(NamedTuple):
         return self.equal and self.stem_cp_equal is not False
 
 
-def check_theorem1(model: CompactModel, cap: int = DEFAULT_CLOSURE_CAP) -> Theorem1Report:
+def check_theorem1(model: CompactModel) -> Theorem1Report:
     """Assert the two cp routes agree, and realize the stem clause.
 
     The stem clause looks for a builtin group H of order at most
-    min(STEM_MAX_ORDER, cap) with Z(H) <= H' isoclinic to the finite shadow
+    STEM_MAX_ORDER with Z(H) <= H' isoclinic to the finite shadow
     and compares cp values.  A missing stem is reported softly (the corpus
     is finite, existence is not in question); an engine error in the search,
     such as SearchBudgetExceeded, reaches the caller.
     """
     direct = cp_semianalytic(model)
     fc = fc_center(model)
-    shadow = finite_shadow(model, fc, cap)
+    shadow = finite_shadow(model, fc)
     reduced = cp_theorem1(shadow, fc.index)
-    found = find_stem_group(shadow, min(STEM_MAX_ORDER, cap))
+    found = find_stem_group(shadow, STEM_MAX_ORDER)
     if found is None:
         return Theorem1Report(direct, reduced, None, None, ("stem not in corpus (soft report)",))
     H, _w = found

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import os
 import sys
 from pathlib import Path
 
@@ -32,28 +31,10 @@ from .cp import (
     format_rational,
     parse_rational,
 )
-from .errors import ClosureExceedsCap, HaarcpError
-from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, center
+from .errors import HaarcpError
+from .groups import FiniteGroup, center
 from .isoclinism import find_isoclinism, find_stem_group
-from .specfmt import parse_model_file, read_spec, resolve_group
-
-
-def _cap(args) -> int:
-    """The closure cap: --cap, else HAARCP_CAP, else the default.  Each is
-    read as every integer option is (see _ints) and must be > 0."""
-    if args.cap is not None:
-        source, text = "--cap", args.cap
-    elif "HAARCP_CAP" in os.environ:
-        source, text = "HAARCP_CAP", os.environ["HAARCP_CAP"]
-    else:
-        return DEFAULT_CLOSURE_CAP
-    try:
-        (value,) = _ints(text)
-    except ValueError:
-        value = 0  # not one integer: rejected with the rest below
-    if value <= 0:
-        raise ValueError(f"{source} must be a positive integer, got {text!r}")
-    return value
+from .specfmt import parse_group_file, parse_model_file, read_spec
 
 
 def _integer(text: str) -> int:
@@ -65,8 +46,8 @@ def _integer(text: str) -> int:
     return value
 
 
-def cmd_cp(args, cap: int) -> int:
-    G = resolve_group(" ".join(args.group), cap)
+def cmd_cp(args) -> int:
+    G = parse_group_file(" ".join(args.group))
     pair = cp_pair_count(G)
     cls = cp_class_count(G)
     coset = cp_coset_formula(G)
@@ -80,16 +61,16 @@ def cmd_cp(args, cap: int) -> int:
     return 1
 
 
-def cmd_center(args, cap: int) -> int:
-    G = resolve_group(" ".join(args.group), cap)
+def cmd_center(args) -> int:
+    G = parse_group_file(" ".join(args.group))
     Z = center(G)
     print(f"center order {Z.order} of group order {G.order}")
     print(" ".join(str(m) for m in Z.members))
     return 0
 
 
-def cmd_fc(args, cap: int) -> int:
-    model = parse_model_file(args.model, cap)
+def cmd_fc(args) -> int:
+    model = parse_model_file(args.model)
     fc = fc_center(model)
     print(f"action kernel size {len(fc.kernel)} of |Q| = {model.acting_group.order}")
     print(f"FC index {fc.index}")
@@ -97,17 +78,17 @@ def cmd_fc(args, cap: int) -> int:
     return 0
 
 
-def cmd_classify(args, cap: int) -> int:
-    G = resolve_group(" ".join(args.group), cap)
+def cmd_classify(args) -> int:
+    G = parse_group_file(" ".join(args.group))
     result = classify_high_cp(G)
     print(f"cp = {format_rational(result.cp_value)}")
     print(f"verdict: {result.verdict}")
     return 1 if result.verdict is Verdict.THEOREM_VIOLATION else 0
 
 
-def cmd_isoclinic(args, cap: int) -> int:
-    G = resolve_group(args.group_a, cap)
-    H = resolve_group(args.group_b, cap)
+def cmd_isoclinic(args) -> int:
+    G = parse_group_file(args.group_a)
+    H = parse_group_file(args.group_b)
     w = find_isoclinism(G, H)
     if w is None:
         print("none")
@@ -116,12 +97,10 @@ def cmd_isoclinic(args, cap: int) -> int:
     return 0
 
 
-def cmd_stem(args, cap: int) -> int:
+def cmd_stem(args) -> int:
     if args.max_order <= 0:
         raise ValueError(f"--max-order must be a positive integer, got '{args.max_order}'")
-    if args.max_order > cap:
-        raise ClosureExceedsCap(f"--max-order {args.max_order} exceeds cap {cap}")
-    F = resolve_group(" ".join(args.group), cap)
+    F = parse_group_file(" ".join(args.group))
     found = find_stem_group(F, args.max_order)
     if found is None:
         print("none (corpus exhausted)")
@@ -132,9 +111,9 @@ def cmd_stem(args, cap: int) -> int:
     return 0
 
 
-def cmd_verify_t1(args, cap: int) -> int:
-    model = parse_model_file(args.model, cap)
-    report = check_theorem1(model, cap)
+def cmd_verify_t1(args) -> int:
+    model = parse_model_file(args.model)
+    report = check_theorem1(model)
     eq = "PASS" if report.equal else "FAIL"
     print(
         f"{eq} cp equality: direct {format_rational(report.cp_direct)}"
@@ -148,8 +127,8 @@ def cmd_verify_t1(args, cap: int) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_verify_t2(args, cap: int) -> int:
-    report = check_theorem2_part1(read_spec(args.input, cap))
+def cmd_verify_t2(args) -> int:
+    report = check_theorem2_part1(read_spec(args.input))
     mark = "PASS" if report.passed else "FAIL"
     print(f"{mark} cp = {format_rational(report.cp_value)}")
     for note in report.notes:
@@ -157,21 +136,19 @@ def cmd_verify_t2(args, cap: int) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_scan(args, cap: int) -> int:
+def cmd_scan(args) -> int:
     threshold = parse_rational(args.threshold)
     entries: list[tuple[str, FiniteGroup]] = []
     if not args.inputs:
-        if cap < 64:
-            raise ClosureExceedsCap(f"scan corpus up to order 64 exceeds cap {cap}")
         entries = corpus.builtin_corpus(64)
     for item in args.inputs:
         path = Path(item)
         if path.is_dir():
             for child in sorted(path.iterdir()):
                 if child.is_file():
-                    entries.append((child.stem, resolve_group(str(child), cap)))
+                    entries.append((child.stem, parse_group_file(str(child))))
         else:
-            entries.append((item, resolve_group(item, cap)))
+            entries.append((item, parse_group_file(item)))
     rows = scan_corpus(entries, threshold=threshold)
     if args.machine:
         for row in rows:
@@ -182,8 +159,8 @@ def cmd_scan(args, cap: int) -> int:
     return 1 if bad else 0
 
 
-def cmd_mc(args, cap: int) -> int:
-    model = parse_model_file(args.model, cap)
+def cmd_mc(args) -> int:
+    model = parse_model_file(args.model)
     est = cp_monte_carlo(model, args.samples, args.seed)
     exact = cp_semianalytic(model)
     print(f"estimate {est.estimate:.6f} +- {est.stderr:.6f} ({est.samples} samples)")
@@ -202,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="haarcp",
         description="Exact commuting probability for finite groups and finite-by-torus compact groups.",
     )
-    parser.add_argument("--cap", default=None,
-                        help="closure cap (overrides HAARCP_CAP)")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("cp", help="exact cp by all three finite algorithms")
@@ -252,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
 
     The verb's cmd_* function is looked up at each call, so a function
     replaced in this module after the parser was built is the one that runs.
-    It takes the parsed arguments and the closure cap, read once here.
+    It takes the parsed arguments.
 
     The cyclic garbage collector is paused while the command runs, and left
     as it was found afterwards.  A Cayley table is tuples of ints and cannot
@@ -265,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return command(args, _cap(args))
+        return command(args)
     except (HaarcpError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

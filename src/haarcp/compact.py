@@ -27,7 +27,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .builders import trivial
 from .errors import NotAHomomorphism, NotUnimodular, RankMismatch, ZeroSamples
-from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, Subgroup, _grow, direct_product, subgroup_as_group
+from .groups import FiniteGroup, Subgroup, _grow, direct_product, subgroup_as_group
 from .cp import _symmetric_entries, cp_pair_count
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -164,13 +164,11 @@ def fc_center(model: CompactModel) -> FcDescription:
     return FcDescription(kernel, Q.order // len(kernel))
 
 
-def finite_shadow(
-    model: CompactModel, fc: FcDescription, cap: int = DEFAULT_CLOSURE_CAP
-) -> FiniteGroup:
-    """K x L under `cap`: the FC-center without its torus, which is central."""
+def finite_shadow(model: CompactModel, fc: FcDescription) -> FiniteGroup:
+    """K x L: the FC-center without its torus, which is central."""
     # the kernel of a homomorphism is a subgroup; build_model checked the law
     kgrp, _ = subgroup_as_group(Subgroup(model.acting_group, fc.kernel))
-    return direct_product(kgrp, model.extra_factor, cap)
+    return direct_product(kgrp, model.extra_factor)
 
 
 def cp_semianalytic(model: CompactModel) -> Fraction:

@@ -6,36 +6,37 @@ import functools
 from typing import Iterator, NamedTuple
 
 from . import builders
-from .errors import ClosureExceedsCap
-from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup
+from .groups import FiniteGroup, check_order
+
+_HUGE = 2**64  # above any table's order: a larger order is not worked out
 
 
 def _product_from(k: int):
-    """n -> k * (k + 1) * ... * n, stopping once the product passes cap."""
-    def order(n: int, cap: int) -> int:
+    """n -> k * (k + 1) * ... * n, or None once the product passes _HUGE."""
+    def order(n: int) -> int | None:
         out = 1
         for j in range(k, n + 1):
             out *= j
-            if out > cap:
-                break
+            if out > _HUGE:
+                return None
         return out
     return order
 
 
 def _fixed(make, order: int):
     """A kind without a parameter; its n is always 0."""
-    return lambda n: make(), lambda n, cap: order, (0, 0)
+    return lambda n: make(), lambda n: order, (0, 0)
 
 
-# kind -> (constructor of n, order for (n, cap), the n the corpus takes),
-# in corpus order.  The order function may stop at any number above cap.
-# The corpus takes n from first to last, or while the order allows when
-# last is None: every order grows with n, and n <= order for those kinds.
+# kind -> (constructor of n, order of n, the n the corpus takes), in corpus
+# order.  The order is None when it passes _HUGE.  The corpus takes n from
+# first to last, or while the order allows when last is None: every order
+# grows with n, and n <= order for those kinds.
 _KINDS = {
     "trivial": _fixed(builders.trivial, 1),
-    "cyclic": (builders.cyclic, lambda n, cap: n, (2, None)),
+    "cyclic": (builders.cyclic, lambda n: n, (2, None)),
     "klein4": _fixed(builders.klein4, 4),
-    "dihedral": (builders.dihedral, lambda n, cap: 2 * n, (3, None)),
+    "dihedral": (builders.dihedral, lambda n: 2 * n, (3, None)),
     "quaternion8": _fixed(builders.quaternion8, 8),
     "symmetric": (builders.symmetric, _product_from(2), (3, 5)),  # n!
     "alternating": (builders.alternating, _product_from(3), (4, 6)),  # n!/2
@@ -92,21 +93,22 @@ def builtin_name(name: str) -> tuple[str, int] | None:
     return _PARAM[head], int(tail)
 
 
-def builtin_group(name: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup | None:
+def builtin_group(name: str) -> FiniteGroup | None:
     """Resolve a builtin name (see builtin_name).
 
     Dihedral n is the symmetry group of the n-gon, order 2n.  Returns None
     for names the corpus does not know (the CLI then tries the filesystem).
-    Raises ClosureExceedsCap, before building anything, when the group's
-    order is above cap.
+    The group's order goes to check_order before anything is built.
     """
     found = builtin_name(name)
     if found is None:
         return None
     kind, n = found
-    if _KINDS[kind][1](n, cap) > cap:
-        text = " ".join(name.lower().split())
-        raise ClosureExceedsCap(f"builtin group {text!r} has order above cap {cap}")
+    order = _KINDS[kind][1](n)
+    text = " ".join(name.lower().split())
+    if order is None:
+        check_order(_HUGE, f"builtin group {text!r} of order above {_HUGE}")
+    check_order(order, f"builtin group {text!r}")
     return _named(kind, n)
 
 
@@ -128,7 +130,7 @@ def builtin_entries(max_order: int = 64) -> Iterator[CorpusEntry]:
     Entries are yielded one at a time: a reader that keeps few holds few."""
     for kind, (_make, order_of, (first, last)) in _KINDS.items():
         for n in range(first, (max_order if last is None else last) + 1):
-            order = order_of(n, max_order)
+            order = order_of(n)
             if order > max_order:
                 break
             yield CorpusEntry(f"{kind} {n}" if n else kind, order, kind, n)

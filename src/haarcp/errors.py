@@ -5,8 +5,8 @@ class HaarcpError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ClosureExceedsCap(HaarcpError):
-    """A closure, a product or a torus rank's d^2 passed the order cap."""
+class TableBudgetExceeded(HaarcpError):
+    """A Cayley table would pass the byte budget; raised before it is built."""
 
 
 class EmptyGeneratorList(HaarcpError):

@@ -9,12 +9,13 @@ subgroups are treated as immutable after construction.
 
 from __future__ import annotations
 
+from math import isqrt
 from operator import eq, getitem, itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .errors import ClosureExceedsCap, EmptyGeneratorList, NotNormal
+from .errors import EmptyGeneratorList, NotNormal, TableBudgetExceeded
 
-DEFAULT_CLOSURE_CAP = 20000
+TABLE_BUDGET = 2**30  # bytes for one Cayley table, at 8 bytes per entry: order 11585 at most
 
 Perm = tuple[int, ...]
 
@@ -148,6 +149,17 @@ def _search_identity_and_inverses(rows: tuple[tuple[int, ...], ...]) -> tuple[in
     return identity, inverses
 
 
+def check_order(n: int, what: str) -> None:
+    """Raise TableBudgetExceeded, naming what, when a table of order n would
+    pass TABLE_BUDGET at 8 bytes per entry.  Every table, and every input
+    that stands for one, is checked here before anything is allocated.
+    TABLE_BUDGET is read at each call."""
+    need = 8 * n * n
+    if need > TABLE_BUDGET:
+        raise TableBudgetExceeded(
+            f"{what}: a table of order {n} needs {need} bytes, over the budget of {TABLE_BUDGET}")
+
+
 def verify_axioms(G: FiniteGroup) -> bool:
     """Whether G's table is associative, by Light's test over a generating set.
 
@@ -170,7 +182,7 @@ def verify_axioms(G: FiniteGroup) -> bool:
 
 
 def _grow(members: list, index: dict, gens: Sequence, mul: Callable, old: int,
-          cap: int | None = None, cap_message: str = "") -> None:
+          limit: int | None = None, what: str = "") -> None:
     """Close members, whose first old entries are closed under gens[:-1], under gens.
 
     index maps each member to its position; both grow in place, in BFS
@@ -178,8 +190,8 @@ def _grow(members: list, index: dict, gens: Sequence, mul: Callable, old: int,
     from every later one, each generator.  A fresh closure is the walk from
     [start] with old = 0.  Growing a span of s members by one generator to
     s' members takes s + k*(s' - s) products, so a span of n elements grown
-    one generator at a time takes n*k.  Raises ClosureExceedsCap(cap_message)
-    before members passes cap.
+    one generator at a time takes n*k.  Once members would pass limit, the
+    order so far, limit + 1, goes to check_order with what.
     """
     edges = gens[-1:]
     for i, x in enumerate(members):  # members grows while it is walked: a FIFO queue
@@ -188,8 +200,8 @@ def _grow(members: list, index: dict, gens: Sequence, mul: Callable, old: int,
         for g in edges:
             y = mul(x, g)
             if y not in index:
-                if cap is not None and len(members) >= cap:
-                    raise ClosureExceedsCap(cap_message)
+                if limit is not None and len(members) >= limit:
+                    check_order(len(members) + 1, what)
                 index[y] = len(members)
                 members.append(y)
 
@@ -243,10 +255,11 @@ def _compose(p: Perm, q: Perm) -> Perm:
     return _picker(p)(q)
 
 
-def close_generators(
-    perms: Sequence[Perm], cap: int = DEFAULT_CLOSURE_CAP, name: str = "G"
-) -> FiniteGroup:
-    """Group generated by permutations, indexed in BFS order from the identity."""
+def close_generators(perms: Sequence[Perm], name: str = "G") -> FiniteGroup:
+    """Group generated by permutations, indexed in BFS order from the identity.
+
+    The walk stops at the first element past the largest order the table
+    budget admits, so the order its error names is a lower bound."""
     if not perms:
         raise EmptyGeneratorList("need at least one generator")
     degree = len(perms[0])
@@ -255,7 +268,9 @@ def close_generators(
             raise ValueError(f"not a permutation of 0..{degree - 1}: {p}")
     elements = [tuple(range(degree))]
     index = {elements[0]: 0}
-    _grow(elements, index, perms, _compose, 0, cap, f"closure exceeds cap {cap} (degree {degree})")
+    limit = isqrt(TABLE_BUDGET // 8)  # the largest n with 8 n^2 <= TABLE_BUDGET
+    what = f"closure of degree {degree} past order {limit}"
+    _grow(elements, index, perms, _compose, 0, limit, what)
     left = [[index[_compose(g, x)] for x in elements] for g in perms]
     rows, inverses = table_from_left(left, 0, tuple(range(len(elements))))
     return make_group(rows, name, identity=0, inverses=inverses)
@@ -372,15 +387,14 @@ def _picker(idx: Sequence[int]) -> Callable:
     return itemgetter(*idx)
 
 
-def direct_product(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """Componentwise product on index pairs, flattened row-major: (g, h) -> g*|H| + h.
 
     The table is walked from the left maps of (g, 1) and (1, h) for
     generators g of G and h of H.
     """
     n = G.order * H.order
-    if n > cap:
-        raise ClosureExceedsCap(f"product order {n} exceeds cap {cap}")
+    check_order(n, f"product {G.name} x {H.name}")
     s, t, m = G.mul_table, H.mul_table, H.order
     # every map is cut from the identity row's tuple, so the table holds n int objects
     ids = tuple(range(n))

@@ -16,7 +16,7 @@ from operator import getitem
 from typing import NamedTuple
 
 from .corpus import builtin_entries
-from .groups import FiniteGroup, _picker, center, derived_subgroup, quotient
+from .groups import FiniteGroup, _picker, center, check_order, derived_subgroup, quotient
 from .isomorphism import _close_partial, _identity_start, iter_isomorphisms
 
 
@@ -184,14 +184,16 @@ def find_stem_group(
     A stem group H isoclinic to F has H/Z(H) ~ F/Z(F), H' ~ F' and
     Z(H) <= H' (Hall), so |H| = q*m with q = |F:Z(F)| and m = |Z(H)|
     dividing d = |F'|.  So the corpus is read only up to min(max_order, q*d),
-    candidates of any other order are dropped as it is read, and only the
-    ones that pass are sorted.  F's central quotient is built once, when a
-    first candidate passes the screen, and each search is bounded by its
-    work budget, not by q.
+    an order that must fit the table budget, candidates of any other order
+    are dropped as it is read, and only the ones that pass are sorted.  F's
+    central quotient is built once, when a first candidate passes the
+    screen, and each search is bounded by its work budget, not by q.
     """
     f = _Central(F)
     q, d = f.index, f.derived.order
-    corpus = builtin_entries(min(max_order, q * d))
+    bound = min(max_order, q * d)
+    check_order(bound, f"stem candidates up to order {bound}")
+    corpus = builtin_entries(bound)
     passed = [c for c in corpus if not (c.order % q or d % (c.order // q))]
     for c in sorted(passed, key=lambda c: (c.order, c.name)):
         h = _Central(c.group())

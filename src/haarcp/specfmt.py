@@ -29,11 +29,11 @@ from pathlib import Path
 from . import corpus
 from .compact import CompactModel, build_model
 from .cp import _ints
-from .errors import ClosureExceedsCap, HaarcpError, ParseError
+from .errors import HaarcpError, ParseError
 from .groups import (
-    DEFAULT_CLOSURE_CAP,
     FiniteGroup,
     Perm,
+    check_order,
     close_generators,
     direct_product,
     make_group,
@@ -95,7 +95,6 @@ def _split_directive(line: str) -> tuple[str, str]:
 
 def read_spec(
     operand: str | Path,
-    cap: int = DEFAULT_CLOSURE_CAP,
     kind: str | None = None,
     relative_to: Path | None = None,
     chain: tuple[Path, ...] = (),
@@ -111,7 +110,7 @@ def read_spec(
         if corpus.builtin_name(str(operand)) is not None:
             raise ParseError(f"{operand}: expected a model spec, got a builtin group")
     else:
-        g = corpus.builtin_group(str(operand), cap)
+        g = corpus.builtin_group(str(operand))
         if g is not None:
             return g
     path = Path(operand)
@@ -134,27 +133,22 @@ def read_spec(
         raise ParseError(f"{path}: expected a {kind} spec, got a {found} spec")
     try:
         if found == "group":
-            return _group_from_lines(path, lines, cap, chain)
-        return _model_from_lines(path, lines, cap)
+            return _group_from_lines(path, lines, chain)
+        return _model_from_lines(path, lines)
     except (HaarcpError, ValueError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def parse_group_file(path: str | Path, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
-    return read_spec(path, cap, "group")
+def parse_group_file(operand: str | Path) -> FiniteGroup:
+    """The group a builtin name or a group spec file names."""
+    return read_spec(operand, "group")
 
 
-def resolve_group(name_or_path: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
-    return read_spec(name_or_path, cap, "group")
+def parse_model_file(path: str | Path) -> CompactModel:
+    return read_spec(path, "model")
 
 
-def parse_model_file(path: str | Path, cap: int = DEFAULT_CLOSURE_CAP) -> CompactModel:
-    return read_spec(path, cap, "model")
-
-
-def _group_from_lines(
-    path: Path, lines: list[str], cap: int, chain: tuple[Path, ...]
-) -> FiniteGroup:
+def _group_from_lines(path: Path, lines: list[str], chain: tuple[Path, ...]) -> FiniteGroup:
     """The group a spec's lines describe.  chain lists the product specs
     whose operands led here, outermost first; a product spec whose resolved
     path is already on it is a cycle.  Paths are resolved only to check a
@@ -193,8 +187,7 @@ def _group_from_lines(
             if not (rest.isascii() and rest.isdigit()):
                 raise ParseError(f"table needs a size: {line!r}", lineno)
             expect_rows = int(rest)
-            if expect_rows > cap:  # each row is a tuple of n entries
-                raise ClosureExceedsCap(f"table size {expect_rows} exceeds cap {cap}")
+            check_order(expect_rows, f"table {expect_rows}")  # before any row is read
             table = []
             # as in built tables, every row refers to the same n index objects
             ids = tuple(range(expect_rows))
@@ -207,8 +200,8 @@ def _group_from_lines(
     if kind == "product":
         if chain and path.resolve() in map(Path.resolve, chain):
             raise ParseError(f"product cycle through {path.name}", product_line)
-        a, b = (read_spec(f, cap, "group", path.parent, (*chain, path)) for f in factors)
-        return direct_product(a, b, cap=cap)
+        a, b = (read_spec(f, "group", path.parent, (*chain, path)) for f in factors)
+        return direct_product(a, b)
     if expect_rows:
         raise ParseError(f"table ended early, {expect_rows} rows missing")
     if table is not None:
@@ -231,13 +224,12 @@ def _group_from_lines(
     if not perm_cycles:
         raise ParseError("no generators and no table in group spec")
     degree = max((p for cyc in perm_cycles for c in cyc for p in c), default=1)
-    if degree > cap:  # every permutation is a tuple of degree entries
-        raise ClosureExceedsCap(f"perm point {degree} exceeds cap {cap}")
+    check_order(degree, f"perm point {degree}")  # before any permutation is built
     perms = [_perm_from_cycles(cyc, degree) for cyc in perm_cycles]
-    return close_generators(perms, cap=cap, name=path.stem)
+    return close_generators(perms, name=path.stem)
 
 
-def _model_from_lines(path: Path, lines: list[str], cap: int) -> CompactModel:
+def _model_from_lines(path: Path, lines: list[str]) -> CompactModel:
     rank: int | None = None
     acting: FiniteGroup | None = None
     extra: FiniteGroup | None = None
@@ -253,12 +245,12 @@ def _model_from_lines(path: Path, lines: list[str], cap: int) -> CompactModel:
                 (rank,) = _ints(rest)
             except ValueError:
                 raise ParseError(f"bad torus rank: {rest!r}", lineno)
-            if rank > 0 and rank * rank > cap:  # an action matrix holds d^2 entries
-                raise ClosureExceedsCap(f"torus rank {rank} squared exceeds cap {cap}")
+            if rank > 0:  # an action matrix holds d^2 entries; checked before any is built
+                check_order(rank * rank, f"torus rank {rank} squared")
         elif verb == "acting_group":
-            acting = read_spec(rest, cap, "group", path.parent)
+            acting = read_spec(rest, "group", path.parent)
         elif verb == "extra_factor":
-            extra = read_spec(rest, cap, "group", path.parent)
+            extra = read_spec(rest, "group", path.parent)
         elif verb == "matrix":
             if rank is None:
                 raise ParseError("matrix line before torus_rank", lineno)

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from haarcp import builders
+from haarcp import builders, groups
 from haarcp.classify import Verdict, scan_corpus
 from haarcp.compact import (
     build_model,
@@ -26,7 +26,7 @@ from haarcp.cp import (
     cp_coset_formula,
     cp_pair_count,
 )
-from haarcp.errors import ClosureExceedsCap
+from haarcp.errors import TableBudgetExceeded
 from haarcp.groups import (
     center,
     close_generators,
@@ -167,19 +167,20 @@ def test_criterion_6_stem_groups():
     )
 
 
-def test_criterion_7_random_group_agreement(relabel):
+def test_criterion_7_random_group_agreement(relabel, monkeypatch):
     start = time.time()
     rng = random.Random(20240824)
     ok = True
     produced = 0
+    monkeypatch.setattr(groups, "TABLE_BUDGET", 8 * 360 * 360)  # closures past order 360 stop
     while produced < 200:
         degree = rng.randint(3, 6)
         gens = [
             tuple(rng.sample(range(degree), degree)) for _ in range(2)
         ]
         try:
-            G = close_generators(gens, cap=360)
-        except ClosureExceedsCap:
+            G = close_generators(gens)
+        except TableBudgetExceeded:
             continue
         produced += 1
         pair = cp_pair_count(G)

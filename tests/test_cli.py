@@ -8,12 +8,12 @@ from pathlib import Path
 import pytest
 
 import haarcp
-from haarcp import builders, corpus, specfmt
-from haarcp.cli import main
-from haarcp.errors import ClosureExceedsCap, ParseError
+from haarcp import builders, corpus, groups, specfmt
+from haarcp.cli import build_parser, main
+from haarcp.errors import ParseError, TableBudgetExceeded
 from haarcp.groups import quotient
 from haarcp.isoclinism import IsoclinismWitness, verify_isoclinism
-from haarcp.specfmt import parse_group_file, parse_model_file, resolve_group
+from haarcp.specfmt import parse_group_file, parse_model_file
 
 
 @pytest.fixture
@@ -44,6 +44,22 @@ def no_builtin_builds(monkeypatch):
     def no_build(*args):
         raise AssertionError("builtin table built")
     monkeypatch.setattr(corpus, "_named", no_build)
+
+
+def over_budget(what: str, n: int, budget: int | None = None) -> str:
+    """The error a table of order n gets over the budget, the real one by default."""
+    budget = groups.TABLE_BUDGET if budget is None else budget
+    return f"{what}: a table of order {n} needs {8 * n * n} bytes, over the budget of {budget}"
+
+
+@pytest.fixture
+def table_budget(monkeypatch):
+    """Set groups.TABLE_BUDGET to admit tables up to a given order, and no larger;
+    returns the budget in bytes."""
+    def admit(order: int) -> int:
+        monkeypatch.setattr(groups, "TABLE_BUDGET", 8 * order * order)
+        return 8 * order * order
+    return admit
 
 
 @pytest.fixture
@@ -104,30 +120,33 @@ class TestGroupSpecs:
             "", f"error: {f}: line 2: point {point} in two cycles: '{cycles}'\n")
 
     def test_builtin_names(self):
-        assert resolve_group("alternating 5").order == 60
-        assert resolve_group("a5").order == 60
-        assert resolve_group("q8").order == 8
-        assert resolve_group("dihedral 4").order == 8
-        assert resolve_group("sl25").order == 120
+        assert parse_group_file("alternating 5").order == 60
+        assert parse_group_file("a5").order == 60
+        assert parse_group_file("q8").order == 8
+        assert parse_group_file("dihedral 4").order == 8
+        assert parse_group_file("sl25").order == 120
 
     @pytest.mark.parametrize("name, order", [
         ("1", 1), ("v4", 4), ("q8", 8), ("es27+", 27), ("es27-", 27), ("sl25", 120), ("c7", 7),
         ("dihedral 5", 10), ("s4", 24), ("a1", 1), ("a2", 1), ("a5", 60),
     ])
-    def test_builtin_cap_is_the_order(self, name, order):
-        assert resolve_group(name, cap=order).order == order
+    def test_builtin_cap_is_the_order(self, name, order, table_budget):
+        # a budget that admits exactly the builtin's order admits the builtin
+        table_budget(order)
+        assert parse_group_file(name).order == order
         if order > 1:
-            with pytest.raises(ClosureExceedsCap):
-                resolve_group(name, cap=order - 1)
+            table_budget(order - 1)
+            with pytest.raises(TableBudgetExceeded):
+                parse_group_file(name)
 
     def test_huge_builtin_rejected_unbuilt(self, no_builtin_builds):
         for name in ("cyclic 100000", "d20000", "symmetric 100000", "a100000"):
-            with pytest.raises(ClosureExceedsCap):
-                resolve_group(name)
+            with pytest.raises(TableBudgetExceeded):
+                parse_group_file(name)
 
     def test_unknown_name(self):
         with pytest.raises(ParseError):
-            resolve_group("no such group")
+            parse_group_file("no such group")
 
     @pytest.mark.parametrize("spec, order", [
         ("perm\t(1 2 3)\nperm \t(1 2)\n", 6),
@@ -228,7 +247,7 @@ class TestCommands:
         # |A6/Z(A6)| = 360: the search is bounded by its work, not by the
         # order of the central quotient, and the walk to a witness is short
         assert main(["isoclinic", "a6", "a6"]) == 0
-        a6 = resolve_group("a6")
+        a6 = parse_group_file("a6")
         assert verify_isoclinism(a6, a6, parse_witness(capsys.readouterr().out.splitlines()))
 
     def test_stem(self, capsys):
@@ -471,16 +490,21 @@ class TestCommands:
         assert capsys.readouterr().out == first
 
     def test_cap_env(self, monkeypatch, tmp_path, capsys):
+        # HAARCP_CAP is not read: the table budget is a constant, not a knob
         monkeypatch.setenv("HAARCP_CAP", "2")
         f = tmp_path / "c3.group"
         f.write_text("perm (1 2 3)\n")
-        assert main(["cp", str(f)]) == 2
+        assert main(["cp", str(f)]) == 0
+        assert capsys.readouterr().out.endswith("PASS agreement\n")
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_cap_flag_not_positive(self, value, capsys):
-        assert main(["--cap", value, "cp", "q8"]) == 2
-        err = capsys.readouterr().err
-        assert f"--cap must be a positive integer, got '{value}'" in err
+        # --cap is gone: argparse rejects it whatever its value
+        assert "--cap" not in build_parser().format_help()
+        with pytest.raises(SystemExit) as exc:
+            main(["--cap", value, "cp", "q8"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("value, group", [("0", "d4"), ("-3", "c12")])
     def test_max_order_not_positive(self, value, group, capsys):
@@ -491,28 +515,31 @@ class TestCommands:
     @pytest.mark.parametrize("value", ["٣٠", "1_0", "+5", "0", "-3", "abc", "6 4", ""])
     @pytest.mark.parametrize("source", ["--cap", "HAARCP_CAP"])
     def test_cap_rejected(self, source, value, monkeypatch, capsys):
-        argv = ["cp", "q8"]
+        # --cap and HAARCP_CAP are gone: the flag is an unknown argument, and
+        # the variable is not read, so no value of it changes an answer
+        assert main(["cp", "q8"]) == 0
+        expected = capsys.readouterr()
         if source == "--cap":
-            argv = ["--cap", value, *argv]
+            with pytest.raises(SystemExit) as exc:
+                main(["--cap", value, "cp", "q8"])
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
         else:
             monkeypatch.setenv(source, value)
-        assert main(argv) == 2
-        assert capsys.readouterr() == (
-            "", f"error: {source} must be a positive integer, got {value!r}\n")
+            assert main(["cp", "q8"]) == 0
+            assert capsys.readouterr() == expected
 
     @pytest.mark.parametrize("source", ["--cap", "HAARCP_CAP"])
     def test_cap_read_as_every_integer_option(self, source, monkeypatch, capsys):
-        # ' 64' is one integer with a blank beside it, as in --max-order ' 8'
-        assert main(["cp", "q8"]) == 0
-        expected = capsys.readouterr()
-        argv = ["cp", "q8"]
+        # ' 64' is one integer with a blank beside it, as --max-order ' 8'
+        # reads; neither --cap ' 64' nor HAARCP_CAP ' 64' sets a limit
+        argv = ["stem", "--max-order", " 8", "q8"]
         if source == "--cap":
-            argv = ["--cap", " 64", *argv]
+            with pytest.raises(SystemExit):
+                main(["--cap", " 64", *argv])
         else:
             monkeypatch.setenv(source, " 64")
         assert main(argv) == 0
-        assert capsys.readouterr() == expected
-        assert main([*argv[:-2], "stem", "--max-order", " 8", "q8"]) == 0
         assert capsys.readouterr().out.startswith("stem: D4 (order 8)\n")
 
     @pytest.mark.parametrize("argv", [
@@ -520,103 +547,111 @@ class TestCommands:
         ["stem", "q8"], ["fc", "MODEL"], ["verify-t1", "MODEL"], ["verify-t2", "MODEL"],
         ["scan", "q8"], ["mc", "--samples", "10", "MODEL"],
     ], ids=lambda argv: argv[0])
-    def test_cap_read_once_per_command(self, argv, o2_file, monkeypatch, capsys):
-        from haarcp import cli
-
-        real, calls = cli._cap, []
-
-        def spy(args):
-            calls.append(args.verb)
-            return real(args)
-
-        monkeypatch.setattr(cli, "_cap", spy)
-        assert main([o2_file if a == "MODEL" else a for a in argv]) == 0
-        assert calls == [argv[0]]
+    def test_cap_read_once_per_command(self, argv, o2_file, table_budget, monkeypatch, capsys):
+        # every command reads the table budget when it runs: lowered to
+        # order 1, each one stops on its first builtin operand; put back,
+        # each one answers
+        argv = [o2_file if a == "MODEL" else a for a in argv]
+        real = groups.TABLE_BUDGET
+        budget = table_budget(1)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.endswith(f" bytes, over the budget of {budget}\n")
+        monkeypatch.setattr(groups, "TABLE_BUDGET", real)
+        assert main(argv) == 0
 
     def test_cap_env_not_a_number(self, monkeypatch, capsys):
         monkeypatch.setenv("HAARCP_CAP", "abc")
-        assert main(["cp", "q8"]) == 2
-        assert "HAARCP_CAP must be a positive integer, got 'abc'" in capsys.readouterr().err
+        assert main(["cp", "q8"]) == 0
+        assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("argv, message", [
-        (["--cap", "5", "cp", "q8"], "builtin group 'q8' has order above cap 5"),
-        (["--cap", "5", "verify-t2", "s4"], "builtin group 's4' has order above cap 5"),
-        (["--cap", "10", "stem", "--max-order", "40", "c4"], "--max-order 40 exceeds cap 10"),
-        (["cp", "cyclic", "100000"], "builtin group 'cyclic 100000' has order above cap 20000"),
-    ])
-    def test_builtin_names_honour_cap(self, argv, message, no_builtin_builds, capsys):
+    @pytest.mark.parametrize("argv, order, what, n", [
+        (["cp", "q8"], 5, "builtin group 'q8'", 8),
+        (["verify-t2", "s4"], 5, "builtin group 's4'", 24),
+        (["cp", "cyclic", "100000"], None, "builtin group 'cyclic 100000'", 100000),
+        (["cp", "cyclic 20000"], None, "builtin group 'cyclic 20000'", 20000),
+    ], ids=["cp-q8", "verify-t2-s4", "cyclic-100000", "cyclic-20000"])
+    def test_builtin_names_honour_cap(self, argv, order, what, n, table_budget,
+                                      no_builtin_builds, capsys):
+        budget = None if order is None else table_budget(order)
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {over_budget(what, n, budget)}\n"
 
-    def test_cap_equal_to_order_allowed(self, capsys):
-        assert main(["--cap", "8", "cp", "q8"]) == 0
-        assert main(["--cap", "16", "stem", "--max-order", "16", "c12"]) == 0
+    def test_cap_equal_to_order_allowed(self, table_budget, capsys):
+        table_budget(8)
+        assert main(["cp", "q8"]) == 0
+        assert capsys.readouterr().out.endswith("PASS agreement\n")
+        table_budget(24)  # S4 has q*d = 24 * 12: the candidates up to order 24
+        assert main(["stem", "--max-order", "24", "s4"]) == 0
+        assert capsys.readouterr().out.startswith("stem: S4 (order 24)\n")
 
-    def test_product_operand_honours_cap(self, tmp_path, capsys):
+    def test_product_operand_honours_cap(self, tmp_path, table_budget, capsys):
         f = tmp_path / "p.group"
         f.write_text("product q8 c1\n")
-        assert main(["--cap", "6", "cp", str(f)]) == 2
-        assert "builtin group 'q8' has order above cap 6" in capsys.readouterr().err
+        budget = table_budget(6)
+        assert main(["cp", str(f)]) == 2
+        message = over_budget("builtin group 'q8'", 8, budget)
+        assert capsys.readouterr().err == f"error: {f}: {message}\n"
 
     @pytest.mark.parametrize("acting, extra, name", [("d8", "c2", "d8"), ("c2", "s4", "s4")])
-    def test_model_operands_honour_cap(self, acting, extra, name, tmp_path, capsys):
+    def test_model_operands_honour_cap(self, acting, extra, name, tmp_path, table_budget, capsys):
         f = tmp_path / "m.model"
         f.write_text(f"torus_rank 1\nacting_group {acting}\nextra_factor {extra}\n")
-        assert main(["--cap", "12", "fc", str(f)]) == 2
-        assert f"builtin group '{name}' has order above cap 12" in capsys.readouterr().err
+        budget = table_budget(12)
+        assert main(["fc", str(f)]) == 2
+        message = over_budget(f"builtin group '{name}'", {"d8": 16, "s4": 24}[name], budget)
+        assert capsys.readouterr().err == f"error: {f}: {message}\n"
 
-    @pytest.mark.parametrize("argv, rank, cap", [
-        (["fc"], 99999999, 20000),
-        (["--cap", "8", "verify-t1"], 3, 8),
+    @pytest.mark.parametrize("argv, rank, order", [
+        (["fc"], 99999999, None),
+        (["verify-t1"], 3, 8),
     ], ids=["huge-rank", "rank-3-cap-8"])
-    def test_torus_rank_honours_cap(self, argv, rank, cap, tmp_path, capsys):
-        # d^2 above the cap exits 2 before any matrix is built: at rank
-        # 99999999 the d x d identity matrix alone would never finish
+    def test_torus_rank_honours_cap(self, argv, rank, order, table_budget, tmp_path, capsys):
+        # d^2 above the largest order the budget admits exits 2 before any
+        # matrix is built: at rank 99999999 the d x d identity matrix alone
+        # would never finish
+        budget = None if order is None else table_budget(order)
         f = tmp_path / "m.model"
         f.write_text(f"torus_rank {rank}\nacting_group c2\n")
         assert main(argv + [str(f)]) == 2
         assert capsys.readouterr() == (
-            "", f"error: {f}: torus rank {rank} squared exceeds cap {cap}\n")
+            "", f"error: {f}: {over_budget(f'torus rank {rank} squared', rank * rank, budget)}\n")
 
     @pytest.mark.parametrize("verb, out, err", [
         ("fc", "action kernel size 6 of |Q| = 6\nFC index 1\nfinite shadow order 12\n", ""),
-        ("verify-t1", "", "error: product order 12 exceeds cap 11\n"),
+        ("verify-t1", "", f"error: {over_budget('product C6|6 x C2', 12, 8 * 11 * 11)}\n"),
         ("verify-t2", "PASS cp = 1\nnote: cp = 1 > 1/4: FC index must be 1\n", ""),
     ], ids=["fc", "verify-t1", "verify-t2"])
-    def test_shadow_honours_cap(self, verb, out, err, tmp_path, capsys):
-        # only verify-t1 builds the shadow C6 x C2, under the command's cap
-        # as a spec's product line is; C6 and C2 each pass the operand check
-        # at cap 11.  fc and verify-t2 build no shadow, so cap 11 is enough
+    def test_shadow_honours_cap(self, verb, out, err, tmp_path, table_budget, capsys):
+        # only verify-t1 builds the shadow C6 x C2, checked against the
+        # budget as a spec's product line is; C6 and C2 each fit a budget of
+        # order 11.  fc and verify-t2 build no shadow, so order 11 is enough
         f = tmp_path / "m.model"
         f.write_text("torus_rank 0\nacting_group c6\nextra_factor c2\n")
-        assert main(["--cap", "11", verb, str(f)]) == (2 if err else 0)
+        table_budget(11)
+        assert main([verb, str(f)]) == (2 if err else 0)
         assert capsys.readouterr() == (out, err)
-        assert main(["--cap", "12", verb, str(f)]) == 0
+        table_budget(12)
+        assert main([verb, str(f)]) == 0
 
-    @pytest.mark.parametrize("verb, built", [
-        ("fc", []),
-        ("verify-t1", [(200, 101, 100000)]),
-        ("verify-t2", []),
+    @pytest.mark.parametrize("verb, code, out, err", [
+        ("fc", 0, "action kernel size 200 of |Q| = 200\nFC index 1\nfinite shadow order 20200\n",
+         ""),
+        ("verify-t1", 2, "", f"error: {over_budget('product C200|200 x C101', 20200)}\n"),
+        ("verify-t2", 0, "PASS cp = 1\nnote: cp = 1 > 1/4: FC index must be 1\n", ""),
     ], ids=["fc", "verify-t1", "verify-t2"])
-    def test_shadow_takes_a_raised_cap(self, verb, built, tmp_path, capsys, monkeypatch):
-        # the shadow C200 x C101 of order 20200 is above the default cap but
-        # within --cap 100000, and only verify-t1 builds it.  Its 20200^2-entry
-        # table is not built here: the spy records the cap and builds C200 x 1
-        # in its place
-        from haarcp import compact
-        from haarcp.groups import DEFAULT_CLOSURE_CAP, direct_product
+    def test_shadow_takes_a_raised_cap(self, verb, code, out, err, tmp_path, capsys, monkeypatch):
+        # the shadow C200 x C101 of order 20200 needs 3264320000 bytes, over
+        # the budget, and only verify-t1 asks for it: it exits 2 before the
+        # product's table is walked, and fc and verify-t2 answer
+        def forbidden(*args):
+            raise AssertionError("product table built")
 
-        seen = []
-
-        def spy(G, H, cap=DEFAULT_CLOSURE_CAP):
-            seen.append((G.order, H.order, cap))
-            return direct_product(G, builders.trivial(), cap)
-
-        monkeypatch.setattr(compact, "direct_product", spy)
+        monkeypatch.setattr(groups, "table_from_left", forbidden)
         f = tmp_path / "m.model"
         f.write_text("torus_rank 0\nacting_group c200\nextra_factor c101\n")
-        assert main(["--cap", "100000", verb, str(f)]) == 0
-        assert seen == built
+        assert main([verb, str(f)]) == code
+        assert capsys.readouterr() == (out, err)
+        assert "3264320000 bytes" in err or verb != "verify-t1"
 
     @pytest.mark.parametrize("verb, spec, out", [
         ("fc", "torus_rank 0\nacting_group c200\nextra_factor c101\n",
@@ -631,7 +666,7 @@ class TestCommands:
     def test_model_verbs_build_no_shadow(self, verb, spec, out, tmp_path, capsys, monkeypatch):
         # fc and verify-t2 read K and |Q:K| only.  Reading these specs builds
         # no product and no subgroup table, so neither may be built at all;
-        # the C200 x C101 shadow is above the default cap, and is not needed
+        # the C200 x C101 shadow is over the table budget, and is not needed
         from haarcp.groups import direct_product, subgroup_as_group
 
         def forbidden(*args, **kwargs):
@@ -646,41 +681,50 @@ class TestCommands:
         assert main([verb, str(f)]) == 0
         assert capsys.readouterr().out.splitlines() == out
 
-    def test_torus_rank_at_cap_allowed(self, tmp_path, capsys):
+    def test_torus_rank_at_cap_allowed(self, tmp_path, table_budget, capsys):
         f = tmp_path / "m.model"
         f.write_text("torus_rank 3\nacting_group c2\n")
-        assert main(["--cap", "9", "fc", str(f)]) == 0
+        table_budget(9)
+        assert main(["fc", str(f)]) == 0
 
-    @pytest.mark.parametrize("argv, point, cap", [
-        (["cp"], 10000000, 20000),
-        (["--cap", "8", "center"], 9, 8),
+    @pytest.mark.parametrize("argv, point, order", [
+        (["cp"], 10000000, None),
+        (["center"], 9, 8),
     ], ids=["huge-point", "point-9-cap-8"])
-    def test_perm_point_honours_cap(self, argv, point, cap, tmp_path, capsys, monkeypatch):
-        # a point above the cap exits 2 before any permutation is built: at
-        # 10000000 each permutation alone would be a tuple of that length
+    def test_perm_point_honours_cap(self, argv, point, order, table_budget, tmp_path, capsys,
+                                    monkeypatch):
+        # a point above the largest order the budget admits exits 2 before
+        # any permutation is built: at 10000000 each permutation alone would
+        # be a tuple of that length
+        budget = None if order is None else table_budget(order)
+
         def no_build(*args):
             raise AssertionError("permutation built")
         monkeypatch.setattr(specfmt, "_perm_from_cycles", no_build)
         f = tmp_path / "g.group"
         f.write_text(f"perm (1 2 3)\nperm (1 {point})\n")
         assert main(argv + [str(f)]) == 2
-        assert capsys.readouterr() == ("", f"error: {f}: perm point {point} exceeds cap {cap}\n")
+        message = over_budget(f"perm point {point}", point, budget)
+        assert capsys.readouterr() == ("", f"error: {f}: {message}\n")
 
-    @pytest.mark.parametrize("argv, spec, size, cap", [
-        (["cp"], "table 10000000\n", 10000000, 20000),
-        (["--cap", "7", "cp"], Q8_SPEC, 8, 7),
+    @pytest.mark.parametrize("argv, spec, size, order", [
+        (["cp"], "table 10000000\n", 10000000, None),
+        (["cp"], Q8_SPEC, 8, 7),
     ], ids=["huge-size-no-rows", "size-8-cap-7"])
-    def test_table_size_honours_cap(self, argv, spec, size, cap, tmp_path, capsys):
+    def test_table_size_honours_cap(self, argv, spec, size, order, table_budget, tmp_path, capsys):
         # the size line is judged before any row is read
+        budget = None if order is None else table_budget(order)
         f = tmp_path / "g.group"
         f.write_text(spec)
         assert main(argv + [str(f)]) == 2
-        assert capsys.readouterr() == ("", f"error: {f}: table size {size} exceeds cap {cap}\n")
+        message = over_budget(f"table {size}", size, budget)
+        assert capsys.readouterr() == ("", f"error: {f}: {message}\n")
 
-    def test_table_size_at_cap_allowed(self, tmp_path, capsys):
+    def test_table_size_at_cap_allowed(self, tmp_path, table_budget, capsys):
         f = tmp_path / "q8.group"
         f.write_text(Q8_SPEC)
-        assert main(["--cap", "8", "cp", str(f)]) == 0
+        table_budget(8)
+        assert main(["cp", str(f)]) == 0
         assert "coset-formula: 5/8" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv, bad", [
@@ -695,7 +739,8 @@ class TestCommands:
             "threshold-arabic-indic", "threshold-underscore"])
     def test_option_that_is_not_an_ascii_integer(self, argv, bad, o2_file, capsys):
         # int() reads '٣٠' as 30, '1_0' as 10 and '+5' as 5; an option's
-        # number follows the rule of a spec's numbers
+        # number follows the rule of a spec's numbers.  --cap is no option:
+        # argparse rejects its value as a verb
         argv = [o2_file if a == "MODEL" else a for a in argv]
         try:
             code = main(argv)
@@ -705,10 +750,11 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert out == "" and f"{bad!r}" in err
 
-    def test_perm_point_at_cap_allowed(self, tmp_path, capsys):
+    def test_perm_point_at_cap_allowed(self, tmp_path, table_budget, capsys):
         f = tmp_path / "g.group"
         f.write_text("perm (1 8)\n")
-        assert main(["--cap", "8", "cp", str(f)]) == 0
+        table_budget(8)
+        assert main(["cp", str(f)]) == 0
 
     @pytest.mark.parametrize("specs, trail, message", [
         ({"self.group": "product self.group c2\n"},
@@ -748,13 +794,18 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == f"error: {f}: bad Cayley table: multiplication is not associative\n"
 
-    def test_scan_corpus_honours_cap(self, no_builtin_builds, capsys):
-        assert main(["--cap", "10", "scan", "--machine"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: scan corpus up to order 64 exceeds cap 10\n"
+    def test_scan_corpus_honours_cap(self, builtin_builds, table_budget, capsys):
+        # scan without inputs reads the corpus up to order 64, which a budget
+        # of order 64 admits
+        table_budget(64)
+        assert main(["scan", "--machine"]) == 0
+        assert capsys.readouterr().err == ""
+        assert max(corpus._KINDS[kind][1](n) for kind, n in builtin_builds) == 64
 
-    def test_verify_t1_stem_corpus_honours_cap(self, monkeypatch, tmp_path, capsys):
+    def test_verify_t1_stem_corpus_honours_cap(self, monkeypatch, tmp_path, table_budget,
+                                               capsys):
+        # the shadow S3 has q*d = 6 * 3: its stem candidates reach order 18,
+        # below STEM_MAX_ORDER, and must fit the budget before any is built
         real = corpus._named
         built = []
 
@@ -766,12 +817,19 @@ class TestCommands:
         monkeypatch.setattr(corpus, "_named", spy)
         f = tmp_path / "m.model"
         f.write_text("torus_rank 1\nacting_group c2\nmatrix 1 -1\nextra_factor s3\n")
-        assert main(["--cap", "6", "verify-t1", str(f)]) == 0
+        table_budget(18)
+        assert main(["verify-t1", str(f)]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "PASS cp equality: direct 1/8 vs reduced 1/8",
             "PASS stem clause: D3",
         ]
-        assert built and max(built) <= 6
+        assert built and max(built) <= 18
+        built.clear()
+        budget = table_budget(17)
+        assert main(["verify-t1", str(f)]) == 2
+        message = over_budget("stem candidates up to order 18", 18, budget)
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert max(built) == 6  # S3 itself, before the stem search
 
     def test_engine_error_in_stem_search_exits_2(self, monkeypatch, tmp_path, capsys):
         # no engine error in the stem search turns into a soft note: each
@@ -1040,11 +1098,11 @@ WITNESS_CASES = sorted(c for c in GOLDEN_CASES if c.startswith(("isoclinic", "st
 def test_golden_witness_verifies(case, tmp_path):
     # what isoclinic and stem print is exactly what verify_isoclinism checks
     verb, *names = golden_argv(case, tmp_path)
-    groups = [resolve_group(name) for name in names]
+    groups = [parse_group_file(name) for name in names]
     lines = (GOLDEN / f"{case}.out").read_text(encoding="utf-8").splitlines()
     if verb == "stem":  # H is named on the first line
         m = re.fullmatch(r"stem: (\S+) \(order (\d+)\)", lines.pop(0))
-        groups.append(resolve_group(m.group(1)))
+        groups.append(parse_group_file(m.group(1)))
         assert groups[-1].order == int(m.group(2))
     w = parse_witness(lines)
     assert w.serialize() == "\n".join(lines)
@@ -1065,19 +1123,24 @@ class TestSharedParser:
             assert main(["center", "q8"]) == 0
             assert capsys.readouterr() == (expected, "")
 
-    def test_cap_read_on_every_call(self, monkeypatch, capsys):
-        monkeypatch.setenv("HAARCP_CAP", "7")
+    def test_cap_read_on_every_call(self, monkeypatch, table_budget, capsys):
+        # the table budget is read on every call, and nothing carries over
+        real = groups.TABLE_BUDGET
+        budget = table_budget(7)
         assert main(["center", "q8"]) == 2
-        assert capsys.readouterr().err == "error: builtin group 'q8' has order above cap 7\n"
-        monkeypatch.setenv("HAARCP_CAP", "8")
+        message = over_budget("builtin group 'q8'", 8, budget)
+        assert capsys.readouterr().err == f"error: {message}\n"
+        table_budget(8)
         assert main(["center", "q8"]) == 0
-        monkeypatch.delenv("HAARCP_CAP")
-        assert main(["--cap", "5", "center", "q8"]) == 2
+        monkeypatch.setattr(groups, "TABLE_BUDGET", real)
+        with pytest.raises(SystemExit):
+            main(["--cap", "5", "center", "q8"])
+        capsys.readouterr()
         assert main(["center", "q8"]) == 0
         assert main(["center", "q8"]) == 0
         out, err = capsys.readouterr()
-        assert err == "error: builtin group 'q8' has order above cap 5\n"
-        assert out.count("center order 2 of group order 8") == 3
+        assert err == ""
+        assert out.count("center order 2 of group order 8") == 2
 
     def test_no_parser_built_after_the_first_call(self, monkeypatch, capsys):
         import argparse
@@ -1102,7 +1165,7 @@ class TestSharedParser:
         capsys.readouterr()
         seen = []
 
-        def fake_center(args, cap):
+        def fake_center(args):
             seen.append(args.group)
             return 0
 
@@ -1130,9 +1193,9 @@ class TestCollectorPause:
 
         real, during = cli.cmd_center, []
 
-        def spy(args, cap):
+        def spy(args):
             during.append(gc.isenabled())
-            return real(args, cap)
+            return real(args)
 
         monkeypatch.setattr(cli, "cmd_center", spy)
         assert main(["center", "q8"]) == 0
@@ -1150,7 +1213,7 @@ class TestCollectorPause:
     def test_uncaught_exception(self, collector, monkeypatch):
         from haarcp import cli
 
-        def broken(args, cap):
+        def broken(args):
             raise RuntimeError("not an input error")
 
         monkeypatch.setattr(cli, "cmd_center", broken)

@@ -25,6 +25,7 @@ from haarcp.errors import (
     NotAHomomorphism,
     NotUnimodular,
     RankMismatch,
+    TableBudgetExceeded,
     ZeroSamples,
 )
 from haarcp.groups import direct_product, generated_subgroup, is_normal
@@ -319,26 +320,28 @@ class TestExactCp:
         assert reduced_cp(m) == Fraction(5, 128)
 
     def test_theorem1_reads_the_shadow_built_under_the_cap(self, tmp_path, monkeypatch):
-        # the shadow C200 x C101 of order 20200 is above the default cap but
-        # within cap 100000.  fc_center builds no table, and cp_theorem1
-        # counts the one that finite_shadow built.  The spy records the cap
-        # and builds C200 x 1 in place of the 20200^2 table
+        # the shadow C200 x C101 of order 20200 needs 3264320000 bytes, over
+        # the table budget, and finite_shadow stops before walking its table.
+        # fc_center builds no table, and cp_theorem1 counts the one that
+        # finite_shadow built: a spy builds C200 x 1 in place of the 20200^2
+        # table and records the orders it was given
         from haarcp import compact
 
-        seen = []
-
-        def spy(G, H, cap):
-            seen.append((G.order, H.order, cap))
-            return direct_product(G, builders.trivial(), cap)
-
-        monkeypatch.setattr(compact, "direct_product", spy)
         f = tmp_path / "m.model"
         f.write_text("torus_rank 0\nacting_group c200\nextra_factor c101\n")
-        m = parse_model_file(str(f), cap=100000)
+        m = parse_model_file(str(f))
         fc = fc_center(m)
-        assert seen == []
-        assert cp_theorem1(finite_shadow(m, fc, 100000), fc.index) == 1
-        assert seen == [(200, 101, 100000)]
+        with pytest.raises(TableBudgetExceeded, match=" needs 3264320000 bytes, "):
+            finite_shadow(m, fc)
+        seen = []
+
+        def spy(G, H):
+            seen.append((G.order, H.order))
+            return direct_product(G, builders.trivial())
+
+        monkeypatch.setattr(compact, "direct_product", spy)
+        assert cp_theorem1(finite_shadow(m, fc), fc.index) == 1
+        assert seen == [(200, 101)]
 
     def test_theorem1_equality_on_battery(self):
         models = standard_model_battery()

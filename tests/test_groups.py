@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from haarcp import builders
+from haarcp import builders, groups
 from haarcp.classify import Verdict, classify_high_cp
 from haarcp.corpus import builtin_corpus, builtin_entries
 from haarcp.errors import (
-    ClosureExceedsCap,
     EmptyGeneratorList,
     NotNormal,
+    TableBudgetExceeded,
 )
 from haarcp.groups import (
     Subgroup,
@@ -28,27 +28,32 @@ from haarcp.groups import (
 
 class TestClosure:
     def test_single_3_cycle_gives_c3(self):
-        G = close_generators([(1, 2, 0)], cap=100)
+        G = close_generators([(1, 2, 0)])
         assert G.order == 3
 
     def test_standard_a5_generators(self):
         # (1 2 3 4 5) and (1 2 3) in 0-based form
         five = (1, 2, 3, 4, 0)
         three = (1, 2, 0, 3, 4)
-        G = close_generators([five, three], cap=100)
+        G = close_generators([five, three])
         assert G.order == 60
         assert classify_high_cp(G).verdict is Verdict.A5_TIMES_ABELIAN
 
-    def test_cap_exceeded(self):
-        with pytest.raises(ClosureExceedsCap):
-            close_generators([(1, 0)], cap=1)
+    def test_cap_exceeded(self, monkeypatch):
+        # a budget of one entry admits the trivial group only: the walk
+        # stops at C2's second element
+        monkeypatch.setattr(groups, "TABLE_BUDGET", 8)
+        with pytest.raises(TableBudgetExceeded, match=(
+                "^closure of degree 2 past order 1: a table of order 2 needs 32 bytes, "
+                "over the budget of 8$")):
+            close_generators([(1, 0)])
 
     def test_empty_generators(self):
         with pytest.raises(EmptyGeneratorList):
-            close_generators([], cap=10)
+            close_generators([])
 
     def test_indices_in_bfs_order(self):
-        G = close_generators([(1, 2, 3, 0)], cap=10)
+        G = close_generators([(1, 2, 3, 0)])
         assert G.identity == 0
         assert G.mul(1, 1) == 2  # generator discovered first, then its square
 
@@ -167,9 +172,12 @@ class TestProducts:
         assert P.order == 120
         assert derived_subgroup(P).order == 60
 
-    def test_cap(self, a5):
-        with pytest.raises(ClosureExceedsCap):
-            direct_product(a5, a5, cap=100)
+    def test_cap(self, a5, monkeypatch):
+        monkeypatch.setattr(groups, "TABLE_BUDGET", 8 * 100 * 100)
+        with pytest.raises(TableBudgetExceeded, match=(
+                "^product A5 x A5: a table of order 3600 needs 103680000 bytes, "
+                "over the budget of 80000$")):
+            direct_product(a5, a5)
 
 
 class TestIsA5:

@@ -104,9 +104,7 @@ def run_workloads(root: Path) -> tuple[dict[str, str], list[str], list[str]]:
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("HAARCP_CAP", raising=False)
-        return run_workloads(tmp_path_factory.mktemp("identity"))
+    return run_workloads(tmp_path_factory.mktemp("identity"))
 
 
 def test_benchmark_outputs_unchanged(runs):
@@ -125,10 +123,8 @@ def test_benchmark_jobs_leave_no_cyclic_garbage(runs):
 
 
 if __name__ == "__main__":
-    import os
     import tempfile
 
-    os.environ.pop("HAARCP_CAP", None)
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --write")
     with tempfile.TemporaryDirectory() as tmp:

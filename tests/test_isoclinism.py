@@ -367,7 +367,7 @@ class TestStemGroups:
         assert peak < 1_000_000
 
     @pytest.mark.parametrize("argv, bound, out", [
-        (["--cap", "100000000", "stem", "--max-order", "5000000", "c2"], 1, "stem: 1 (order 1)"),
+        (["stem", "--max-order", "5000000", "c2"], 1, "stem: 1 (order 1)"),
         (["stem", "--max-order", "600", "d3xd8.group"], 576, "none (corpus exhausted)"),
     ], ids=["c2", "d3 x d8"])
     def test_corpus_read_up_to_q_times_d(self, argv, bound, out, monkeypatch, tmp_path, capsys):

@@ -320,8 +320,8 @@ class TestAgainstOracle:
         seen = []
         real = builders.close_generators
 
-        def spy(perms, cap, name):
-            G = real(perms, cap=cap, name=name)
+        def spy(perms, name):
+            G = real(perms, name=name)
             seen.append(G)
             assert_matches(G, oracle_table(oracle_closure(perms), compose))
             return G
