@@ -24,18 +24,20 @@ def group_from_elements(
     """Cayley table from an element list and a multiplication function.
 
     Only the left multiplications by a greedy generating set are computed
-    with mul; table_from_left gathers the rest of the table from them.
+    with mul; table_from_left gathers the rest of the table from them, and
+    the set is the group's generators.
     """
     index = {e: i for i, e in enumerate(elements)}
     identity = next(i for i, e in enumerate(elements) if mul(e, e) == e)
     gens = greedy_generators(elements[identity], elements, mul)
     left = [[index[mul(g, x)] for x in elements] for g in gens]
     rows, inverses = table_from_left(left, identity, tuple(range(len(elements))))
-    return make_group(rows, name, identity=identity, inverses=inverses)
+    return make_group(rows, name, identity=identity, inverses=inverses,
+                      generators=[index[g] for g in gens])
 
 
 def trivial() -> FiniteGroup:
-    return make_group([[0]], "1", identity=0, inverses=[0])
+    return make_group([[0]], "1", identity=0, inverses=[0], generators=())
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -43,13 +45,14 @@ def cyclic(n: int) -> FiniteGroup:
         raise ValueError("cyclic order must be >= 1")
     ints = tuple(range(n))
     return make_group([ints[a:] + ints[:a] for a in range(n)], f"C{n}",
-                      identity=0, inverses=ints[:1] + ints[:0:-1])  # -a mod n: 0, n-1, ..., 1
+                      identity=0, inverses=ints[:1] + ints[:0:-1],  # -a mod n: 0, n-1, ..., 1
+                      generators=ints[1:2])
 
 
 def klein4() -> FiniteGroup:
     # C2 x C2 with xor multiplication: every element is its own inverse
     table = [[a ^ b for b in range(4)] for a in range(4)]
-    return make_group(table, "V4", identity=0, inverses=range(4))
+    return make_group(table, "V4", identity=0, inverses=range(4), generators=(1, 2))
 
 
 def dihedral(n: int) -> FiniteGroup:

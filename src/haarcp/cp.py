@@ -3,6 +3,9 @@
 All values are `fractions.Fraction` in lowest terms; floating point never
 enters these code paths.  The direct pair count is the ground truth, the
 class-counting identity and the central-coset formula cross-check it.
+The pair count reads only the table.  The class count and the coset
+formula also read G.generators, through conjugacy_classes and center, so a
+generator list that does not generate G can throw them off, but not it.
 Commuting pairs are counted by three kernels that share no code:
   * the pair count reads the table once per pair of inverse classes
     {x, x^-1} of G;

@@ -9,8 +9,9 @@ subgroups are treated as immutable after construction.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import isqrt
-from operator import eq, getitem, itemgetter
+from operator import eq, itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import EmptyGeneratorList, NotNormal, TableBudgetExceeded
@@ -39,18 +40,27 @@ class _Frozen:
 
 
 class FiniteGroup(_Frozen):
-    """A finite group on element indices 0..order-1 with a full Cayley table."""
+    """A finite group on element indices 0..order-1 with a full Cayley table.
 
-    __slots__ = ("order", "mul_table", "identity", "inverse_table", "name")
+    generators is a generating set, without the identity.  Without one,
+    the greedy walk over 0..order-1 finds one, n*k products for k
+    generators.
+    """
+
+    __slots__ = ("order", "mul_table", "identity", "inverse_table", "name", "generators")
 
     def __init__(self, order: int, mul_table: tuple[tuple[int, ...], ...], identity: int,
-                 inverse_table: tuple[int, ...], name: str = "G"):
+                 inverse_table: tuple[int, ...], name: str = "G",
+                 generators: Sequence[int] | None = None):
         set_field = object.__setattr__
         set_field(self, "order", order)
         set_field(self, "mul_table", mul_table)
         set_field(self, "identity", identity)
         set_field(self, "inverse_table", inverse_table)
         set_field(self, "name", name)
+        if generators is None:
+            generators = greedy_generators(identity, range(order), self.mul)
+        set_field(self, "generators", tuple(generators))
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
@@ -103,11 +113,16 @@ class Subgroup(_Frozen):
 
 
 def make_group(table: Sequence[Sequence[int]], name: str = "G", identity: int | None = None,
-               inverses: Sequence[int] | None = None) -> FiniteGroup:
-    """Build a FiniteGroup from a Cayley table and its identity and inverses.
+               inverses: Sequence[int] | None = None,
+               generators: Sequence[int] | None = None) -> FiniteGroup:
+    """Build a FiniteGroup from a Cayley table, its identity, inverses and
+    generators.
 
-    Every construction knows its identity and inverses and passes them.  A
-    table read from a file comes without them, and they are searched for:
+    Every construction knows its identity, inverses and a generating set,
+    and passes them.  Only a table read from a file and a subgroup made a
+    group come without generators, and FiniteGroup finds them by the greedy
+    walk.  A table read from a file also comes without identity and
+    inverses, and they are searched for:
     the identity is the first index whose row and column are the identity
     map, an element's inverse the first h with g*h = h*g = identity.  The
     search raises ValueError for a table with no two-sided identity or an
@@ -120,7 +135,7 @@ def make_group(table: Sequence[Sequence[int]], name: str = "G", identity: int | 
     rows = tuple(tuple(row) for row in table)
     if identity is None or inverses is None:
         identity, inverses = _search_identity_and_inverses(rows)
-    return FiniteGroup(len(rows), rows, identity, tuple(inverses), name)
+    return FiniteGroup(len(rows), rows, identity, tuple(inverses), name, generators)
 
 
 def _search_identity_and_inverses(rows: tuple[tuple[int, ...], ...]) -> tuple[int, list[int]]:
@@ -149,19 +164,22 @@ def _search_identity_and_inverses(rows: tuple[tuple[int, ...], ...]) -> tuple[in
     return identity, inverses
 
 
-def check_order(n: int, what: str) -> None:
-    """Raise TableBudgetExceeded, naming what, when a table of order n would
-    pass TABLE_BUDGET at 8 bytes per entry.  Every table, and every input
-    that stands for one, is checked here before anything is allocated.
-    TABLE_BUDGET is read at each call."""
-    need = 8 * n * n
+def check_order(n: int, what: str, width: int | None = None) -> None:
+    """Raise TableBudgetExceeded, naming what, when a table of order n, or
+    n rows of width entries, would pass TABLE_BUDGET at 8 bytes per entry.
+    Every table, and every input that stands for one or for rows of
+    entries, is checked here before anything is allocated.  TABLE_BUDGET
+    is read at each call."""
+    need = 8 * n * (n if width is None else width)
     if need > TABLE_BUDGET:
+        shape = (f"a table of order {n} needs" if width is None
+                 else f"{n} rows of {width} entries need")
         raise TableBudgetExceeded(
-            f"{what}: a table of order {n} needs {need} bytes, over the budget of {TABLE_BUDGET}")
+            f"{what}: {shape} {need} bytes, over the budget of {TABLE_BUDGET}")
 
 
 def verify_axioms(G: FiniteGroup) -> bool:
-    """Whether G's table is associative, by Light's test over a generating set.
+    """Whether G's table is associative, by Light's test over G.generators.
 
     The elements g with (x*g)*y = x*(g*y) for all x, y are closed under
     products, so checking them for each g of a generating set decides
@@ -170,7 +188,7 @@ def verify_axioms(G: FiniteGroup) -> bool:
     O(k n^2) in all for k generators.
     """
     t = G.mul_table
-    for g in greedy_generators(G.identity, range(G.order), G.mul):
+    for g in G.generators:
         pick = _picker(t[g])
         for row in t:
             if t[row[g]] != pick(row):
@@ -182,7 +200,7 @@ def verify_axioms(G: FiniteGroup) -> bool:
 
 
 def _grow(members: list, index: dict, gens: Sequence, mul: Callable, old: int,
-          limit: int | None = None, what: str = "") -> None:
+          limit: int | None = None, what: str = "", width: int = 0) -> None:
     """Close members, whose first old entries are closed under gens[:-1], under gens.
 
     index maps each member to its position; both grow in place, in BFS
@@ -191,7 +209,8 @@ def _grow(members: list, index: dict, gens: Sequence, mul: Callable, old: int,
     [start] with old = 0.  Growing a span of s members by one generator to
     s' members takes s + k*(s' - s) products, so a span of n elements grown
     one generator at a time takes n*k.  Once members would pass limit, the
-    order so far, limit + 1, goes to check_order with what.
+    order so far, limit + 1, goes to check_order with what: as the order
+    of the table, then as that many members of width entries each.
     """
     edges = gens[-1:]
     for i, x in enumerate(members):  # members grows while it is walked: a FIFO queue
@@ -202,6 +221,7 @@ def _grow(members: list, index: dict, gens: Sequence, mul: Callable, old: int,
             if y not in index:
                 if limit is not None and len(members) >= limit:
                     check_order(len(members) + 1, what)
+                    check_order(len(members) + 1, what, width)
                 index[y] = len(members)
                 members.append(y)
 
@@ -256,10 +276,13 @@ def _compose(p: Perm, q: Perm) -> Perm:
 
 
 def close_generators(perms: Sequence[Perm], name: str = "G") -> FiniteGroup:
-    """Group generated by permutations, indexed in BFS order from the identity.
+    """Group generated by permutations, indexed in BFS order from the identity;
+    its generators are the indices of the non-identity perms.
 
-    The walk stops at the first element past the largest order the table
-    budget admits, so the order its error names is a lower bound."""
+    The walk keeps each element as a tuple of degree points, and the table
+    comes after, so it stops at the first element past the largest order
+    at which both the table and the elements fit the budget.  The order its
+    error names is a lower bound."""
     if not perms:
         raise EmptyGeneratorList("need at least one generator")
     degree = len(perms[0])
@@ -268,12 +291,15 @@ def close_generators(perms: Sequence[Perm], name: str = "G") -> FiniteGroup:
             raise ValueError(f"not a permutation of 0..{degree - 1}: {p}")
     elements = [tuple(range(degree))]
     index = {elements[0]: 0}
-    limit = isqrt(TABLE_BUDGET // 8)  # the largest n with 8 n^2 <= TABLE_BUDGET
+    # the largest n with 8 n^2 and 8 n degree both within TABLE_BUDGET; the
+    # walk starts from the identity, a row as long as each perm given
+    limit = max(1, min(isqrt(TABLE_BUDGET // 8), TABLE_BUDGET // (8 * max(degree, 1))))
     what = f"closure of degree {degree} past order {limit}"
-    _grow(elements, index, perms, _compose, 0, limit, what)
+    _grow(elements, index, perms, _compose, 0, limit, what, degree)
     left = [[index[_compose(g, x)] for x in elements] for g in perms]
     rows, inverses = table_from_left(left, 0, tuple(range(len(elements))))
-    return make_group(rows, name, identity=0, inverses=inverses)
+    gens = dict.fromkeys(index[p] for p in perms if index[p])
+    return make_group(rows, name, identity=0, inverses=inverses, generators=gens)
 
 
 # -- subgroup machinery ----------------------------------------------------
@@ -291,25 +317,35 @@ def whole_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def center(G: FiniteGroup) -> Subgroup:
+    """Z(G), the intersection of the centralizers of G.generators.  Each
+    generator g keeps the members x left with g*x = x*g: row g against
+    column g, gathered at those members, one C-level pass each."""
     t = G.mul_table
-    members = [z for z, row in enumerate(t) if all(map(eq, row, map(itemgetter(z), t)))]
+    members = range(G.order)
+    for g in G.generators:
+        pick = _picker(members)
+        members = list(compress(members, map(eq, pick(t[g]), map(itemgetter(g), pick(t)))))
     return Subgroup(G, tuple(members))
 
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
-    return derived_subgroup_of(whole_subgroup(G))
+    return _derived(G, G.generators)
 
 
 def derived_subgroup_of(S: Subgroup) -> Subgroup:
-    """Derived subgroup of a subgroup, as a subgroup of the same parent.
-
-    S' is the normal closure in S of the commutators of a generating set X
-    of S: that closure lies in S', and S modulo it is generated by commuting
-    images of X, so it is abelian.  Conjugating by X suffices, since a
-    finite subgroup mapped into itself by g is mapped onto itself.
-    """
+    """Derived subgroup of a subgroup, as a subgroup of the same parent."""
     G = S.parent
-    X = greedy_generators(G.identity, S.members, G.mul)
+    return _derived(G, greedy_generators(G.identity, S.members, G.mul))
+
+
+def _derived(G: FiniteGroup, X: Sequence[int]) -> Subgroup:
+    """S', for the subgroup S of G that X generates, as a subgroup of G.
+
+    S' is the normal closure in S of the commutators of X: that closure
+    lies in S', and S modulo it is generated by commuting images of X, so
+    it is abelian.  Conjugating by X suffices, since a finite subgroup
+    mapped into itself by g is mapped onto itself.
+    """
     gens = list({G.commutator(x, y) for i, x in enumerate(X) for y in X[i + 1:]})
     N, index = [G.identity], {G.identity: 0}
     _grow(N, index, gens, G.mul, 0)
@@ -323,18 +359,29 @@ def derived_subgroup_of(S: Subgroup) -> Subgroup:
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
-    """Conjugation orbits, ordered by smallest member."""
-    t = G.mul_table
-    inverse_rows = _picker(G.inverse_table)(t)  # the row of g^-1 maps x*g to g^-1 x g
+    """Conjugation orbits, ordered by smallest member.
+
+    An orbit under G is an orbit under conjugation by G.generators, so each
+    is walked from its smallest member along x -> g^-1 x g, one step per
+    member and generator: n*k steps in all.  The map of g is column g
+    gathered through the row of g^-1.
+    """
+    t, inv = G.mul_table, G.inverse_table
+    maps = [_picker(tuple(map(itemgetter(g), t)))(t[inv[g]]) for g in G.generators]
     seen = [False] * G.order
     classes = []
     for x in range(G.order):
         if seen[x]:
             continue
-        orbit = sorted(set(map(getitem, inverse_rows, t[x])))
-        for y in orbit:
-            seen[y] = True
-        classes.append(tuple(orbit))
+        orbit = [x]
+        seen[x] = True
+        for y in orbit:  # orbit grows while it is walked: a FIFO queue
+            for m in maps:
+                z = m[y]
+                if not seen[z]:
+                    seen[z] = True
+                    orbit.append(z)
+        classes.append(tuple(sorted(orbit)))
     return classes
 
 
@@ -355,8 +402,9 @@ def _cosets(H: Subgroup) -> tuple[list[int], list[int]]:
 
 
 def is_normal(N: Subgroup) -> bool:
+    """Whether conjugation by each of G.generators maps N into N."""
     G, mset = N.parent, N.member_set
-    return all(G.conj(g, x) in mset for g in range(G.order) for x in N.members)
+    return all(G.conj(g, x) in mset for g in G.generators for x in N.members)
 
 
 def is_solvable(G: FiniteGroup) -> bool:
@@ -367,13 +415,12 @@ def is_solvable(G: FiniteGroup) -> bool:
 def derived_series(G: FiniteGroup) -> list[Subgroup]:
     """G > G' > G'' > ..., ending at the trivial group or where it stabilizes."""
     series = [whole_subgroup(G)]
-    while True:
-        nxt = derived_subgroup_of(series[-1])
-        if nxt.order == series[-1].order:
-            break
+    nxt = derived_subgroup(G)
+    while nxt.order < series[-1].order:
         series.append(nxt)
         if nxt.order == 1:
             break
+        nxt = derived_subgroup_of(nxt)
     return series
 
 
@@ -391,7 +438,7 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """Componentwise product on index pairs, flattened row-major: (g, h) -> g*|H| + h.
 
     The table is walked from the left maps of (g, 1) and (1, h) for
-    generators g of G and h of H.
+    g in G.generators and h in H.generators, and those pairs generate it.
     """
     n = G.order * H.order
     check_order(n, f"product {G.name} x {H.name}")
@@ -399,19 +446,22 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     # every map is cut from the identity row's tuple, so the table holds n int objects
     ids = tuple(range(n))
     blocks = [ids[a * m:a * m + m] for a in range(G.order)]
-    left = [[x for c in s[g] for x in blocks[c]]
-            for g in greedy_generators(G.identity, range(G.order), G.mul)]
-    for h in greedy_generators(H.identity, range(m), H.mul):
+    left = [[x for c in s[g] for x in blocks[c]] for g in G.generators]
+    for h in H.generators:
         pick = _picker(t[h])
         left.append([x for block in blocks for x in pick(block)])
     identity = G.identity * m + H.identity
     rows, inverses = table_from_left(left, identity, ids)
-    return make_group(rows, f"{G.name} x {H.name}", identity=identity, inverses=inverses)
+    gens = [g * m + H.identity for g in G.generators]
+    gens += [G.identity * m + h for h in H.generators]
+    return make_group(rows, f"{G.name} x {H.name}", identity=identity, inverses=inverses,
+                      generators=gens)
 
 
 def quotient(N: Subgroup) -> tuple[FiniteGroup, list[int], list[int]]:
     """G/N for G = N.parent, the projection element-index -> coset-index,
-    and each coset's smallest member."""
+    and each coset's smallest member.  G/N is generated by the distinct
+    cosets of G.generators other than N itself."""
     G = N.parent
     proj, reps = _cosets(N)
     if not is_normal(N):
@@ -419,7 +469,10 @@ def quotient(N: Subgroup) -> tuple[FiniteGroup, list[int], list[int]]:
     pick = _picker(reps)
     table = tuple(_picker(pick(G.mul_table[r]))(proj) for r in reps)
     inverses = _picker(pick(G.inverse_table))(proj)
-    Q = make_group(table, f"{G.name}/N{N.order}", identity=proj[G.identity], inverses=inverses)
+    identity = proj[G.identity]
+    gens = dict.fromkeys(proj[g] for g in G.generators if proj[g] != identity)
+    Q = make_group(table, f"{G.name}/N{N.order}", identity=identity, inverses=inverses,
+                   generators=gens)
     return Q, proj, reps
 
 
@@ -427,6 +480,8 @@ def subgroup_as_group(S: Subgroup) -> tuple[FiniteGroup, list[int]]:
     """Re-index a subgroup as a standalone group; returns (group, embedding).
 
     embedding[i] is the parent element index of the new group's element i.
+    A subgroup carries no generators, so the new group's come from the
+    greedy walk.
     """
     G = S.parent
     emb = list(S.members)

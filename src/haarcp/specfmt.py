@@ -224,7 +224,9 @@ def _group_from_lines(path: Path, lines: list[str], chain: tuple[Path, ...]) -> 
     if not perm_cycles:
         raise ParseError("no generators and no table in group spec")
     degree = max((p for cyc in perm_cycles for c in cyc for p in c), default=1)
-    check_order(degree, f"perm point {degree}")  # before any permutation is built
+    # the closure holds the identity and each perm, a row of degree points;
+    # checked before any is built, and close_generators checks the rest
+    check_order(len(perm_cycles) + 1, f"perm point {degree}", degree)
     perms = [_perm_from_cycles(cyc, degree) for cyc in perm_cycles]
     return close_generators(perms, name=path.stem)
 
@@ -245,8 +247,8 @@ def _model_from_lines(path: Path, lines: list[str]) -> CompactModel:
                 (rank,) = _ints(rest)
             except ValueError:
                 raise ParseError(f"bad torus rank: {rest!r}", lineno)
-            if rank > 0:  # an action matrix holds d^2 entries; checked before any is built
-                check_order(rank * rank, f"torus rank {rank} squared")
+            if rank > 0:  # an action matrix is d rows of d entries; checked before any is built
+                check_order(rank, f"torus rank {rank}", rank)
         elif verb == "acting_group":
             acting = read_spec(rest, "group", path.parent)
         elif verb == "extra_factor":

@@ -46,10 +46,13 @@ def no_builtin_builds(monkeypatch):
     monkeypatch.setattr(corpus, "_named", no_build)
 
 
-def over_budget(what: str, n: int, budget: int | None = None) -> str:
-    """The error a table of order n gets over the budget, the real one by default."""
+def over_budget(what: str, n: int, budget: int | None = None, width: int | None = None) -> str:
+    """The error a table of order n, or n rows of width entries, gets over the
+    budget, the real one by default."""
     budget = groups.TABLE_BUDGET if budget is None else budget
-    return f"{what}: a table of order {n} needs {8 * n * n} bytes, over the budget of {budget}"
+    shape = (f"a table of order {n} needs {8 * n * n}" if width is None
+             else f"{n} rows of {width} entries need {8 * n * width}")
+    return f"{what}: {shape} bytes, over the budget of {budget}"
 
 
 @pytest.fixture
@@ -603,18 +606,17 @@ class TestCommands:
 
     @pytest.mark.parametrize("argv, rank, order", [
         (["fc"], 99999999, None),
-        (["verify-t1"], 3, 8),
-    ], ids=["huge-rank", "rank-3-cap-8"])
+        (["verify-t1"], 9, 8),
+    ], ids=["huge-rank", "rank-9-cap-8"])
     def test_torus_rank_honours_cap(self, argv, rank, order, table_budget, tmp_path, capsys):
-        # d^2 above the largest order the budget admits exits 2 before any
-        # matrix is built: at rank 99999999 the d x d identity matrix alone
-        # would never finish
+        # a d x d matrix over the budget exits 2 before any matrix is built:
+        # at rank 99999999 the d x d identity matrix alone would never finish
         budget = None if order is None else table_budget(order)
         f = tmp_path / "m.model"
         f.write_text(f"torus_rank {rank}\nacting_group c2\n")
         assert main(argv + [str(f)]) == 2
         assert capsys.readouterr() == (
-            "", f"error: {f}: {over_budget(f'torus rank {rank} squared', rank * rank, budget)}\n")
+            "", f"error: {f}: {over_budget(f'torus rank {rank}', rank, budget, rank)}\n")
 
     @pytest.mark.parametrize("verb, out, err", [
         ("fc", "action kernel size 6 of |Q| = 6\nFC index 1\nfinite shadow order 12\n", ""),
@@ -687,24 +689,24 @@ class TestCommands:
         table_budget(9)
         assert main(["fc", str(f)]) == 0
 
-    @pytest.mark.parametrize("argv, point, order", [
-        (["cp"], 10000000, None),
-        (["center"], 9, 8),
+    @pytest.mark.parametrize("argv, point, order, lines", [
+        (["cp"], 100000000, None, 2),
+        (["center"], 9, 8, 7),
     ], ids=["huge-point", "point-9-cap-8"])
-    def test_perm_point_honours_cap(self, argv, point, order, table_budget, tmp_path, capsys,
-                                    monkeypatch):
-        # a point above the largest order the budget admits exits 2 before
-        # any permutation is built: at 10000000 each permutation alone would
-        # be a tuple of that length
+    def test_perm_point_honours_cap(self, argv, point, order, lines, table_budget, tmp_path,
+                                    capsys, monkeypatch):
+        # the identity and the perms of a spec, each a row of its largest
+        # point's many entries, over the budget exit 2 before any permutation
+        # is built: at 100000000 each one would be a tuple of that length
         budget = None if order is None else table_budget(order)
 
         def no_build(*args):
             raise AssertionError("permutation built")
         monkeypatch.setattr(specfmt, "_perm_from_cycles", no_build)
         f = tmp_path / "g.group"
-        f.write_text(f"perm (1 2 3)\nperm (1 {point})\n")
+        f.write_text("perm (1 2 3)\n" * (lines - 1) + f"perm (1 {point})\n")
         assert main(argv + [str(f)]) == 2
-        message = over_budget(f"perm point {point}", point, budget)
+        message = over_budget(f"perm point {point}", lines + 1, budget, point)
         assert capsys.readouterr() == ("", f"error: {f}: {message}\n")
 
     @pytest.mark.parametrize("argv, spec, size, order", [

@@ -4,8 +4,10 @@ groups.TABLE_BUDGET bounds the bytes of one Cayley table, at 8 bytes per
 entry, and groups.check_order is the one place that compares an order with
 it.  Every input that stands for a table goes through the checker first:
 a builtin's order, a closure as it grows, a product's order, a `table n`
-header, a `perm` spec's largest point, a torus rank's d^2, and the largest
-stem candidate.  The budget is read at each call, so these tests lower it.
+header and the largest stem candidate.  So do the inputs that stand for
+rows of entries: a `perm` spec's identity and perms, each a row of its
+largest point's many entries, and a torus rank's d x d matrix.  The budget
+is read at each call, so these tests lower it.
 """
 
 import ast
@@ -23,8 +25,15 @@ from haarcp.errors import TableBudgetExceeded
 SRC = Path(__file__).resolve().parents[1] / "src" / "haarcp"
 
 
-def over_budget(what: str, n: int, budget: int) -> str:
-    return f"{what}: a table of order {n} needs {8 * n * n} bytes, over the budget of {budget}"
+def need(n: int, width: int | None = None) -> int:
+    """The bytes of a table of order n, or of n rows of width entries."""
+    return 8 * n * (n if width is None else width)
+
+
+def over_budget(what: str, n: int, budget: int, width: int | None = None) -> str:
+    shape = (f"a table of order {n} needs" if width is None
+             else f"{n} rows of {width} entries need")
+    return f"{what}: {shape} {need(n, width)} bytes, over the budget of {budget}"
 
 
 @pytest.fixture
@@ -45,16 +54,16 @@ def built(monkeypatch):
 
 C3_TABLE = "table 3\n0 1 2\n1 2 0\n2 0 1\n"
 
-# (argv, spec written to the file named FILE, what, order named, tables built before the check).
-# Each case needs a table one order above the budget it runs under.
+# (argv, spec written to the file named FILE, what, order named or (rows, width),
+# tables built before the check).  Each case needs one row more than the budget
+# it runs under admits: a table of one order more, or one more row of width entries.
 SITES = {
     "builtin": (["cp", "c9"], None, "builtin group 'c9'", 9, []),
     "closure": (["cp", "FILE"], "perm (1 2 3)(4 5)\n", "closure of degree 5 past order 5", 6, []),
     "product": (["cp", "FILE"], "product c3 c2\n", "product C3 x C2", 6, [3, 2]),
     "table": (["cp", "FILE"], C3_TABLE, "table 3", 3, []),
-    "perm-point": (["cp", "FILE"], "perm (1 7)\n", "perm point 7", 7, []),
-    "torus-rank": (["fc", "FILE"], "torus_rank 3\nacting_group c2\n", "torus rank 3 squared", 9,
-                   []),
+    "perm-point": (["cp", "FILE"], "perm (1 7)\n", "perm point 7", (2, 7), []),
+    "torus-rank": (["fc", "FILE"], "torus_rank 3\nacting_group c2\n", "torus rank 3", (3, 3), []),
     "shadow": (["verify-t1", "FILE"], "torus_rank 0\nacting_group c6\nextra_factor c2\n",
                "product C6|6 x C2", 12, [6, 2, 6]),
     "stem": (["stem", "--max-order", "40", "s4"], None, "stem candidates up to order 40", 40, [24]),
@@ -63,21 +72,39 @@ SITES = {
 
 @pytest.mark.parametrize("site", sorted(SITES))
 def test_every_site_checks_before_building(site, built, monkeypatch, tmp_path, capsys):
-    argv, spec, what, n, before = SITES[site]
+    argv, spec, what, size, before = SITES[site]
+    n, width = size if isinstance(size, tuple) else (size, None)
     f = tmp_path / "spec"
     if spec is not None:
         f.write_text(spec)
     argv = [str(f) if a == "FILE" else a for a in argv]
-    budget = 8 * (n - 1) ** 2
+    budget = need(n - 1) if width is None else need(n - 1, width)
     monkeypatch.setattr(groups, "TABLE_BUDGET", budget)
     assert main(argv) == 2
     # an error raised while a spec file is read names the file first
     where = f"{f}: " if spec is not None and site != "shadow" else ""
-    assert capsys.readouterr() == ("", f"error: {where}{over_budget(what, n, budget)}\n")
+    assert capsys.readouterr() == ("", f"error: {where}{over_budget(what, n, budget, width)}\n")
     assert built == before
-    monkeypatch.setattr(groups, "TABLE_BUDGET", 8 * n * n)  # a table at the limit fits
+    monkeypatch.setattr(groups, "TABLE_BUDGET", need(n, width))  # exactly what it needs fits
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_closure_stops_where_its_elements_pass_the_budget(monkeypatch, tmp_path, capsys):
+    # S4 on the points 1, 2, 3 and 9, at 512 bytes: the identity and two
+    # perms (3 rows of 9 entries) fit, and so would a table of order 8, but
+    # 8 elements of 9 points do not, so the walk stops at its 8th element
+    # and no table is built
+    def forbidden(*args):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(groups, "table_from_left", forbidden)
+    monkeypatch.setattr(groups, "TABLE_BUDGET", 512)
+    f = tmp_path / "s4.group"
+    f.write_text("perm (1 2 3)\nperm (1 9)\n")
+    assert main(["cp", str(f)]) == 2
+    message = over_budget("closure of degree 9 past order 7", 8, 512, 9)
+    assert capsys.readouterr() == ("", f"error: {f}: {message}\n")
 
 
 def test_budget_admits_s7_and_not_order_20000():
