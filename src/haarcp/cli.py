@@ -1,8 +1,21 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 exact theorem/agreement violation, 2 input error.
+Every way out of a command goes through main(), which maps its outcome to
+one exit status:
+
+    0    success
+    1    a FAIL or THEOREM VIOLATION line on stdout: two exact routes
+         disagree, or a theorem's bound fails.  Only cp, classify, scan,
+         verify-t1 and verify-t2 exit 1.
+    2    input rejected, with one `error:` line on stderr: a parse error,
+         the table, search or sample budget, or out of memory
+    3    engine error: any other exception, its traceback on stderr
+    141  stdout closed by its reader (as a pipe into `head`): the rest of
+         the output is dropped, quietly
+
 Monte Carlo noise never drives a nonzero exit; statistical results are
-reported, not gated.
+reported, not gated.  argparse rejects a bad command line itself, with
+status 2.
 """
 
 from __future__ import annotations
@@ -223,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; may be called many times in one process.
+    """Run one command and return its exit status (see the module docstring);
+    may be called many times in one process.
 
     The verb's cmd_* function is looked up at each call, so a function
     replaced in this module after the parser was built is the one that runs.
@@ -240,13 +254,30 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return command(args)
+        status = command(args)
+        if sys.stdout is not None:  # None once a reader closed it, below
+            sys.stdout.flush()  # a closed stdout shows here, not at the interpreter's exit
+        return status
     except (HaarcpError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except MemoryError:
+        message = f"{args.verb}: out of memory"
+    except BrokenPipeError:
+        # the reader is gone: drop what is left of stdout, so that neither a
+        # later print nor the interpreter's final flush writes to it again
+        sys.stdout = None
+        return 141
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        return 3
     finally:
         if collecting:
             gc.enable()
+    # printed once the exception, and all that the command held, is let go
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -26,7 +26,13 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from .builders import trivial
-from .errors import NotAHomomorphism, NotUnimodular, RankMismatch, ZeroSamples
+from .errors import (
+    NotAHomomorphism,
+    NotUnimodular,
+    RankMismatch,
+    SampleBudgetExceeded,
+    ZeroSamples,
+)
 from .groups import FiniteGroup, Subgroup, _grow, direct_product, subgroup_as_group
 from .cp import _symmetric_entries, cp_pair_count
 
@@ -234,6 +240,9 @@ class MonteCarloEstimate(NamedTuple):
 
 # Samples per Monte Carlo block: memory is O(MC_BLOCK) whatever the sample count.
 MC_BLOCK = 1 << 16
+# Samples one estimate may draw, about 13 s at some 13 ns per sample on a
+# 2-vCPU VM: the time of a run grows with its count, while its memory does not.
+SAMPLE_BUDGET = 10**9
 
 
 def cp_monte_carlo(model: CompactModel, samples: int, seed: int) -> MonteCarloEstimate:
@@ -253,6 +262,9 @@ def cp_monte_carlo(model: CompactModel, samples: int, seed: int) -> MonteCarloEs
     """
     if samples < 1:
         raise ZeroSamples("need at least one sample")
+    if samples > SAMPLE_BUDGET:
+        raise SampleBudgetExceeded(
+            f"{samples} samples: over the sample budget of {SAMPLE_BUDGET}")
     if not 0 <= seed <= _SM_MASK:  # the stream reads the seed mod 2^64
         raise ValueError(f"seed must be in 0..{_SM_MASK}, got {seed}")
     import numpy as np

@@ -37,6 +37,10 @@ class ZeroSamples(HaarcpError):
     """A Monte Carlo estimate was requested with no samples."""
 
 
+class SampleBudgetExceeded(HaarcpError):
+    """A Monte Carlo estimate was requested with more samples than its budget."""
+
+
 class ParseError(HaarcpError):
     """A group or model spec file is malformed."""
 

@@ -17,6 +17,11 @@ from typing import Callable, Hashable, Iterable, Sequence
 from .errors import EmptyGeneratorList, NotNormal, TableBudgetExceeded
 
 TABLE_BUDGET = 2**30  # bytes for one Cayley table, at 8 bytes per entry: order 11585 at most
+# Rows of permutation points of a degree past 257 hold points that are int
+# objects outside the small-int cache, shared by every row, and a closure walk
+# holds two products beside its members: so each point is charged 48 bytes
+# once, 32 for its int object and 16 for its two slots.
+POINT_BYTES = 48
 
 Perm = tuple[int, ...]
 
@@ -164,18 +169,27 @@ def _search_identity_and_inverses(rows: tuple[tuple[int, ...], ...]) -> tuple[in
     return identity, inverses
 
 
-def check_order(n: int, what: str, width: int | None = None) -> None:
+def check_order(n: int, what: str, width: int | None = None, points: bool = False) -> None:
     """Raise TableBudgetExceeded, naming what, when a table of order n, or
     n rows of width entries, would pass TABLE_BUDGET at 8 bytes per entry.
     Every table, and every input that stands for one or for rows of
-    entries, is checked here before anything is allocated.  TABLE_BUDGET
-    is read at each call."""
+    entries, is checked here before anything is allocated.  Rows of
+    permutation points (points) are charged their shared points too, once
+    the rows alone fit.  TABLE_BUDGET is read at each call."""
     need = 8 * n * (n if width is None else width)
-    if need > TABLE_BUDGET:
+    shared = shared_point_bytes(width) if points and need <= TABLE_BUDGET else 0
+    if need + shared > TABLE_BUDGET:
         shape = (f"a table of order {n} needs" if width is None
-                 else f"{n} rows of {width} entries need")
+                 else f"{n} rows of {width} entries"
+                 + (f" and {width} shared points" if shared else "") + " need")
         raise TableBudgetExceeded(
-            f"{what}: {shape} {need} bytes, over the budget of {TABLE_BUDGET}")
+            f"{what}: {shape} {need + shared} bytes, over the budget of {TABLE_BUDGET}")
+
+
+def shared_point_bytes(degree: int) -> int:
+    """The bytes that rows of degree permutation points hold once, beside their
+    8-byte slots: none while every point is a cached small int."""
+    return POINT_BYTES * degree if degree > 257 else 0
 
 
 def verify_axioms(G: FiniteGroup) -> bool:
@@ -200,7 +214,7 @@ def verify_axioms(G: FiniteGroup) -> bool:
 
 
 def _grow(members: list, index: dict, gens: Sequence, mul: Callable, old: int,
-          limit: int | None = None, what: str = "", width: int = 0) -> None:
+          limit: int | None = None, past: Callable[[int], None] | None = None) -> None:
     """Close members, whose first old entries are closed under gens[:-1], under gens.
 
     index maps each member to its position; both grow in place, in BFS
@@ -209,8 +223,7 @@ def _grow(members: list, index: dict, gens: Sequence, mul: Callable, old: int,
     [start] with old = 0.  Growing a span of s members by one generator to
     s' members takes s + k*(s' - s) products, so a span of n elements grown
     one generator at a time takes n*k.  Once members would pass limit, the
-    order so far, limit + 1, goes to check_order with what: as the order
-    of the table, then as that many members of width entries each.
+    order so far, limit + 1, goes to past, which raises.
     """
     edges = gens[-1:]
     for i, x in enumerate(members):  # members grows while it is walked: a FIFO queue
@@ -220,8 +233,7 @@ def _grow(members: list, index: dict, gens: Sequence, mul: Callable, old: int,
             y = mul(x, g)
             if y not in index:
                 if limit is not None and len(members) >= limit:
-                    check_order(len(members) + 1, what)
-                    check_order(len(members) + 1, what, width)
+                    past(len(members) + 1)
                 index[y] = len(members)
                 members.append(y)
 
@@ -282,20 +294,33 @@ def close_generators(perms: Sequence[Perm], name: str = "G") -> FiniteGroup:
     The walk keeps each element as a tuple of degree points, and the table
     comes after, so it stops at the first element past the largest order
     at which both the table and the elements fit the budget.  The order its
-    error names is a lower bound."""
+    error names is a lower bound.  The identity is made of the first perm's
+    point objects, and every product picks its points from a generator, so
+    perms that share their points, as a spec's do, hold each point once."""
     if not perms:
         raise EmptyGeneratorList("need at least one generator")
     degree = len(perms[0])
     for p in perms:
-        if len(p) != degree or sorted(p) != list(range(degree)):
+        if len(p) != degree or not all(map(eq, sorted(p), range(degree))):
             raise ValueError(f"not a permutation of 0..{degree - 1}: {p}")
-    elements = [tuple(range(degree))]
-    index = {elements[0]: 0}
-    # the largest n with 8 n^2 and 8 n degree both within TABLE_BUDGET; the
-    # walk starts from the identity, a row as long as each perm given
-    limit = max(1, min(isqrt(TABLE_BUDGET // 8), TABLE_BUDGET // (8 * max(degree, 1))))
+    # the walk from the identity finds the distinct non-identity perms
+    # first, in order: they are its first members, not copies of them
+    identity = tuple(sorted(perms[0]))
+    elements = [identity, *dict.fromkeys(p for p in perms if p != identity)]
+    index = {x: i for i, x in enumerate(elements)}
+    # the largest n with 8 n^2, and 8 n degree with the shared points, within
+    # TABLE_BUDGET; the spec reader checked the identity and the perms
+    fit = (TABLE_BUDGET - shared_point_bytes(degree)) // (8 * max(degree, 1))
+    limit = max(1, min(isqrt(TABLE_BUDGET // 8), fit))
     what = f"closure of degree {degree} past order {limit}"
-    _grow(elements, index, perms, _compose, 0, limit, what, degree)
+
+    def past(n):
+        check_order(n, what)
+        check_order(n, what, degree, points=True)
+
+    if len(elements) > limit:
+        past(limit + 1)
+    _grow(elements, index, perms, _compose, 0, limit, past)
     left = [[index[_compose(g, x)] for x in elements] for g in perms]
     rows, inverses = table_from_left(left, 0, tuple(range(len(elements))))
     gens = dict.fromkeys(index[p] for p in perms if index[p])

@@ -71,11 +71,13 @@ def parse_cycles(text: str, line: int | None = None) -> list[tuple[int, ...]]:
     return cycles
 
 
-def _perm_from_cycles(cycles: list[tuple[int, ...]], degree: int) -> Perm:
-    mapping = list(range(degree))
+def _perm_from_cycles(cycles: list[tuple[int, ...]], ids: Perm) -> Perm:
+    """The permutation of ids, the points 0..d-1, that cycles name; its
+    points are the objects of ids."""
+    mapping = list(ids)
     for cyc in cycles:
         for i, p in enumerate(cyc):
-            mapping[p - 1] = cyc[(i + 1) % len(cyc)] - 1
+            mapping[p - 1] = ids[cyc[(i + 1) % len(cyc)] - 1]
     return tuple(mapping)
 
 
@@ -97,46 +99,85 @@ def read_spec(
     operand: str | Path,
     kind: str | None = None,
     relative_to: Path | None = None,
-    chain: tuple[Path, ...] = (),
 ) -> FiniteGroup | CompactModel:
     """The group or model an operand names: a builtin group first, else a
     spec file, read once as the kind its first directive names (the kind
     asked for, else a model, when that directive names neither).  kind
     "group" or "model" rejects the other kind.  A relative file name is read
-    against relative_to when given, else the working directory; chain lists
-    the product specs whose operands led here.  An error raised while
-    reading the file is raised again, with its type, after the file's path."""
-    if kind == "model":  # a builtin group is rejected unbuilt
-        if corpus.builtin_name(str(operand)) is not None:
-            raise ParseError(f"{operand}: expected a model spec, got a builtin group")
-    else:
-        g = corpus.builtin_group(str(operand))
-        if g is not None:
-            return g
-    path = Path(operand)
-    if relative_to is not None:  # an absolute operand stays as it is
-        path = relative_to / path
-    if not path.exists():
-        raise ParseError(f"not a builtin group and not a file: {str(operand)!r}")
+    against relative_to when given, else the working directory.
+
+    The operands of a product spec are read by the same loop, not by a call
+    per level, so a chain of products nested to any depth takes no more
+    Python frames than one.  A nested product spec whose resolved path is
+    already open is a cycle.  Paths are resolved only once a product spec
+    is nested, not for the outermost one alone: a resolve costs some 17 us,
+    as much as reading a small spec.  An error raised while reading a file
+    is raised again, with its type, after the file's path and the paths of
+    the product specs that led to it, outermost first."""
+    products: list[tuple[Path, list[str], list[FiniteGroup]]] = []  # open, outermost first
+    resolved: dict[Path, None] = {}  # their resolved paths, in order, once one is nested
+    reading = None  # the spec whose lines are being read
     try:
-        data = path.read_bytes()
-        lines = data.decode("utf-8").splitlines()
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"{path}: line {line}: not UTF-8 text") from None
-    first = next((_split_directive(line)[0] for _, line in _directives(lines)), None)
-    found = ("group" if first in _GROUP_DIRECTIVES
-             else "model" if first in _MODEL_DIRECTIVES else kind or "model")
-    if kind not in (None, found):
-        raise ParseError(f"{path}: expected a {kind} spec, got a {found} spec")
-    try:
-        if found == "group":
-            return _group_from_lines(path, lines, chain)
-        return _model_from_lines(path, lines)
+        while True:
+            group = None
+            if kind == "model":  # a builtin group is rejected unbuilt
+                if corpus.builtin_name(str(operand)) is not None:
+                    raise ParseError(f"{operand}: expected a model spec, got a builtin group")
+            else:
+                group = corpus.builtin_group(str(operand))
+            if group is None:
+                path = Path(operand)
+                if relative_to is not None:  # an absolute operand stays as it is
+                    path = relative_to / path
+                if not path.exists():
+                    raise ParseError(f"not a builtin group and not a file: {str(operand)!r}")
+                try:
+                    data = path.read_bytes()
+                    lines = data.decode("utf-8").splitlines()
+                except OSError as exc:
+                    raise ParseError(f"{path}: cannot read: {exc.strerror}") from None
+                except UnicodeDecodeError as exc:
+                    line = data.count(b"\n", 0, exc.start) + 1
+                    raise ParseError(f"{path}: line {line}: not UTF-8 text") from None
+                first = next((_split_directive(line)[0] for _, line in _directives(lines)), None)
+                found = ("group" if first in _GROUP_DIRECTIVES
+                         else "model" if first in _MODEL_DIRECTIVES else kind or "model")
+                if kind not in (None, found):
+                    raise ParseError(f"{path}: expected a {kind} spec, got a {found} spec")
+                reading = path
+                if found == "model":
+                    return _model_from_lines(path, lines)
+                group = _group_from_lines(path, lines)
+                if isinstance(group, tuple):  # a product line: its operands are read next
+                    factors, lineno = group
+                    if products:
+                        if not resolved:
+                            resolved[products[0][0].resolve()] = None
+                        here = path.resolve()
+                        if here in resolved:
+                            raise ParseError(f"product cycle through {path.name}", lineno)
+                        resolved[here] = None
+                    products.append((path, factors, []))
+                    group = None
+                reading = None
+            while group is not None:  # a group read: it is an operand of the innermost product
+                if not products:
+                    return group
+                _, factors, groups = products[-1]
+                groups.append(group)
+                group = None
+                if len(groups) == 2:
+                    group = direct_product(*groups)
+                    products.pop()
+                    if resolved:
+                        resolved.popitem()
+            path, factors, groups = products[-1]
+            operand, kind, relative_to = factors[len(groups)], "group", path.parent
     except (HaarcpError, ValueError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        trail = [spec for spec, _, _ in products] + ([reading] if reading else [])
+        if not trail:
+            raise
+        raise type(exc)(": ".join(map(str, [*trail, exc]))) from exc
 
 
 def parse_group_file(operand: str | Path) -> FiniteGroup:
@@ -148,11 +189,9 @@ def parse_model_file(path: str | Path) -> CompactModel:
     return read_spec(path, "model")
 
 
-def _group_from_lines(path: Path, lines: list[str], chain: tuple[Path, ...]) -> FiniteGroup:
-    """The group a spec's lines describe.  chain lists the product specs
-    whose operands led here, outermost first; a product spec whose resolved
-    path is already on it is a cycle.  Paths are resolved only to check a
-    nested product spec, not for the outermost one."""
+def _group_from_lines(path: Path, lines: list[str]) -> FiniteGroup | tuple[list[str], int]:
+    """The group a spec's lines describe, or for a product line its two
+    operands and its line number, which read_spec reads next."""
     kind: str | None = None  # the first directive; a spec uses only that kind
     perm_cycles: list[list[tuple[int, ...]]] = []
     table: list[tuple[int, ...]] | None = None
@@ -198,10 +237,7 @@ def _group_from_lines(path: Path, lines: list[str], chain: tuple[Path, ...]) -> 
                 raise ParseError("product needs exactly two operands", lineno)
             product_line = lineno
     if kind == "product":
-        if chain and path.resolve() in map(Path.resolve, chain):
-            raise ParseError(f"product cycle through {path.name}", product_line)
-        a, b = (read_spec(f, "group", path.parent, (*chain, path)) for f in factors)
-        return direct_product(a, b)
+        return factors, product_line
     if expect_rows:
         raise ParseError(f"table ended early, {expect_rows} rows missing")
     if table is not None:
@@ -224,10 +260,13 @@ def _group_from_lines(path: Path, lines: list[str], chain: tuple[Path, ...]) -> 
     if not perm_cycles:
         raise ParseError("no generators and no table in group spec")
     degree = max((p for cyc in perm_cycles for c in cyc for p in c), default=1)
-    # the closure holds the identity and each perm, a row of degree points;
-    # checked before any is built, and close_generators checks the rest
-    check_order(len(perm_cycles) + 1, f"perm point {degree}", degree)
-    perms = [_perm_from_cycles(cyc, degree) for cyc in perm_cycles]
+    # the closure holds the identity and each perm, a row of degree points,
+    # and the points they share; checked before any is built, and
+    # close_generators checks the rest
+    check_order(len(perm_cycles) + 1, f"perm point {degree}", degree, points=True)
+    ids = tuple(range(degree))
+    perms = [_perm_from_cycles(cyc, ids) for cyc in perm_cycles]
+    del ids  # the closure makes its identity of the perms' points
     return close_generators(perms, name=path.stem)
 
 

@@ -777,6 +777,22 @@ class TestCommands:
         names = "".join(f"{tmp_path / name}: " for name in trail)
         assert capsys.readouterr() == ("", f"error: {names}{message}\n")
 
+    def test_product_chain_takes_no_frame_per_level(self, tmp_path, capsys):
+        # specs nested past the recursion limit are read by one loop; an
+        # error at the bottom names every spec on the way, outermost first
+        depth = 1500
+        for i in range(depth):
+            (tmp_path / f"q{i}.group").write_text(f"product q{i + 1}.group c1\n")
+        bottom = tmp_path / f"q{depth}.group"
+        bottom.write_text("perm (1 2 3)\n")
+        assert main(["center", str(tmp_path / "q0.group")]) == 0
+        assert capsys.readouterr() == ("center order 3 of group order 3\n0 1 2\n", "")
+        bottom.write_text("perm (1 2)(2 3)\n")
+        assert main(["cp", str(tmp_path / "q0.group")]) == 2
+        trail = "".join(f"{tmp_path / f'q{i}.group'}: " for i in range(depth + 1))
+        assert capsys.readouterr() == (
+            "", f"error: {trail}line 1: point 2 in two cycles: '(1 2)(2 3)'\n")
+
     def test_product_diamond_allowed(self, tmp_path, capsys):
         # d = l x r with both l and r built from base: base is read twice, no cycle
         for name, text in {"base.group": "perm (1 2 3)\nperm (1 2)\n",
@@ -1212,15 +1228,20 @@ class TestCollectorPause:
             f"error: {f}: bad Cayley table: row 1 has length 1, expected 2\n")
         assert gc.isenabled() is collector
 
-    def test_uncaught_exception(self, collector, monkeypatch):
+    def test_uncaught_exception(self, collector, monkeypatch, capsys):
+        # an engine error is neither a disagreement (1) nor an input error
+        # (2): it exits 3 with its traceback
         from haarcp import cli
 
         def broken(args):
             raise RuntimeError("not an input error")
 
         monkeypatch.setattr(cli, "cmd_center", broken)
-        with pytest.raises(RuntimeError, match="not an input error"):
-            main(["center", "q8"])
+        assert main(["center", "q8"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("\nRuntimeError: not an input error\n")
         assert gc.isenabled() is collector
 
     def test_argparse_exit(self, collector, capsys):

@@ -1,15 +1,17 @@
 import functools
 import itertools
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from haarcp import builders
+from haarcp import builders, compact
 from haarcp.compact import (
     MC_BLOCK,
+    SAMPLE_BUDGET,
     build_model,
     cp_monte_carlo,
     cp_semianalytic,
@@ -25,6 +27,7 @@ from haarcp.errors import (
     NotAHomomorphism,
     NotUnimodular,
     RankMismatch,
+    SampleBudgetExceeded,
     TableBudgetExceeded,
     ZeroSamples,
 )
@@ -415,6 +418,22 @@ class TestMonteCarlo:
     def test_zero_samples_rejected(self):
         with pytest.raises(ZeroSamples):
             cp_monte_carlo(o2_model(), 0, 1)
+
+    def test_sample_budget_checked_before_numpy(self, monkeypatch):
+        # numpy made unimportable: a count over the budget is rejected
+        # before the import, and before any word is drawn
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        with pytest.raises(SampleBudgetExceeded) as exc:
+            cp_monte_carlo(o2_model(), SAMPLE_BUDGET + 1, 1)
+        assert str(exc.value) == (
+            f"{SAMPLE_BUDGET + 1} samples: over the sample budget of {SAMPLE_BUDGET}")
+
+    def test_sample_budget_admits_its_count(self, monkeypatch):
+        assert SAMPLE_BUDGET == 10**9
+        monkeypatch.setattr(compact, "SAMPLE_BUDGET", 1000)
+        assert cp_monte_carlo(o2_model(), 1000, 1).samples == 1000
+        with pytest.raises(SampleBudgetExceeded):
+            cp_monte_carlo(o2_model(), 1001, 1)
 
     def test_abelian_model_estimates_one(self):
         m = build_model(1, builders.trivial(), {}, builders.cyclic(6))

@@ -6,19 +6,22 @@ it.  Every input that stands for a table goes through the checker first:
 a builtin's order, a closure as it grows, a product's order, a `table n`
 header and the largest stem candidate.  So do the inputs that stand for
 rows of entries: a `perm` spec's identity and perms, each a row of its
-largest point's many entries, and a torus rank's d x d matrix.  The budget
-is read at each call, so these tests lower it.
+largest point's many entries, and a torus rank's d x d matrix.  Rows of
+more than 257 points are charged their shared points as well: int objects
+outside the small-int cache, and the closure walk's two products in hand.
+The budget is read at each call, so these tests lower it.
 """
 
 import ast
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from haarcp import corpus, groups
+from haarcp import corpus, groups, specfmt
 from haarcp.cli import main
 from haarcp.errors import TableBudgetExceeded
 
@@ -105,6 +108,70 @@ def test_closure_stops_where_its_elements_pass_the_budget(monkeypatch, tmp_path,
     assert main(["cp", str(f)]) == 2
     message = over_budget("closure of degree 9 past order 7", 8, 512, 9)
     assert capsys.readouterr() == ("", f"error: {f}: {message}\n")
+
+
+DEGREE = 20000  # past the small-int cache, so the shared points are charged
+
+
+def over_budget_with_points(what: str, n: int, budget: int) -> str:
+    need_all = need(n, DEGREE) + groups.shared_point_bytes(DEGREE)
+    return (f"{what}: {n} rows of {DEGREE} entries and {DEGREE} shared points need"
+            f" {need_all} bytes, over the budget of {budget}")
+
+
+@pytest.mark.parametrize("spec, order, stop", [
+    (f"perm (1 {DEGREE})\n", 2, f"perm point {DEGREE}"),
+    (f"perm (1 2 3)\nperm (1 {DEGREE})\n", 24, f"closure of degree {DEGREE} past order 23"),
+    (f"perm (1 2 3 4)\nperm (1 2)\nperm (1 {DEGREE})\n", 120,
+     f"closure of degree {DEGREE} past order 119"),
+], ids=["C2", "S4", "S5"])
+def test_charge_covers_a_large_degree_closure(spec, order, stop, monkeypatch, tmp_path):
+    # under the least budget that admits it, a closure's tracemalloc peak,
+    # from the spec's text to the group, is within what it is charged: its
+    # rows with their shared points, and its table, which coexist at the end.
+    # One byte less stops it: C2's two rows are the spec's identity and perm
+    f = tmp_path / "g.group"
+    f.write_text(spec)
+    rows = need(order, DEGREE) + groups.shared_point_bytes(DEGREE)
+    assert rows > need(order)
+    monkeypatch.setattr(groups, "TABLE_BUDGET", rows)
+    tracemalloc.start()
+    try:
+        G = specfmt.read_spec(f, "group")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.order == order
+    assert peak <= rows + need(order)
+    del G
+    monkeypatch.setattr(groups, "TABLE_BUDGET", rows - 1)
+    message = over_budget_with_points(stop, order, rows - 1)
+    with pytest.raises(TableBudgetExceeded) as exc:
+        specfmt.read_spec(f, "group")
+    assert str(exc.value) == f"{f}: {message}"
+
+
+def test_perm_spec_past_the_budget_stops_before_the_walk(monkeypatch, tmp_path, capsys):
+    # the identity and two perms, 3 rows, and the points they share: one
+    # byte short, and no permutation is built, let alone closed
+    def forbidden(*args):
+        raise AssertionError("permutation built")
+
+    monkeypatch.setattr(specfmt, "_perm_from_cycles", forbidden)
+    f = tmp_path / "g.group"
+    f.write_text(f"perm (1 2 3)\nperm (1 {DEGREE})\n")
+    budget = need(3, DEGREE) + groups.shared_point_bytes(DEGREE) - 1
+    monkeypatch.setattr(groups, "TABLE_BUDGET", budget)
+    assert main(["center", str(f)]) == 2
+    message = over_budget_with_points(f"perm point {DEGREE}", 3, budget)
+    assert capsys.readouterr() == ("", f"error: {f}: {message}\n")
+
+
+def test_small_points_are_not_charged():
+    # points up to 256 are the cached small ints: no row of 257 points
+    # holds an object of its own
+    assert groups.shared_point_bytes(257) == 0
+    assert groups.shared_point_bytes(258) == groups.POINT_BYTES * 258
 
 
 def test_budget_admits_s7_and_not_order_20000():
